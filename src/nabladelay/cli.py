@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -76,7 +77,13 @@ def _require(doc: dict, key: str, path: str = ""):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -343,10 +350,12 @@ def cmd_figure(args) -> int:
     points = range(-args.delay, args.kmax + 1)
     comment = None
     try:
-        rows = [
-            (k, float(full.value(k)[0, 0]), one_matrix(k), float(pure_delay.value(k)[0, 0]))
-            for k in points
-        ]
+        rows = list(zip(
+            points,
+            full.stack(-args.delay, args.kmax)[:, 0, 0],
+            [one_matrix(k) for k in points],
+            pure_delay.stack(-args.delay, args.kmax)[:, 0, 0],
+        ))
     except DivergenceError:
         # Divergent parameter set: fall back to the fixed partial sum for
         # every column so the table remains well defined.

@@ -281,22 +281,23 @@ class DpmlParams:
 class DpmlFunction:
     """Evaluator for one DPML parameter set.
 
-    Memoizes the word-sum table, a monomial table shared across series
-    orders, and previously computed values.  With ``commutative=True`` the
+    :meth:`stack` sums the series for a whole range of grid points at
+    once: each series order is one matrix product of the monomial weights
+    of every point still running against one word-sum row.  :meth:`value`
+    and :meth:`partial_sum` are one-point calls of the same driver.  The
+    word-sum table is kept across calls.  With ``commutative=True`` the
     word sums are produced from the binomial closed form for commuting
     pairs instead of the general recursion (a :class:`CommutativityError`
     is raised if the pair does not commute).
 
-    Concurrent ``value`` calls on a shared instance are safe: memo growth
-    is lock-serialized and committed entries are never mutated.
+    Concurrent calls on a shared instance are safe: word-sum growth is
+    lock-serialized and every call returns fresh arrays.
     """
 
     def __init__(self, params: DpmlParams, commutative: bool = False) -> None:
         self.params = params
         self.dim = params.dim
         self._lock = threading.Lock()
-        self._cache: dict[int, np.ndarray] = {}
-        self._h: np.ndarray | None = None
         if commutative:
             _require_commuting(params.M, params.N)
             self._table = None
@@ -317,25 +318,23 @@ class DpmlFunction:
 
     # -- monomial table ------------------------------------------------
 
-    def _ensure_h(self, i_need: int, m_need: int) -> np.ndarray:
-        h = self._h
-        if h is not None and h.shape[0] > i_need and h.shape[1] > m_need:
-            return h
-        with self._lock:
-            h = self._h
-            if h is not None and h.shape[0] > i_need and h.shape[1] > m_need:
-                return h
-            rows = max(64, i_need + 1, 0 if h is None else 2 * h.shape[0])
-            cols = max(64, m_need + 1, 0 if h is None else 2 * h.shape[1])
-            mu = np.arange(rows) * self.params.alpha + (self.params.beta - 1.0)
-            table = np.empty((rows, cols))
-            table[:, 0] = (mu == 0.0).astype(float)
-            table[:, 1] = 1.0
-            for m in range(2, cols):
-                table[:, m] = table[:, m - 1] * ((m - 1 + mu) / (m - 1))
-            table.setflags(write=False)
-            self._h = table
-            return table
+    def _monomials(self, rows: int, cols: int) -> np.ndarray:
+        """Table h[i, m] of the order-(i alpha + beta - 1) monomial at m = k - a.
+
+        Columns 1 .. cols - 1 hold the product recurrence of
+        :func:`~nabladelay.grid_calculus.monomial`.  Column 0 is zero: the
+        series never reads m = 0 (every live delay block has m >= 1), so
+        it pads the blocks past p(k).  Call inside ``np.errstate``: high
+        orders overflow to inf, which the stop rule reports.
+        """
+        mu = np.arange(rows)[:, None] * self.params.alpha + (self.params.beta - 1.0)
+        t = np.arange(1, cols - 1)
+        table = np.zeros((rows, cols))
+        table[:, 1] = 1.0
+        np.add(t, mu, out=table[:, 2:])
+        table[:, 2:] /= t
+        np.cumprod(table[:, 1:], axis=1, out=table[:, 1:])
+        return table
 
     # -- word sums -----------------------------------------------------
 
@@ -357,39 +356,18 @@ class DpmlFunction:
 
     # -- evaluation ----------------------------------------------------
 
-    def _blocks(self, k: int) -> tuple[int, np.ndarray]:
-        """Delay block count p and monomial arguments m_j = k - (j-1) r."""
-        r = self.params.r
-        p = max(0, -((-k) // r))
-        m = k - (np.arange(p + 1) - 1) * r
-        return p, m
+    def stack(self, kmin: int, kmax: int) -> np.ndarray:
+        """DPML values on ``[kmin, kmax]`` as an array of shape (L, n, n).
 
-    def _term(self, i: int, p: int, m: np.ndarray, h: np.ndarray) -> np.ndarray:
-        jmax = min(i, p)
-        weights = h[i, m[: jmax + 1]]
-        return np.tensordot(weights, self._qrow(i, jmax), axes=(0, 0))
+        Every point is summed under the adaptive truncation rule, with the
+        zero/identity branches below the series range.  Raises
+        :class:`DivergenceError` when any point fails the rule.
+        """
+        return self._series(kmin, kmax, None)
 
     def value(self, k: int) -> np.ndarray:
         """DPML value at grid point ``k`` under the adaptive truncation rule."""
-        if k <= -self.params.r - 1:
-            return np.zeros((self.dim, self.dim))
-        if k == -self.params.r:
-            return np.eye(self.dim)
-        cached = self._cache.get(k)
-        if cached is not None:
-            return cached.copy()
-        pol = self.params.policy
-        p, m = self._blocks(k)
-        h = self._ensure_h(pol.i_max, int(m[0]))
-        acc = _SeriesAccumulator(pol, self.dim)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(pol.i_max + 1):
-                if acc.add(self._term(i, p, m, h)):
-                    result = acc.total
-                    result.setflags(write=False)
-                    self._cache[k] = result
-                    return result.copy()
-        raise acc.exhausted()
+        return self._series(k, k, None)[0]
 
     def partial_sum(self, k: int, imax: int) -> np.ndarray:
         """Fixed truncation through order ``imax``, bypassing the stop rule.
@@ -399,17 +377,73 @@ class DpmlFunction:
         """
         if imax < 0:
             raise ValueError("imax must be >= 0")
-        if k <= -self.params.r - 1:
-            return np.zeros((self.dim, self.dim))
-        if k == -self.params.r:
-            return np.eye(self.dim)
-        p, m = self._blocks(k)
-        h = self._ensure_h(imax, int(m[0]))
-        total = np.zeros((self.dim, self.dim))
+        return self._series(k, k, imax)[0]
+
+    def _series(self, kmin: int, kmax: int, imax: int | None) -> np.ndarray:
+        # Sums orders 0 .. imax when imax is given, else stops each point on
+        # its own under the policy, with the semantics of _SeriesAccumulator.
+        r, n = self.params.r, self.dim
+        out = np.zeros((max(0, kmax - kmin + 1), n * n))
+        if kmin <= -r <= kmax:
+            out[-r - kmin] = np.eye(n).ravel()
+        first = max(kmin, 1 - r)
+        if first > kmax:
+            return out.reshape(-1, n, n)
+        pol = self.params.policy
+        last = pol.i_max if imax is None else imax
+        ks = np.arange(first, kmax + 1)
+        # Delay block count p(k) and monomial arguments m_j(k) = k - (j-1) r;
+        # blocks past p(k) read the zero column.
+        p = np.maximum(0, -(-ks // r))
+        j = np.arange(int(p.max()) + 1)
+        m = np.where(j <= p[:, None], ks[:, None] - (j - 1) * r, 0)
+        rows = ks - kmin  # position in out of each point still running
+        total = np.zeros((ks.size, n * n))
+        quiet = np.zeros(ks.size, dtype=int)
+        growth = np.zeros(ks.size, dtype=int)
+        prev = np.full(ks.size, np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(imax + 1):
-                total += self._term(i, p, m, h)
-        return total
+            h = self._monomials(last + 1, kmax + r + 1)
+            for i in range(last + 1):
+                jmax = min(i, m.shape[1] - 1)
+                weights = h[i][m[:, : jmax + 1]]
+                q = self._qrow(i, jmax).reshape(jmax + 1, n * n)
+                term = weights @ q
+                total += term
+                if imax is not None:
+                    continue
+                norm = np.abs(term).max(axis=1)
+                if not np.isfinite(norm).all():
+                    raise DivergenceError(
+                        f"series term at order i={i} is non-finite; "
+                        f"treating as divergent ({pol!r})"
+                    )
+                small = norm < pol.tol * (1.0 + np.abs(total).max(axis=1))
+                quiet = np.where(small, quiet + 1, 0)
+                done = quiet >= pol.window
+                growth = np.where(norm > prev, growth + 1, 0)
+                if i > pol.i_max // 2 and np.any(~done & (growth >= pol.divergence_growth)):
+                    raise DivergenceError(
+                        f"series terms grew for {pol.divergence_growth} consecutive "
+                        f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
+                    )
+                prev = norm
+                if done.any():
+                    out[rows[done]] = total[done]
+                    keep = ~done
+                    if not keep.any():
+                        return out.reshape(-1, n, n)
+                    rows, total, quiet, growth, prev, p = (
+                        a[keep] for a in (rows, total, quiet, growth, prev, p)
+                    )
+                    m = m[keep, : int(p.max()) + 1]
+        if imax is None:
+            raise DivergenceError(
+                f"series did not meet the truncation stop rule within "
+                f"i_max = {pol.i_max} terms ({pol!r})"
+            )
+        out[rows] = total
+        return out.reshape(-1, n, n)
 
 
 def dpml_eval(params: DpmlParams, k: int) -> np.ndarray:

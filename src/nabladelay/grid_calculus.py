@@ -145,10 +145,10 @@ def _kernel_sum(order: float, a: int, z: GridSeries, k: int) -> np.ndarray:
         raise GridRangeError(
             f"operand stored on [{z.base}, {z.end}] does not cover [{a + 1}, {k}]"
         )
-    acc = np.zeros(z.dim)
-    for s in range(a + 1, k + 1):
-        acc += monomial(order, k, s - 1) * z.at(s)
-    return acc
+    # The weight of z(s) is the monomial at m = k - s + 1, so the run is
+    # read backwards against z(a + 1) .. z(k).
+    weights = monomial_run(order, k - a)[::-1]
+    return weights @ z.values[a + 1 - z.base : k + 1 - z.base]
 
 
 def nabla_sum(alpha: float, a: int, z: GridSeries, k: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy
-from .grid_calculus import GridSeries, monomial_run
+from .grid_calculus import GridRangeError, GridSeries, monomial_run
 
 __all__ = [
     "DelaySystem",
@@ -117,6 +117,14 @@ class DelaySystem:
             raise ValueError(
                 f"forcing has dimension {self.forcing.dim} but phi has {self.phi.dim}"
             )
+        data = {"M": self.M, "N": self.N, "phi": self.phi.values}
+        if self.forcing is not None:
+            data["forcing"] = self.forcing.values
+        for name, arr in data.items():
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                index = tuple(int(i) for i in bad[0])
+                raise ValueError(f"{name} has a non-finite entry {arr[index]!r} at index {index}")
         if not isinstance(self.policy, TruncationPolicy):
             raise TypeError("policy must be a TruncationPolicy")
 
@@ -212,7 +220,11 @@ def _equation_residuals(system: DelaySystem, values: GridSeries) -> np.ndarray:
 
 
 class _ClosedFormEngine:
-    """Shared machinery of the explicit-representation routes."""
+    """The explicit representation as one causal convolution.
+
+    z(k) = sum_{s = 1 - r}^{k} Phi(k - r - s + 1) g(s), with g = [w; f]:
+    the history weights w(s) on [1 - r, 0] and the forcing f(s) from 1 on.
+    """
 
     def __init__(self, system: DelaySystem, commutative: bool = False) -> None:
         self.system = system
@@ -229,33 +241,31 @@ class _ClosedFormEngine:
             rl = kernel[pos::-1] @ system.phi.values[: pos + 1]
             self.w[pos] = rl - system.M @ system.phi.values[pos]
 
-    def homogeneous(self, k: int) -> np.ndarray:
-        r = self.system.delay
-        acc = np.zeros(self.system.dim)
-        for s in range(1 - r, min(k, 0) + 1):
-            acc += self.fn.value(k - r - s + 1) @ self.w[s - (1 - r)]
-        return acc
+    def trajectory(self, kmax: int, history: bool = True, forcing: bool = True) -> np.ndarray:
+        """Rows z(1 - r) .. z(kmax), for kmax >= 1 - r.
 
-    def forced(self, k: int) -> np.ndarray:
-        acc = np.zeros(self.system.dim)
-        for s in range(1, k + 1):
-            acc += self.fn.value(k - self.system.delay - s + 1) @ self.system.forcing_at(s)
-        return acc
-
-    def value(self, k: int) -> np.ndarray:
-        return self.homogeneous(k) + self.forced(k)
-
-    def delta_value(self, k: int) -> np.ndarray:
-        # Forward-difference analogue on the shifted grid: y(k) = z(k - 1)
-        # for k in [2 - r, horizon + 1], written in its own three-window
-        # form (boundary, initial history, forcing).
-        r = self.system.delay
-        acc = self.fn.value(k - 1) @ self.w[0]
-        for s in range(1 - r, min(k - 2, -1) + 1):
-            acc += self.fn.value(k - 1 - r - s) @ self.w[s + r]
-        for s in range(1, k):
-            acc += self.fn.value(k - r - s) @ self.system.forcing_at(s)
-        return acc
+        ``history=False`` zeroes w and ``forcing=False`` zeroes f in g, which
+        gives the forced and the homogeneous part on their own.
+        """
+        system = self.system
+        r = system.delay
+        length = kmax + r
+        g = np.zeros((length, system.dim))
+        if history:
+            g[:r] = self.w[:length]
+        if forcing and system.forcing is not None:
+            f = system.forcing
+            if kmax > f.end:
+                raise GridRangeError(
+                    f"grid point {kmax} outside stored range [{f.base}, {f.end}]"
+                )
+            g[r:] = f.values[1 - f.base : kmax + 1 - f.base]
+        # Psi(t) = Phi(t + 1 - r) weighs g(q - t) in z at position q.
+        psi = self.fn.stack(1 - r, kmax)
+        z = np.zeros_like(g)
+        for t in range(length):
+            z[t:] += g[: length - t] @ psi[t].T
+        return z
 
 
 def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
@@ -265,7 +275,9 @@ def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
     s in [1 - delay, min(k, 0)].  On the initial interval this reproduces
     phi(k) identically; forcing is ignored.
     """
-    return _ClosedFormEngine(system).homogeneous(k)
+    if k < 1 - system.delay:
+        return np.zeros(system.dim)
+    return _ClosedFormEngine(system).trajectory(k, forcing=False)[-1]
 
 
 def forced_part(system: DelaySystem, k: int) -> np.ndarray:
@@ -274,7 +286,14 @@ def forced_part(system: DelaySystem, k: int) -> np.ndarray:
     Discrete convolution of DPML values with the forcing over
     s in [1, k]; zero on the initial interval and for zero forcing.
     """
-    return _ClosedFormEngine(system).forced(k)
+    if k < 1:
+        return np.zeros(system.dim)
+    return _ClosedFormEngine(system).trajectory(k, history=False)[-1]
+
+
+def _closed_trace(system: DelaySystem, commutative: bool, base: int, method: str) -> SolutionTrace:
+    z = _ClosedFormEngine(system, commutative).trajectory(system.horizon)
+    return SolutionTrace(values=GridSeries(base, z), method=method)
 
 
 def closed_form_solve(system: DelaySystem) -> SolutionTrace:
@@ -285,10 +304,7 @@ def closed_form_solve(system: DelaySystem) -> SolutionTrace:
     rather than a copy.  Raises :class:`~nabladelay.dpml.DivergenceError`
     when the series truncation rule fails.
     """
-    engine = _ClosedFormEngine(system)
-    rows = [engine.value(k) for k in range(1 - system.delay, system.horizon + 1)]
-    values = GridSeries(1 - system.delay, np.vstack(rows))
-    return SolutionTrace(values=values, method="closed")
+    return _closed_trace(system, False, 1 - system.delay, "closed")
 
 
 def commutative_solve(system: DelaySystem) -> SolutionTrace:
@@ -298,10 +314,7 @@ def commutative_solve(system: DelaySystem) -> SolutionTrace:
     :class:`~nabladelay.dpml.CommutativityError` otherwise).  Useful as an
     independent route on commuting instances.
     """
-    engine = _ClosedFormEngine(system, commutative=True)
-    rows = [engine.value(k) for k in range(1 - system.delay, system.horizon + 1)]
-    values = GridSeries(1 - system.delay, np.vstack(rows))
-    return SolutionTrace(values=values, method="commutative")
+    return _closed_trace(system, True, 1 - system.delay, "commutative")
 
 
 def delta_solve(system: DelaySystem) -> SolutionTrace:
@@ -310,10 +323,7 @@ def delta_solve(system: DelaySystem) -> SolutionTrace:
     Solves the delta-type delayed system whose solution is
     y(k) = z(k - 1); the trace lives on [2 - delay, horizon + 1].
     """
-    engine = _ClosedFormEngine(system)
-    base = 2 - system.delay
-    rows = [engine.delta_value(k) for k in range(base, system.horizon + 2)]
-    return SolutionTrace(values=GridSeries(base, np.vstack(rows)), method="delta")
+    return _closed_trace(system, False, 2 - system.delay, "delta")
 
 
 @dataclass

@@ -7,9 +7,12 @@ or linear-algebra failure, 2 config or usage error, 3 series divergence.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +218,24 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"M": [[float("nan")]]}, "M[0][0]"),
+            ({"phi": [[1.0], [float("inf")]]}, "phi[1][0]"),
+            ({"forcing": {"type": "table", "values": [[0.0]] * 7 + [[float("-inf")]]}},
+             "forcing.values[7][0]"),
+            ({"truncation": {"tol": float("nan")}}, "truncation.tol"),
+            ({"N": [[10 ** 400]]}, "N[0][0]"),
+        ],
+    )
+    def test_non_finite_number_names_the_field(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve"])  # missing required --config/--out
@@ -386,3 +407,31 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def run_module(*args):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "nabladelay", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_module_entry_point_solves(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "trace.csv"
+    proc = run_module("solve", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    ks, values = csv_values(out)
+    assert ks == list(range(-1, 9))
+    np.testing.assert_array_equal(values, closed_form_solve(load_config(cfg)).values.values)
+
+
+def test_module_entry_point_rejects_nan_without_traceback(tmp_path):
+    cfg = write_config(tmp_path, M=[[float("nan")]])
+    proc = run_module("verify", "--config", cfg)
+    assert proc.returncode == 2
+    assert "M[0][0]" in proc.stderr
+    assert "Traceback" not in proc.stderr

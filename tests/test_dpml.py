@@ -34,10 +34,12 @@ from nabladelay import (
     dpml_eval,
     ml_eval,
     ml_partial_sum,
+    monomial_run,
     special_reductions,
     word_sum,
     word_sum_commutative,
 )
+from nabladelay.dpml import _SeriesAccumulator
 
 M2 = np.array([[0.2, 0.1], [0.0, 0.3]])
 N2 = np.array([[0.1, 0.0], [0.4, 0.2]])
@@ -310,6 +312,129 @@ class TestDpmlEval:
     def test_delay_domain(self):
         with pytest.raises(ValueError):
             DpmlParams(0.5, 0.5, 0, M2, N2)
+
+
+def reference_stack(params, kmin, kmax, qrow):
+    """Per-k DPML values from word-sum rows and the scalar accumulator.
+
+    ``qrow(i, jmax)`` stacks Q(i + 1, j) for j = 0 .. jmax.  Each point is
+    summed on its own, order by order, as the evaluator did before it was
+    batched.
+    """
+    r, n, pol = params.r, params.dim, params.policy
+    runs = {}
+    out = []
+    for k in range(kmin, kmax + 1):
+        if k <= -r - 1:
+            out.append(np.zeros((n, n)))
+            continue
+        if k == -r:
+            out.append(np.eye(n))
+            continue
+        p = max(0, -(-k // r))
+        acc = _SeriesAccumulator(pol, n)
+        for i in range(pol.i_max + 1):
+            if i not in runs:
+                runs[i] = monomial_run(i * params.alpha + (params.beta - 1.0), kmax + r)
+            jmax = min(i, p)
+            weights = [runs[i][k - (j - 1) * r - 1] for j in range(jmax + 1)]
+            if acc.add(np.tensordot(weights, qrow(i, jmax), axes=1)):
+                break
+        else:
+            raise acc.exhausted()
+        out.append(acc.total)
+    return np.array(out)
+
+
+def table_rows(M, N):
+    table = WordSumTable(M, N)
+    return lambda i, jmax: table.row(i + 1)[: jmax + 1]
+
+
+def commutative_rows(M, N):
+    cache = {}
+
+    def qrow(i, jmax):
+        for j in range(jmax + 1):
+            if (i, j) not in cache:
+                cache[i, j] = word_sum_commutative(M, N, i, j)
+        return np.stack([cache[i, j] for j in range(jmax + 1)])
+
+    return qrow
+
+
+def stack_case(n, r, commutative):
+    """Signed pair with 1-norms 0.3 (commuting when asked), alpha 0.7, beta 0.4."""
+    rng = np.random.default_rng(100 * n + 10 * r + commutative)
+    A = rng.normal(size=(n, n))
+    M = 0.3 * A / np.linalg.norm(A, 1)
+    if commutative:
+        B = 0.5 * np.eye(n) + M @ M
+    else:
+        B = rng.normal(size=(n, n))
+    N = 0.3 * B / np.linalg.norm(B, 1)
+    return DpmlParams(0.7, 0.4, r, M, N)
+
+
+def rounding_scale(params, kmin, kmax):
+    """1 + max|Phi| of the pair (|M|, |N|), per point.
+
+    With beta > 0 every monomial weight is positive, so this majorizes
+    the sum of |weight| * |Q| over all terms.  Two summation orders of
+    the signed series may differ by a small multiple of eps times this;
+    where terms do not cancel it equals 1 + max|Phi|.
+    """
+    M, N = np.abs(params.M), np.abs(params.N)
+    absolute = DpmlParams(params.alpha, params.beta, params.r, M, N, params.policy)
+    values = reference_stack(absolute, kmin, kmax, table_rows(M, N))
+    return 1.0 + np.abs(values).max(axis=(1, 2))
+
+
+class TestBatchedStack:
+    K = 60
+
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stack_equals_value_at_every_point(self, n, r):
+        params = stack_case(n, r, False)
+        fn = DpmlFunction(params)
+        got = fn.stack(-r - 2, self.K)
+        assert got.shape == (self.K + r + 3, n, n)
+        np.testing.assert_array_equal(got[:2], np.zeros((2, n, n)))
+        np.testing.assert_array_equal(got[2], np.eye(n))
+        want = np.array([fn.value(k) for k in range(-r - 2, self.K + 1)])
+        # A one-row and a many-row BLAS product round differently, so the
+        # series values agree to rounding, not bit for bit.
+        gap = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(gap <= 1e-13 * rounding_scale(params, -r - 2, self.K))
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stack_matches_per_point_reference(self, n, r, commutative):
+        params = stack_case(n, r, commutative)
+        rows = (commutative_rows if commutative else table_rows)(params.M, params.N)
+        got = DpmlFunction(params, commutative=commutative).stack(-r - 2, self.K)
+        want = reference_stack(params, -r - 2, self.K, rows)
+        gap = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(gap <= 1e-13 * rounding_scale(params, -r - 2, self.K))
+
+    def test_stack_on_divergent_parameters_names_the_policy(self):
+        with pytest.warns(RuntimeWarning):
+            fn = DpmlFunction(DpmlParams(0.9, 0.6, 2, [[5.0]], [[3.0]]))
+        with pytest.raises(DivergenceError, match="TruncationPolicy"):
+            fn.stack(-2, 20)
+
+    def test_value_sweep_leaks_no_runtime_warning(self):
+        # Large k once grew the monomial table far past the orders needed,
+        # outside np.errstate, and leaked overflow warnings to callers.
+        M = [[0.1, 0.05], [0.0, 0.1]]
+        N = [[0.1, 0.0], [0.05, 0.1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn = DpmlFunction(DpmlParams(0.9, 0.9, 2, M, N))
+            for k in range(-2, 161):
+                fn.value(k)
 
 
 class TestMlEval:

@@ -149,6 +149,16 @@ class TestRlDifference:
             rl_difference(0.5, 0, z, 0)
 
 
+@pytest.mark.parametrize("operator, order", [(nabla_sum, 0.4 - 1.0), (rl_difference, -0.4 - 1.0)])
+def test_operators_match_pointwise_kernel_sum_on_long_spans(operator, order):
+    rng = np.random.default_rng(17)
+    a, k = -3, 597  # k - a = 600
+    z = GridSeries(a + 1, rng.normal(size=(k - a, 2)))
+    terms = np.array([monomial(order, k, s - 1) * z.at(s) for s in range(a + 1, k + 1)])
+    got = operator(0.4, a, z, k)
+    assert np.max(np.abs(got - terms.sum(axis=0))) <= 1e-13 * np.abs(terms).sum()
+
+
 class TestIdentities:
     """Randomized checks of the classical operator identities."""
 

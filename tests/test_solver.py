@@ -96,6 +96,19 @@ class TestDelaySystem:
         system = scalar_system()
         np.testing.assert_array_equal(system.forcing_at(3), np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["M", "N", "phi", "forcing"])
+    def test_non_finite_entries_rejected(self, field, bad):
+        data = {
+            "M": np.full((2, 2), 0.1),
+            "N": np.full((2, 2), 0.1),
+            "phi": np.ones((2, 2)),
+            "forcing": np.ones((5, 2)),
+        }
+        data[field][1, 0] = bad
+        with pytest.raises(ValueError, match=rf"{field} has a non-finite entry"):
+            DelaySystem(alpha=0.5, delay=2, horizon=5, **data)
+
     def test_delay_one_admitted(self):
         system = DelaySystem(alpha=0.5, delay=1, M=[[0.5]], N=[[0.0]], phi=[[2.0]], horizon=4)
         assert system.phi.base == 0 and system.phi.end == 0
@@ -333,6 +346,15 @@ class TestDeltaSolve:
             np.testing.assert_allclose(
                 delta.values.at(k), oracle.values.at(k - 1), atol=1e-8
             )
+
+    def test_equals_closed_form_on_shifted_grid(self):
+        rng = np.random.default_rng(41)
+        f = rng.normal(size=(15, 2))
+        system = DelaySystem(0.6, 3, M2, N2, rng.normal(size=(3, 2)), forcing=f, horizon=15)
+        delta = delta_solve(system)
+        closed = closed_form_solve(system)
+        assert delta.values.base == closed.values.base + 1
+        np.testing.assert_array_equal(delta.values.values, closed.values.values)
 
     def test_method_label(self):
         assert delta_solve(scalar_system(horizon=4)).method == "delta"
