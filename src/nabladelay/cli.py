@@ -14,8 +14,9 @@ figure
     written together with a truncation caveat comment.
 
 Exit codes: 0 success (verify: PASS), 1 verification failure, 2 schema or
-usage violation (messages name the offending config field), 3 series
-divergence (messages name the truncation policy).
+usage violation (messages name the offending config field or flag), 3 series
+divergence (messages name the truncation policy) or a stepping trajectory
+that overflowed float64.
 
 File formats
 ------------
@@ -35,6 +36,7 @@ import tempfile
 
 import numpy as np
 
+from . import solver
 from .dpml import (
     CommutativityError,
     DivergenceError,
@@ -42,19 +44,11 @@ from .dpml import (
     DpmlParams,
     TruncationPolicy,
     WordSumTable,
-    ml_eval,
-    ml_partial_sum,
+    _ml_series,
+    _piecewise_branch,
 )
 from .grid_calculus import GridSeries
-from .solver import (
-    DelaySystem,
-    SingularityError,
-    closed_form_solve,
-    commutative_solve,
-    delta_solve,
-    step_solve,
-    verify,
-)
+from .solver import DelaySystem, SingularityError, verify
 
 __all__ = ["ConfigError", "load_config", "parse_config", "main", "run"]
 
@@ -190,43 +184,38 @@ def _parse_truncation(doc) -> TruncationPolicy:
         raise ConfigError("truncation", "expected an object")
     kwargs = {}
     fields = {
-        "tol": ("tol", _as_number),
-        "window": ("window", _as_int),
-        "i_max": ("i_max", _as_int),
-        "divergence_growth": ("divergence_growth", _as_int),
+        "tol": _as_number,
+        "window": _as_int,
+        "i_max": _as_int,
+        "divergence_growth": _as_int,
     }
     for key, value in doc.items():
         if key not in fields:
             raise ConfigError(f"truncation.{key}", "unknown field")
-        name, conv = fields[key]
-        kwargs[name] = conv(value, f"truncation.{key}")
+        kwargs[key] = fields[key](value, f"truncation.{key}")
     try:
         return TruncationPolicy(**kwargs)
     except ValueError as exc:
         raise ConfigError("truncation", str(exc)) from exc
 
 
-def load_config(path: str) -> DelaySystem:
-    """Read and validate a JSON config file."""
+def _read_json(path: str, kind: str, field: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError("", f"cannot read config file: {exc}") from exc
+        raise ConfigError(field, f"cannot read {kind} file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError("", f"invalid JSON: {exc}") from exc
-    return parse_config(doc)
+        raise ConfigError(field, f"invalid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> DelaySystem:
+    """Read and validate a JSON config file."""
+    return parse_config(_read_json(path, "config", ""))
 
 
 def _load_matrix_file(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(path, f"cannot read matrix file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(path, f"invalid JSON: {exc}") from exc
-    matrix = _as_matrix(doc, path)
+    matrix = _as_matrix(_read_json(path, "matrix", path), path)
     if matrix.shape[0] != matrix.shape[1]:
         raise ConfigError(path, f"must be square, got shape {matrix.shape[0]}x{matrix.shape[1]}")
     return matrix
@@ -255,15 +244,19 @@ def _write_csv(path: str, header: str, rows, comment: str | None = None) -> None
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+# --method choice -> solver route.  Routes are looked up on the solver
+# module at call time, so a wrapped route (a profiler span, say) is called.
+_METHODS = {
+    "closed": "closed_form_solve",
+    "step": "step_solve",
+    "commutative": "commutative_solve",
+    "delta": "delta_solve",
+}
+
+
 def cmd_solve(args) -> int:
     system = load_config(args.config)
-    methods = {
-        "closed": closed_form_solve,
-        "step": step_solve,
-        "commutative": commutative_solve,
-        "delta": delta_solve,
-    }
-    trace = methods[args.method](system)
+    trace = getattr(solver, _METHODS[args.method])(system)
     header = "k," + ",".join(f"z{i + 1}" for i in range(system.dim))
     rows = (
         (k, *trace.values.at(k))
@@ -319,66 +312,51 @@ def cmd_qtable(args) -> int:
     return 0
 
 
-def _figure_columns(alpha, beta, m, n, r, policy):
-    full = DpmlFunction(DpmlParams(alpha, beta, r, [[m]], [[n]], policy))
-    pure_delay = DpmlFunction(DpmlParams(alpha, beta, r, [[0.0]], [[n]], policy))
-
-    def one_matrix(k: int) -> float:
-        if k <= -r - 1:
-            return 0.0
-        if k == -r:
-            return 1.0
-        return float(ml_eval([[m]], alpha, beta - 1.0, k, -r, policy)[0, 0])
-
-    return full, one_matrix, pure_delay
-
-
 def cmd_figure(args) -> int:
-    if args.delay < 1:
-        raise ConfigError("delay", f"must be >= 1, got {args.delay}")
-    if args.kmax < -args.delay:
-        raise ConfigError("kmax", f"must be >= {-args.delay}, got {args.kmax}")
+    for flag in ("alpha", "beta", "m", "n"):
+        _as_number(getattr(args, flag), flag)
+    r, kmax = args.delay, args.kmax
+    if r < 1:
+        raise ConfigError("delay", f"must be >= 1, got {r}")
+    if kmax < -r:
+        raise ConfigError("kmax", f"must be >= {-r}, got {kmax}")
     if args.imax < 0:
         raise ConfigError("imax", f"must be >= 0, got {args.imax}")
-    policy = TruncationPolicy()
     try:
-        full, one_matrix, pure_delay = _figure_columns(
-            args.alpha, args.beta, args.m, args.n, args.delay, policy
-        )
+        # Column D is the DPML function of the pair (m, n), column F its
+        # pure-delay case (0, n).
+        pairs = [
+            DpmlFunction(DpmlParams(args.alpha, args.beta, r, [[m]], [[args.n]]))
+            for m in (args.m, 0.0)
+        ]
     except ValueError as exc:
         raise ConfigError("alpha", str(exc)) from exc
-    points = range(-args.delay, args.kmax + 1)
+    points = range(-r, kmax + 1)
+
+    def table(imax: int | None) -> list:
+        # Adaptive sums when imax is None, else fixed partial sums through
+        # imax.  Column E is the one-matrix case (m, 0).
+        D, F = (
+            fn.stack(-r, kmax)[:, 0, 0] if imax is None
+            else [fn.partial_sum(k, imax)[0, 0] for k in points]
+            for fn in pairs
+        )
+        E = []
+        for k in points:
+            value = _piecewise_branch(1, r, k)
+            if value is None:
+                value = _ml_series([[args.m]], args.alpha, args.beta - 1.0, k, -r, imax, None)
+            E.append(value[0, 0])
+        return list(zip(points, D, E, F))
+
     comment = None
     try:
-        rows = list(zip(
-            points,
-            full.stack(-args.delay, args.kmax)[:, 0, 0],
-            [one_matrix(k) for k in points],
-            pure_delay.stack(-args.delay, args.kmax)[:, 0, 0],
-        ))
+        rows = table(None)
     except DivergenceError:
         # Divergent parameter set: fall back to the fixed partial sum for
         # every column so the table remains well defined.
         comment = f"# truncated at i={args.imax}, convergence not guaranteed"
-
-        def one_matrix_partial(k: int) -> float:
-            if k <= -args.delay - 1:
-                return 0.0
-            if k == -args.delay:
-                return 1.0
-            return float(
-                ml_partial_sum([[args.m]], args.alpha, args.beta - 1.0, k, -args.delay, args.imax)[0, 0]
-            )
-
-        rows = [
-            (
-                k,
-                float(full.partial_sum(k, args.imax)[0, 0]),
-                one_matrix_partial(k),
-                float(pure_delay.partial_sum(k, args.imax)[0, 0]),
-            )
-            for k in points
-        ]
+        rows = table(args.imax)
     _write_csv(args.out, "k,D,E,F", rows, comment=comment)
     return 0
 
@@ -397,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", required=True, help="JSON system config")
     p_solve.add_argument(
         "--method",
-        choices=["closed", "step", "commutative", "delta"],
+        choices=list(_METHODS),
         default="closed",
         help="solution route (default: closed)",
     )

@@ -90,6 +90,26 @@ class TruncationPolicy:
             raise ValueError("window, i_max and divergence_growth must be >= 1")
 
 
+def _non_finite_term(i: int, pol: TruncationPolicy) -> DivergenceError:
+    return DivergenceError(
+        f"series term at order i={i} is non-finite; treating as divergent ({pol!r})"
+    )
+
+
+def _growing_terms(pol: TruncationPolicy) -> DivergenceError:
+    return DivergenceError(
+        f"series terms grew for {pol.divergence_growth} consecutive "
+        f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
+    )
+
+
+def _exhausted(pol: TruncationPolicy) -> DivergenceError:
+    return DivergenceError(
+        f"series did not meet the truncation stop rule within "
+        f"i_max = {pol.i_max} terms ({pol!r})"
+    )
+
+
 class _SeriesAccumulator:
     """Tracks a matrix series under the adaptive rules of a TruncationPolicy."""
 
@@ -108,10 +128,7 @@ class _SeriesAccumulator:
         self.total += term
         norm = float(np.max(np.abs(term)))
         if not np.isfinite(norm):
-            raise DivergenceError(
-                f"series term at order i={self._i} is non-finite; "
-                f"treating as divergent ({pol!r})"
-            )
+            raise _non_finite_term(self._i, pol)
         if norm < pol.tol * (1.0 + float(np.max(np.abs(self.total)))):
             self._quiet += 1
             if self._quiet >= pol.window:
@@ -121,20 +138,14 @@ class _SeriesAccumulator:
         if self._prev is not None and norm > self._prev:
             self._growth += 1
             if self._growth >= pol.divergence_growth and self._i > pol.i_max // 2:
-                raise DivergenceError(
-                    f"series terms grew for {pol.divergence_growth} consecutive "
-                    f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
-                )
+                raise _growing_terms(pol)
         else:
             self._growth = 0
         self._prev = norm
         return False
 
     def exhausted(self) -> DivergenceError:
-        return DivergenceError(
-            f"series did not meet the truncation stop rule within "
-            f"i_max = {self.policy.i_max} terms ({self.policy!r})"
-        )
+        return _exhausted(self.policy)
 
 
 def _as_square(A) -> np.ndarray:
@@ -414,19 +425,13 @@ class DpmlFunction:
                     continue
                 norm = np.abs(term).max(axis=1)
                 if not np.isfinite(norm).all():
-                    raise DivergenceError(
-                        f"series term at order i={i} is non-finite; "
-                        f"treating as divergent ({pol!r})"
-                    )
+                    raise _non_finite_term(i, pol)
                 small = norm < pol.tol * (1.0 + np.abs(total).max(axis=1))
                 quiet = np.where(small, quiet + 1, 0)
                 done = quiet >= pol.window
                 growth = np.where(norm > prev, growth + 1, 0)
                 if i > pol.i_max // 2 and np.any(~done & (growth >= pol.divergence_growth)):
-                    raise DivergenceError(
-                        f"series terms grew for {pol.divergence_growth} consecutive "
-                        f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
-                    )
+                    raise _growing_terms(pol)
                 prev = norm
                 if done.any():
                     out[rows[done]] = total[done]
@@ -438,10 +443,7 @@ class DpmlFunction:
                     )
                     m = m[keep, : int(p.max()) + 1]
         if imax is None:
-            raise DivergenceError(
-                f"series did not meet the truncation stop rule within "
-                f"i_max = {pol.i_max} terms ({pol!r})"
-            )
+            raise _exhausted(pol)
         out[rows] = total
         return out.reshape(-1, n, n)
 
@@ -449,14 +451,6 @@ class DpmlFunction:
 def dpml_eval(params: DpmlParams, k: int) -> np.ndarray:
     """DPML value at ``k``; one-shot wrapper over :class:`DpmlFunction`."""
     return DpmlFunction(params).value(k)
-
-
-def _ml_degenerate(M: np.ndarray, alpha: float, c: float) -> np.ndarray:
-    # At the base point only orders with i*alpha + c == 0 contribute.
-    i = int(round(-c / alpha))
-    if i >= 0 and i * alpha + c == 0.0:
-        return np.linalg.matrix_power(M, i)
-    return np.zeros_like(M)
 
 
 def ml_eval(M, alpha: float, c: float, k: int, a: int,
@@ -469,48 +463,50 @@ def ml_eval(M, alpha: float, c: float, k: int, a: int,
     ``i * alpha + c == 0`` survive.  ``alpha`` must lie in (0, 1], with 1
     admitted for the classical-exponential corner.
     """
-    M = _as_square(M)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if k < a:
-        return np.zeros_like(M)
-    if k == a:
-        return _ml_degenerate(M, alpha, c)
-    pol = policy if policy is not None else TruncationPolicy()
-    if float(np.linalg.norm(M, 1)) >= 1.0:
-        warnings.warn(
-            "coefficient 1-norm is >= 1; series convergence is not guaranteed",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    acc = _SeriesAccumulator(pol, M.shape[0])
-    power = np.eye(M.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(pol.i_max + 1):
-            if acc.add(monomial(i * alpha + c, k, a) * power):
-                return acc.total
-            power = power @ M
-    raise acc.exhausted()
+    return _ml_series(M, alpha, c, k, a, None, policy)
 
 
 def ml_partial_sum(M, alpha: float, c: float, k: int, a: int, imax: int) -> np.ndarray:
     """Fixed truncation of the one-matrix series through order ``imax``."""
+    return _ml_series(M, alpha, c, k, a, imax, None)
+
+
+def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
+               policy: TruncationPolicy | None) -> np.ndarray:
+    # Sums orders 0 .. imax when imax is given, else stops under the policy.
     M = _as_square(M)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if imax < 0:
+    if imax is not None and imax < 0:
         raise ValueError("imax must be >= 0")
     if k < a:
         return np.zeros_like(M)
     if k == a:
-        return _ml_degenerate(M, alpha, c)
-    total = np.zeros_like(M)
+        # At the base point only orders with i*alpha + c == 0 contribute.
+        i = int(round(-c / alpha))
+        if i >= 0 and i * alpha + c == 0.0:
+            return np.linalg.matrix_power(M, i)
+        return np.zeros_like(M)
+    pol = policy if policy is not None else TruncationPolicy()
+    if imax is None and float(np.linalg.norm(M, 1)) >= 1.0:
+        warnings.warn(
+            "coefficient 1-norm is >= 1; series convergence is not guaranteed",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    acc = _SeriesAccumulator(pol, M.shape[0])
     power = np.eye(M.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(imax + 1):
-            total += monomial(i * alpha + c, k, a) * power
+        for i in range((pol.i_max if imax is None else imax) + 1):
+            term = monomial(i * alpha + c, k, a) * power
+            if imax is not None:
+                acc.total += term
+            elif acc.add(term):
+                return acc.total
             power = power @ M
-    return total
+    if imax is None:
+        raise acc.exhausted()
+    return acc.total
 
 
 # -- closed-form reductions ---------------------------------------------
@@ -524,6 +520,17 @@ REDUCTION_PATTERNS = (
 )
 
 
+def _piecewise_branch(n: int, r: int, k: int) -> np.ndarray | None:
+    # The DPML value convention left of the series range, shared by every
+    # closed form: zero for k <= -r - 1, the identity at k = -r, and None
+    # where the series applies.
+    if k <= -r - 1:
+        return np.zeros((n, n))
+    if k == -r:
+        return np.eye(n)
+    return None
+
+
 def _falling_binomial(x: float, i: int) -> float:
     # C(x, i) with a real upper argument.
     value = 1.0
@@ -532,35 +539,28 @@ def _falling_binomial(x: float, i: int) -> float:
     return value
 
 
-def _reduce_delayed_exponential(N: np.ndarray, r: int, k: int) -> np.ndarray:
-    # Classical delayed discrete exponential with lag h = r - 1; the value
-    # at the base point k = -r is pinned to the identity to match the DPML
-    # convention.
-    n = N.shape[0]
-    if k <= -r - 1:
-        return np.zeros((n, n))
-    if k == -r:
-        return np.eye(n)
-    h = r - 1
+def _delay_block_sum(N: np.ndarray, r: int, k: int, weight) -> np.ndarray:
+    # Finite sum of weight(i) * N**i over the delay blocks i = 0 .. p(k).
     p = max(0, -((-k) // r))
-    total = np.zeros((n, n))
-    power = np.eye(n)
+    total = np.zeros_like(N)
+    power = np.eye(N.shape[0])
     for i in range(p + 1):
-        # The block cutoff i <= p is essential: beyond it the falling
-        # binomial no longer matches the vanishing grid monomial.
-        total += _falling_binomial(float(k - (i - 1) * h), i) * power
+        total += weight(i) * power
         power = power @ N
     return total
+
+
+def _reduce_delayed_exponential(N: np.ndarray, r: int, k: int) -> np.ndarray:
+    # Classical delayed discrete exponential with lag h = r - 1.  The block
+    # cutoff i <= p is essential: beyond it the falling binomial no longer
+    # matches the vanishing grid monomial.
+    return _delay_block_sum(N, r, k, lambda i: _falling_binomial(float(k - (i - 1) * (r - 1)), i))
 
 
 def _reduce_factored_exponential(M: np.ndarray, N: np.ndarray, r: int, k: int) -> np.ndarray:
     # Commuting pair at unit orders: pull the M-resolvent out of every word
     # and reduce to a delayed exponential of the deformed delay matrix.
     n = M.shape[0]
-    if k <= -r - 1:
-        return np.zeros((n, n))
-    if k == -r:
-        return np.eye(n)
     resolvent = np.linalg.inv(np.eye(n) - M)
     deformed = np.linalg.matrix_power(np.eye(n) - M, r - 1) @ N
     return np.linalg.matrix_power(resolvent, k + r) @ _reduce_delayed_exponential(
@@ -572,14 +572,9 @@ def _reduce_exponential_perturbation(
     M: np.ndarray, N: np.ndarray, r: int, k: int, policy: TruncationPolicy
 ) -> np.ndarray:
     # Unit orders, general pair: word sums weighted by integer binomials.
-    n = M.shape[0]
-    if k <= -r - 1:
-        return np.zeros((n, n))
-    if k == -r:
-        return np.eye(n)
     p = max(0, -((-k) // r))
     table = WordSumTable(M, N)
-    acc = _SeriesAccumulator(policy, n)
+    acc = _SeriesAccumulator(policy, M.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(policy.i_max + 1):
             jmax = min(i, p)
@@ -595,29 +590,7 @@ def _reduce_exponential_perturbation(
 def _reduce_delayed_ml(N: np.ndarray, alpha: float, r: int, k: int) -> np.ndarray:
     # Pure delay term: the series is a finite sum because each order lives
     # on its own delay block.
-    n = N.shape[0]
-    if k <= -r - 1:
-        return np.zeros((n, n))
-    if k == -r:
-        return np.eye(n)
-    p = max(0, -((-k) // r))
-    total = np.zeros((n, n))
-    power = np.eye(n)
-    for i in range(p + 1):
-        total += monomial(i * alpha + alpha - 1.0, k, (i - 1) * r) * power
-        power = power @ N
-    return total
-
-
-def _reduce_ml(M: np.ndarray, alpha: float, beta: float, r: int, k: int,
-               policy: TruncationPolicy) -> np.ndarray:
-    # No delay term: one-matrix series, wrapped in the piecewise branches.
-    n = M.shape[0]
-    if k <= -r - 1:
-        return np.zeros((n, n))
-    if k == -r:
-        return np.eye(n)
-    return ml_eval(M, alpha, beta - 1.0, k, -r, policy)
+    return _delay_block_sum(N, r, k, lambda i: monomial(i * alpha + alpha - 1.0, k, (i - 1) * r))
 
 
 def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -> np.ndarray:
@@ -674,6 +647,9 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
             f"(alpha={params.alpha}, beta={params.beta}, M zero: {m_zero}, "
             f"N zero: {n_zero}, commuting: {commuting})"
         )
+    value = _piecewise_branch(params.dim, params.r, k)
+    if value is not None:
+        return value
     if pattern == "delayed_exponential":
         return _reduce_delayed_exponential(N, params.r, k)
     if pattern == "factored_exponential":
@@ -682,4 +658,5 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
         return _reduce_exponential_perturbation(M, N, params.r, k, params.policy)
     if pattern == "delayed_ml":
         return _reduce_delayed_ml(N, params.alpha, params.r, k)
-    return _reduce_ml(M, params.alpha, params.beta, params.r, k, params.policy)
+    # No delay term: the one-matrix series based at -r.
+    return ml_eval(M, params.alpha, params.beta - 1.0, k, -params.r, params.policy)

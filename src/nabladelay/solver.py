@@ -22,7 +22,7 @@ separate so each can check the other:
   itself.
 
 :func:`verify` runs both routes on one system and reports deviations and
-defining-equation residuals; failures are reported, not raised.
+defining-equation residuals; a failing closed form is reported, not raised.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy
-from .grid_calculus import GridRangeError, GridSeries, monomial_run
+from .grid_calculus import GridRangeError, GridSeries, monomial_run, rl_difference
 
 __all__ = [
     "DelaySystem",
@@ -180,20 +180,28 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
 
     The Riemann-Liouville kernel weight at the current point is exactly 1,
     so each step solves (I - M) z(k) = N z(k - r) + f(k) - (history sum).
-    Raises :class:`SingularityError` when I - M is singular.  The returned
-    trace copies phi verbatim on the initial interval and carries the
-    per-point residuals, which are rounding-level by construction.
+    Raises :class:`SingularityError` when I - M is singular and
+    :class:`~nabladelay.dpml.DivergenceError`, naming the first point,
+    when the trajectory overflows float64.  The returned trace copies phi
+    verbatim on the initial interval and carries the per-point residuals,
+    which are rounding-level by construction.
     """
     r, K, n = system.delay, system.horizon, system.dim
     ImM, cond = _factor_implicit(system)
     weights = monomial_run(-system.alpha - 1.0, K + r)
     V = np.zeros((K + r, n))
     V[:r] = system.phi.values
-    for k in range(1, K + 1):
-        pos = k + r - 1
-        history = weights[pos:0:-1] @ V[:pos]
-        rhs = system.N @ V[k - 1] + system.forcing_at(k) - history
-        V[pos] = np.linalg.solve(ImM, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K + 1):
+            pos = k + r - 1
+            history = weights[pos:0:-1] @ V[:pos]
+            rhs = system.N @ V[k - 1] + system.forcing_at(k) - history
+            V[pos] = np.linalg.solve(ImM, rhs)
+    bad = np.flatnonzero(~np.isfinite(V).all(axis=1))
+    if bad.size:
+        raise DivergenceError(
+            f"stepping trajectory overflowed float64 at k = {bad[0] + 1 - r}"
+        )
     values = GridSeries(1 - r, V)
     residuals = _equation_residuals(system, values)
     return SolutionTrace(values=values, residuals=residuals, method="step", condition=cond)
@@ -232,14 +240,13 @@ class _ClosedFormEngine:
             system.alpha, system.alpha, system.delay, system.M, system.N, system.policy
         )
         self.fn = DpmlFunction(params, commutative=commutative)
-        r, n = system.delay, system.dim
-        kernel = monomial_run(-system.alpha - 1.0, r)
         # History weights w(s) on [1 - r, 0]; the s = 1 - r entry reduces
         # to (I - M) phi(1 - r).
-        self.w = np.empty((r, n))
-        for pos in range(r):
-            rl = kernel[pos::-1] @ system.phi.values[: pos + 1]
-            self.w[pos] = rl - system.M @ system.phi.values[pos]
+        phi, r = system.phi, system.delay
+        self.w = np.array([
+            rl_difference(system.alpha, -r, phi, s) - system.M @ phi.at(s)
+            for s in range(1 - r, 1)
+        ])
 
     def trajectory(self, kmax: int, history: bool = True, forcing: bool = True) -> np.ndarray:
         """Rows z(1 - r) .. z(kmax), for kmax >= 1 - r.
@@ -350,45 +357,35 @@ def verify(system: DelaySystem, tol: float = 1e-8) -> VerifyReport:
     defining-equation residual of the closed form to stay within ``tol``.
     When the DPML series diverges the report flags the closed form as
     unavailable (nothing is raised) and still carries the oracle trace.
+    An overflowing oracle raises, as in :func:`step_solve`.
     """
     oracle = step_solve(system)
+    max_deviation = worst_deviation_k = max_residual = worst_residual_k = None
     try:
         closed = closed_form_solve(system)
     except DivergenceError as exc:
-        return VerifyReport(
-            passed=False,
-            tol=tol,
-            closed_form_available=False,
-            max_deviation=None,
-            worst_deviation_k=None,
-            max_residual=None,
-            worst_residual_k=None,
-            condition=oracle.condition,
-            message=f"closed form unavailable: {exc}",
-            oracle=oracle,
-            closed=None,
+        closed, passed = None, False
+        message = f"closed form unavailable: {exc}"
+    else:
+        deviations = np.max(np.abs(closed.values.values - oracle.values.values), axis=1)
+        residuals = closed.residuals = _equation_residuals(system, closed.values)
+        i, j = int(np.argmax(deviations)), int(np.argmax(residuals))
+        max_deviation, worst_deviation_k = float(deviations[i]), i + 1 - system.delay
+        max_residual, worst_residual_k = float(residuals[j]), j + 1
+        passed = max_deviation <= tol and max_residual <= tol
+        message = (
+            "closed form matches the stepping oracle"
+            if passed
+            else "closed form deviates from the stepping oracle beyond tolerance"
         )
-    deviations = np.max(np.abs(closed.values.values - oracle.values.values), axis=1)
-    worst_dev = int(np.argmax(deviations))
-    residuals = _equation_residuals(system, closed.values)
-    closed.residuals = residuals
-    worst_res = int(np.argmax(residuals))
-    max_deviation = float(deviations[worst_dev])
-    max_residual = float(residuals[worst_res])
-    passed = max_deviation <= tol and max_residual <= tol
-    message = (
-        "closed form matches the stepping oracle"
-        if passed
-        else "closed form deviates from the stepping oracle beyond tolerance"
-    )
     return VerifyReport(
         passed=passed,
         tol=tol,
-        closed_form_available=True,
+        closed_form_available=closed is not None,
         max_deviation=max_deviation,
-        worst_deviation_k=worst_dev + (1 - system.delay),
+        worst_deviation_k=worst_deviation_k,
         max_residual=max_residual,
-        worst_residual_k=worst_res + 1,
+        worst_residual_k=worst_residual_k,
         condition=oracle.condition,
         message=message,
         oracle=oracle,

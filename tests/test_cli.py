@@ -236,6 +236,18 @@ class TestConfigValidation:
         assert field in err and "finite" in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_stepping_overflow_exits_3_without_output(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, alpha=0.6, delay=1, horizon=3000, M=[[0.9]], N=[[0.9]], phi=[[1.0]]
+        )
+        out = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--config", cfg, "--method", "step", "--out", str(out)])
+        assert code == 3
+        assert "overflowed float64 at k = 262" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve"])  # missing required --config/--out
@@ -385,6 +397,19 @@ class TestFigureCommand:
         ]
         assert main(args) == 2
         assert "kmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("m", "nan"), ("m", "inf"), ("beta", "nan"), ("n", "-inf"), ("alpha", "nan")]
+    )
+    def test_rejects_non_finite_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "figure.csv"
+        flags = {"alpha": "0.5", "beta": "0.5", "m": "0.1", "n": "0.1", flag: value}
+        args = ["figure", *(f"--{name}={v}" for name, v in flags.items()),
+                "--delay", "2", "--kmax", "4", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: expected a finite number" in err
+        assert not out.exists()
 
     def test_rejects_alpha_outside_series_domain(self, tmp_path, capsys):
         out = tmp_path / "figure.csv"

@@ -449,12 +449,14 @@ class TestMlEval:
         # i * alpha + c = 0 at i = 1 contributes M^1 at the base point.
         got = ml_eval([[0.5]], 0.5, -0.5, 3, 3)
         assert got[0, 0] == pytest.approx(0.5)
+        np.testing.assert_array_equal(ml_partial_sum(M2, 0.5, -1.0, 3, 3, 0), M2 @ M2)
 
     def test_first_point_geometric_series(self):
         assert ml_eval([[0.5]], 0.6, 0.6 - 1.0, 4, 3)[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_left_of_base_is_zero(self):
         np.testing.assert_array_equal(ml_eval(M2, 0.5, -0.5, 1, 5), np.zeros((2, 2)))
+        np.testing.assert_array_equal(ml_partial_sum(M2, 0.5, -0.5, 4, 5, 30), np.zeros((2, 2)))
 
     def test_partial_sum_matches_adaptive_on_convergent_input(self):
         np.testing.assert_allclose(
@@ -534,6 +536,21 @@ class TestSpecialReductions:
         params = DpmlParams(0.5, 0.5, 2, M2, N2)
         with pytest.raises(ValueError, match="unknown pattern"):
             special_reductions(params, 3, pattern="fourier")
+
+    @pytest.mark.parametrize("pattern", REDUCTION_PATTERNS)
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_piecewise_branches_left_of_the_series(self, pattern, r):
+        zero = np.zeros((2, 2))
+        params = {
+            "delayed_exponential": DpmlParams(1.0, 1.0, r, zero, N2),
+            "factored_exponential": DpmlParams(1.0, 1.0, r, 0.2 * np.eye(2), N2),
+            "exponential_perturbation": DpmlParams(1.0, 1.0, r, M2, N2),
+            "delayed_ml": DpmlParams(0.6, 0.6, r, zero, N2),
+            "ml": DpmlParams(0.6, 0.8, r, M2, zero),
+        }[pattern]
+        for k in (-r - 2, -r - 1):
+            np.testing.assert_array_equal(special_reductions(params, k, pattern), zero)
+        np.testing.assert_array_equal(special_reductions(params, -r, pattern), np.eye(2))
 
     def test_pattern_registry_is_stable(self):
         assert REDUCTION_PATTERNS == (

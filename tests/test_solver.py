@@ -7,12 +7,15 @@ against the oracle on homogeneous-only, forced-only, and mixed problems,
 plus the commutative and delta-grid variants and the verification report.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from nabladelay import (
     CommutativityError,
     DelaySystem,
+    DivergenceError,
     DpmlParams,
     GridSeries,
     SingularityError,
@@ -156,6 +159,15 @@ class TestStepSolve:
     def test_singular_implicit_matrix_raises(self):
         with pytest.raises(SingularityError, match="eigenvalue"):
             step_solve(scalar_system(m=1.0))
+
+    def test_overflow_raises_naming_the_first_point(self):
+        # Undamped growth overflows float64 at k = 262; nothing may leak as
+        # a RuntimeWarning and no inf/nan trajectory may be returned.
+        system = scalar_system(alpha=0.6, delay=1, m=0.9, n=0.9, horizon=3000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="overflowed float64 at k = 262$"):
+                step_solve(system)
 
     def test_linearity_in_the_data(self):
         rng = np.random.default_rng(3)
