@@ -48,7 +48,7 @@ from .dpml import (
     _piecewise_branch,
 )
 from .grid_calculus import GridSeries
-from .solver import DelaySystem, SingularityError, verify
+from .solver import DelaySystem, SingularityError, _SteppingOverflow, verify
 
 __all__ = ["ConfigError", "load_config", "parse_config", "main", "run"]
 
@@ -422,6 +422,9 @@ def main(argv=None) -> int:
     except CommutativityError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
+    except _SteppingOverflow as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
     except DivergenceError as exc:
         print(f"series divergence: {exc}", file=sys.stderr)
         return 3

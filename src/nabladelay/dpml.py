@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_calculus import monomial
+from .grid_calculus import _monomial_rows, monomial
 
 __all__ = [
     "CommutativityError",
@@ -335,16 +335,12 @@ class DpmlFunction:
         Columns 1 .. cols - 1 hold the product recurrence of
         :func:`~nabladelay.grid_calculus.monomial`.  Column 0 is zero: the
         series never reads m = 0 (every live delay block has m >= 1), so
-        it pads the blocks past p(k).  Call inside ``np.errstate``: high
-        orders overflow to inf, which the stop rule reports.
+        it pads the blocks past p(k).  High orders overflow to inf, which
+        the stop rule reports.
         """
-        mu = np.arange(rows)[:, None] * self.params.alpha + (self.params.beta - 1.0)
-        t = np.arange(1, cols - 1)
+        mu = np.arange(rows) * self.params.alpha + (self.params.beta - 1.0)
         table = np.zeros((rows, cols))
-        table[:, 1] = 1.0
-        np.add(t, mu, out=table[:, 2:])
-        table[:, 2:] /= t
-        np.cumprod(table[:, 1:], axis=1, out=table[:, 1:])
+        _monomial_rows(mu, table[:, 1:])
         return table
 
     # -- word sums -----------------------------------------------------

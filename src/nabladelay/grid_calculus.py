@@ -71,11 +71,19 @@ def monomial_run(mu: float, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    out = np.empty(count, dtype=float)
-    value = 1.0
-    for m in range(1, count + 1):
-        out[m - 1] = value
-        value *= (m + mu) / m
+    return _monomial_rows(np.array([mu], dtype=float), np.empty((1, count)))[0]
+
+
+def _monomial_rows(mu: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # The product recurrence of monomial for every order at once: row i of
+    # out receives monomial(mu[i], a + j + 1, a) in column j.  High orders
+    # overflow to inf, as the scalar loop does, without a warning.
+    t = np.arange(1, out.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:, :1] = 1.0
+        np.add(t, mu[:, None], out=out[:, 1:])
+        out[:, 1:] /= t
+        np.cumprod(out, axis=1, out=out)
     return out
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy
-from .grid_calculus import GridRangeError, GridSeries, monomial_run, rl_difference
+from .grid_calculus import GridSeries, monomial_run, rl_difference
 
 __all__ = [
     "DelaySystem",
@@ -51,6 +51,10 @@ __all__ = [
 
 class SingularityError(ArithmeticError):
     """Raised when I - M is singular and the implicit step cannot be taken."""
+
+
+class _SteppingOverflow(DivergenceError):
+    """Raised when the stepping trajectory overflows float64; no series is involved."""
 
 
 @dataclass
@@ -189,17 +193,18 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
     r, K, n = system.delay, system.horizon, system.dim
     ImM, cond = _factor_implicit(system)
     weights = monomial_run(-system.alpha - 1.0, K + r)
+    F = _forcing_rows(system, K)
     V = np.zeros((K + r, n))
     V[:r] = system.phi.values
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, K + 1):
             pos = k + r - 1
             history = weights[pos:0:-1] @ V[:pos]
-            rhs = system.N @ V[k - 1] + system.forcing_at(k) - history
+            rhs = system.N @ V[k - 1] + F[k - 1] - history
             V[pos] = np.linalg.solve(ImM, rhs)
     bad = np.flatnonzero(~np.isfinite(V).all(axis=1))
     if bad.size:
-        raise DivergenceError(
+        raise _SteppingOverflow(
             f"stepping trajectory overflowed float64 at k = {bad[0] + 1 - r}"
         )
     values = GridSeries(1 - r, V)
@@ -207,72 +212,65 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
     return SolutionTrace(values=values, residuals=residuals, method="step", condition=cond)
 
 
+def _forcing_rows(system: DelaySystem, kmax: int) -> np.ndarray:
+    """Rows f(1) .. f(kmax) of the forcing, zero when there is none."""
+    f = system.forcing
+    if f is None:
+        return np.zeros((kmax, system.dim))
+    f.at(kmax)  # raises GridRangeError past the stored range
+    return f.values[1 - f.base : kmax + 1 - f.base]
+
+
 def _equation_residuals(system: DelaySystem, values: GridSeries) -> np.ndarray:
-    """Max-norm residual of the defining equation at k = 1 .. horizon."""
+    """Max-norm residual of the defining equation at k = 1 .. horizon.
+
+    The RL difference of the whole trajectory is one causal convolution
+    with the weights monomial(-alpha - 1) per component.
+    """
     r, K = system.delay, system.horizon
     if values.base != 1 - r or values.end < K:
         raise ValueError("trace does not cover the solution grid [1 - delay, horizon]")
+    z = values.values[: K + r]
     weights = monomial_run(-system.alpha - 1.0, K + r)
-    out = np.empty(K)
-    for k in range(1, K + 1):
-        pos = k + r - 1
-        lhs = weights[pos::-1] @ values.values[: pos + 1]
-        defect = (
-            lhs
-            - system.M @ values.values[pos]
-            - system.N @ values.values[k - 1]
-            - system.forcing_at(k)
-        )
-        out[k - 1] = float(np.max(np.abs(defect)))
-    return out
+    lhs = np.stack([np.convolve(weights, column)[r : K + r] for column in z.T], axis=1)
+    defect = lhs - z[r:] @ system.M.T - z[:K] @ system.N.T - _forcing_rows(system, K)
+    return np.abs(defect).max(axis=1)
 
 
-class _ClosedFormEngine:
-    """The explicit representation as one causal convolution.
+def _closed_trajectory(
+    system: DelaySystem,
+    kmax: int,
+    commutative: bool = False,
+    history: bool = True,
+    forcing: bool = True,
+) -> np.ndarray:
+    """Rows z(1 - r) .. z(kmax) of the explicit representation, kmax >= 1 - r.
 
-    z(k) = sum_{s = 1 - r}^{k} Phi(k - r - s + 1) g(s), with g = [w; f]:
-    the history weights w(s) on [1 - r, 0] and the forcing f(s) from 1 on.
+    One causal convolution z(k) = sum_{s = 1 - r}^{k} Phi(k - r - s + 1) g(s)
+    with g = [w; f]: the history weights w(s) on [1 - r, 0] and the forcing
+    f(s) from 1 on.  ``history=False`` zeroes w and ``forcing=False`` zeroes
+    f, which gives the forced and the homogeneous part on their own.
     """
-
-    def __init__(self, system: DelaySystem, commutative: bool = False) -> None:
-        self.system = system
-        params = DpmlParams(
-            system.alpha, system.alpha, system.delay, system.M, system.N, system.policy
-        )
-        self.fn = DpmlFunction(params, commutative=commutative)
-        # History weights w(s) on [1 - r, 0]; the s = 1 - r entry reduces
-        # to (I - M) phi(1 - r).
-        phi, r = system.phi, system.delay
-        self.w = np.array([
-            rl_difference(system.alpha, -r, phi, s) - system.M @ phi.at(s)
-            for s in range(1 - r, 1)
+    alpha, r, M, phi = system.alpha, system.delay, system.M, system.phi
+    fn = DpmlFunction(
+        DpmlParams(alpha, alpha, r, M, system.N, system.policy), commutative=commutative
+    )
+    length = kmax + r
+    g = np.zeros((length, system.dim))
+    if history:
+        # The s = 1 - r weight reduces to (I - M) phi(1 - r).
+        w = np.array([
+            rl_difference(alpha, -r, phi, s) - M @ phi.at(s) for s in range(1 - r, 1)
         ])
-
-    def trajectory(self, kmax: int, history: bool = True, forcing: bool = True) -> np.ndarray:
-        """Rows z(1 - r) .. z(kmax), for kmax >= 1 - r.
-
-        ``history=False`` zeroes w and ``forcing=False`` zeroes f in g, which
-        gives the forced and the homogeneous part on their own.
-        """
-        system = self.system
-        r = system.delay
-        length = kmax + r
-        g = np.zeros((length, system.dim))
-        if history:
-            g[:r] = self.w[:length]
-        if forcing and system.forcing is not None:
-            f = system.forcing
-            if kmax > f.end:
-                raise GridRangeError(
-                    f"grid point {kmax} outside stored range [{f.base}, {f.end}]"
-                )
-            g[r:] = f.values[1 - f.base : kmax + 1 - f.base]
-        # Psi(t) = Phi(t + 1 - r) weighs g(q - t) in z at position q.
-        psi = self.fn.stack(1 - r, kmax)
-        z = np.zeros_like(g)
-        for t in range(length):
-            z[t:] += g[: length - t] @ psi[t].T
-        return z
+        g[:r] = w[:length]
+    if forcing:
+        g[r:] = _forcing_rows(system, kmax)
+    # Psi(t) = Phi(t + 1 - r) weighs g(q - t) in z at position q.
+    psi = fn.stack(1 - r, kmax)
+    z = np.zeros_like(g)
+    for t in range(length):
+        z[t:] += g[: length - t] @ psi[t].T
+    return z
 
 
 def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
@@ -284,7 +282,7 @@ def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
     """
     if k < 1 - system.delay:
         return np.zeros(system.dim)
-    return _ClosedFormEngine(system).trajectory(k, forcing=False)[-1]
+    return _closed_trajectory(system, k, forcing=False)[-1]
 
 
 def forced_part(system: DelaySystem, k: int) -> np.ndarray:
@@ -295,11 +293,11 @@ def forced_part(system: DelaySystem, k: int) -> np.ndarray:
     """
     if k < 1:
         return np.zeros(system.dim)
-    return _ClosedFormEngine(system).trajectory(k, history=False)[-1]
+    return _closed_trajectory(system, k, history=False)[-1]
 
 
 def _closed_trace(system: DelaySystem, commutative: bool, base: int, method: str) -> SolutionTrace:
-    z = _ClosedFormEngine(system, commutative).trajectory(system.horizon)
+    z = _closed_trajectory(system, system.horizon, commutative)
     return SolutionTrace(values=GridSeries(base, z), method=method)
 
 

@@ -3,7 +3,8 @@
 Covers the four subcommands, the JSON config schema with field-path error
 messages, CSV output (atomic, deterministic, round-trippable), and the
 documented exit codes: 0 success / verification pass, 1 verification fail
-or linear-algebra failure, 2 config or usage error, 3 series divergence.
+or linear-algebra failure, 2 config or usage error, 3 series divergence or
+stepping overflow.
 """
 
 import json
@@ -241,12 +242,16 @@ class TestConfigValidation:
             tmp_path, alpha=0.6, delay=1, horizon=3000, M=[[0.9]], N=[[0.9]], phi=[[1.0]]
         )
         out = tmp_path / "trace.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["solve", "--config", cfg, "--method", "step", "--out", str(out)])
-        assert code == 3
-        assert "overflowed float64 at k = 262" in capsys.readouterr().err
-        assert not out.exists()
+        for argv in (["solve", "--config", cfg, "--method", "step", "--out", str(out)],
+                     ["verify", "--config", cfg]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "overflowed float64 at k = 262" in err
+            assert "series" not in err
+            assert not out.exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -27,9 +27,12 @@ from nabladelay import (
     forced_part,
     homogeneous_part,
     ml_eval,
+    monomial_run,
+    rl_difference,
     step_solve,
     verify,
 )
+from nabladelay.solver import _equation_residuals
 
 M2 = np.array([[0.2, 0.1], [0.0, 0.3]])
 N2 = np.array([[0.1, 0.0], [0.4, 0.2]])
@@ -180,6 +183,37 @@ class TestStepSolve:
             2.0 * step_solve(base).values.values,
             atol=1e-12,
         )
+
+
+class TestEquationResiduals:
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("delay", [1, 3])
+    def test_measures_the_defect_of_a_wrong_trajectory(self, delay, dim, forced):
+        # A random trajectory solves nothing, so every residual is O(1); each
+        # must equal the one-point RL difference minus M z(k), N z(k - r) and
+        # f(k), up to rounding relative to the sum of the terms' sizes.
+        rng = np.random.default_rng(100 * delay + 10 * dim + forced)
+        K, alpha = 40, 0.7
+        M, N = 0.3 * rng.normal(size=(dim, dim)), 0.3 * rng.normal(size=(dim, dim))
+        system = DelaySystem(
+            alpha, delay, M, N, rng.normal(size=(delay, dim)),
+            forcing=rng.normal(size=(K, dim)) if forced else None, horizon=K,
+        )
+        z = GridSeries(1 - delay, rng.normal(size=(K + delay, dim)))
+        got = _equation_residuals(system, z)
+        assert got.shape == (K,)
+        for k in range(1, K + 1):
+            zk, zd, f = z.at(k), z.at(k - delay), system.forcing_at(k)
+            defect = rl_difference(alpha, -delay, z, k) - M @ zk - N @ zd - f
+            weights = np.abs(monomial_run(-alpha - 1.0, k + delay))[::-1]
+            size = (
+                weights @ np.abs(z.values[: k + delay])
+                + np.abs(M) @ np.abs(zk) + np.abs(N) @ np.abs(zd) + np.abs(f)
+            )
+            want = np.max(np.abs(defect))
+            assert abs(got[k - 1] - want) <= 1e-13 * (1.0 + np.max(size))
+        assert np.max(got) > 0.1
 
 
 class TestHomogeneousPart:
