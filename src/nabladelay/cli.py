@@ -14,9 +14,10 @@ figure
     written together with a truncation caveat comment.
 
 Exit codes: 0 success (verify: PASS), 1 verification failure, 2 schema or
-usage violation (messages name the offending config field or flag), 3 series
-divergence (messages name the truncation policy) or a stepping trajectory
-that overflowed float64.
+usage violation (messages name the offending config field or flag, e.g. a
+negative or non-finite ``verify --tol``, or an ``--out`` path that cannot be
+written), 3 series divergence (messages name the truncation policy) or a
+stepping trajectory that overflowed float64.
 
 File formats
 ------------
@@ -223,14 +224,18 @@ def _load_matrix_file(path: str) -> np.ndarray:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nabladelay-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nabladelay-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            problem = f"cannot write output file {path}: {exc.strerror or exc}"
+            raise ConfigError("out", problem) from exc
         raise
 
 
@@ -267,6 +272,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if _as_number(args.tol, "tol") < 0:
+        raise ConfigError("tol", f"must be >= 0, got {args.tol}")
     system = load_config(args.config)
     report = verify(system, tol=args.tol)
     if not report.closed_form_available:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy
-from .grid_calculus import GridSeries, monomial_run, rl_difference
+from .grid_calculus import GridSeries, monomial_run
 
 __all__ = [
     "DelaySystem",
@@ -146,9 +146,11 @@ class DelaySystem:
 class SolutionTrace:
     """A computed trajectory plus optional diagnostics.
 
-    ``residuals`` (when present) holds the max-norm defining-equation
-    residual at k = 1 .. horizon, index k - 1.  ``condition`` is the
-    1-norm condition number of I - M when the producing route factored it.
+    ``residuals`` is ``None`` as a route returns the trace; :func:`verify`
+    fills it on the closed-form trace it checked with the max-norm
+    defining-equation residual at k = 1 .. horizon, index k - 1.
+    ``condition`` is the 1-norm condition number of I - M when the
+    producing route factored it.
     """
 
     values: GridSeries
@@ -187,8 +189,8 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
     Raises :class:`SingularityError` when I - M is singular and
     :class:`~nabladelay.dpml.DivergenceError`, naming the first point,
     when the trajectory overflows float64.  The returned trace copies phi
-    verbatim on the initial interval and carries the per-point residuals,
-    which are rounding-level by construction.
+    verbatim on the initial interval; like every route it carries no
+    residuals (:func:`verify` computes them for the closed form).
     """
     r, K, n = system.delay, system.horizon, system.dim
     ImM, cond = _factor_implicit(system)
@@ -207,9 +209,7 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
         raise _SteppingOverflow(
             f"stepping trajectory overflowed float64 at k = {bad[0] + 1 - r}"
         )
-    values = GridSeries(1 - r, V)
-    residuals = _equation_residuals(system, values)
-    return SolutionTrace(values=values, residuals=residuals, method="step", condition=cond)
+    return SolutionTrace(values=GridSeries(1 - r, V), method="step", condition=cond)
 
 
 def _forcing_rows(system: DelaySystem, kmax: int) -> np.ndarray:
@@ -251,17 +251,18 @@ def _closed_trajectory(
     f(s) from 1 on.  ``history=False`` zeroes w and ``forcing=False`` zeroes
     f, which gives the forced and the homogeneous part on their own.
     """
-    alpha, r, M, phi = system.alpha, system.delay, system.M, system.phi
+    alpha, r, M, phi = system.alpha, system.delay, system.M, system.phi.values
     fn = DpmlFunction(
         DpmlParams(alpha, alpha, r, M, system.N, system.policy), commutative=commutative
     )
     length = kmax + r
     g = np.zeros((length, system.dim))
     if history:
-        # The s = 1 - r weight reduces to (I - M) phi(1 - r).
-        w = np.array([
-            rl_difference(alpha, -r, phi, s) - M @ phi.at(s) for s in range(1 - r, 1)
-        ])
+        # w(s) at row j = s + r - 1: the RL difference based at -r is the
+        # reversed prefix of one kernel run against phi, so w(1 - r) reduces
+        # to (I - M) phi(1 - r).
+        kernel = monomial_run(-alpha - 1.0, r)
+        w = np.array([kernel[j::-1] @ phi[: j + 1] - M @ phi[j] for j in range(r)])
         g[:r] = w[:length]
     if forcing:
         g[r:] = _forcing_rows(system, kmax)

@@ -7,6 +7,7 @@ or linear-algebra failure, 2 config or usage error, 3 series divergence or
 stepping overflow.
 """
 
+import importlib
 import json
 import os
 import shutil
@@ -304,6 +305,14 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg]) == 1
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_rejects_bad_tolerance(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path)
+        assert main(["verify", "--config", cfg, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "tol: " in captured.err
+        assert captured.out == ""
+
 
 class TestQtableCommand:
     @staticmethod
@@ -424,6 +433,55 @@ class TestFigureCommand:
         ]
         assert main(args) == 2
         assert "alpha" in capsys.readouterr().err
+
+
+def out_argv(command, tmp_path, out):
+    if command == "solve":
+        return ["solve", "--config", write_config(tmp_path), "--out", str(out)]
+    return ["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "0.1", "--n", "0.1",
+            "--delay", "2", "--kmax", "4", "--out", str(out)]
+
+
+def unwritable_out(tmp_path, case):
+    if case == "missing directory":
+        return tmp_path / "absent" / "trace.csv"
+    target = tmp_path / "existing"
+    target.mkdir()
+    return target
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("case", ["missing directory", "existing directory"])
+    @pytest.mark.parametrize("command", ["solve", "figure"])
+    def test_exits_2_naming_out(self, tmp_path, capsys, command, case):
+        out = unwritable_out(tmp_path, case)
+        assert main(out_argv(command, tmp_path, out)) == 2
+        err = capsys.readouterr().err
+        assert "out: cannot write output file" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob(".nabladelay-*.tmp"))
+
+    def test_module_entry_point_exits_2_without_traceback(self, tmp_path):
+        out = unwritable_out(tmp_path, "missing directory")
+        proc = run_module(*out_argv("solve", tmp_path, out))
+        assert proc.returncode == 2
+        assert "out: cannot write output file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.rglob(".nabladelay-*.tmp"))
+
+
+def test_console_script_entry_resolves_to_run(tmp_path, monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts["nabladelay"] == "nabladelay.cli:run"
+    module, _, name = scripts["nabladelay"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    argv = ["solve", "--config", write_config(tmp_path), "--out", str(tmp_path / "trace.csv")]
+    monkeypatch.setattr(sys, "argv", ["nabladelay", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == main(argv) == 0
 
 
 @pytest.mark.skipif(shutil.which("nabladelay") is None, reason="console script not on PATH")

@@ -7,11 +7,13 @@ against the oracle on homogeneous-only, forced-only, and mixed problems,
 plus the commutative and delta-grid variants and the verification report.
 """
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from nabladelay import grid_calculus, solver
 from nabladelay import (
     CommutativityError,
     DelaySystem,
@@ -32,6 +34,7 @@ from nabladelay import (
     step_solve,
     verify,
 )
+from nabladelay.cli import main
 from nabladelay.solver import _equation_residuals
 
 M2 = np.array([[0.2, 0.1], [0.0, 0.3]])
@@ -139,9 +142,12 @@ class TestStepSolve:
         np.testing.assert_array_equal(step_solve(system).values.values, np.zeros((10, 1)))
 
     def test_residuals_vanish_on_the_stepping_route(self):
-        trace = step_solve(planar_system(horizon=25))
-        assert trace.residuals is not None and trace.residuals.shape == (25,)
-        assert float(np.max(trace.residuals)) <= 1e-12
+        system = planar_system(horizon=25)
+        trace = step_solve(system)
+        assert trace.residuals is None
+        residuals = _equation_residuals(system, trace.values)
+        assert residuals.shape == (25,)
+        assert float(np.max(residuals)) <= 1e-12
 
     def test_reports_conditioning_and_method(self):
         trace = step_solve(scalar_system())
@@ -451,3 +457,53 @@ class TestVerify:
         loose = verify(system, tol=1e-2)
         assert strict.tol == 1e-8 and loose.tol == 1e-2
         assert loose.passed
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Wrap ``name`` wherever one of ``modules`` binds it; return the call log."""
+    calls = []
+
+    def wrap(original):
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        return counting
+
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    return calls
+
+
+class TestCallStructure:
+    """Each route computes only the trajectory it returns; verify checks it."""
+
+    def test_only_verify_computes_residuals(self, monkeypatch, tmp_path):
+        calls = count_calls(monkeypatch, "_equation_residuals", solver)
+        system = planar_system(horizon=12)
+        trace = step_solve(system)
+        assert calls == []
+        assert trace.residuals is None
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "alpha": 0.5, "delay": 2, "horizon": 12, "M": M2.tolist(), "N": N2.tolist(),
+            "phi": system.phi.values.tolist(),
+        }))
+        argv = ["solve", "--config", str(config), "--method", "step",
+                "--out", str(tmp_path / "trace.csv")]
+        assert main(argv) == 0
+        assert calls == []
+        report = verify(system)
+        assert len(calls) == 1
+        assert report.oracle.residuals is None
+        assert report.closed.residuals.shape == (12,)
+
+    def test_closed_form_history_weights_come_from_one_run(self, monkeypatch):
+        system = scalar_system(delay=4, horizon=10)
+        expected = closed_form_solve(system).values.values
+        differences = count_calls(monkeypatch, "rl_difference", grid_calculus, solver)
+        runs = count_calls(monkeypatch, "monomial_run", solver)
+        np.testing.assert_array_equal(closed_form_solve(system).values.values, expected)
+        assert differences == []
+        assert runs == [(-1.5, 4)]
