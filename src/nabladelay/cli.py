@@ -263,11 +263,8 @@ def cmd_solve(args) -> int:
     system = load_config(args.config)
     trace = getattr(solver, _METHODS[args.method])(system)
     header = "k," + ",".join(f"z{i + 1}" for i in range(system.dim))
-    rows = (
-        (k, *trace.values.at(k))
-        for k in trace.values.points()
-    )
-    _write_csv(args.out, header, rows)
+    rows = zip(trace.values.points(), trace.values.values.tolist())
+    _write_csv(args.out, header, ((k, *z) for k, z in rows))
     return 0
 
 

@@ -70,6 +70,69 @@ def planar_system(horizon=20, scale=1.0, forcing=None, seed=7):
     )
 
 
+def _direct_step(system):
+    """Rows z(1 - r) .. z(horizon) stepped point by point: the O(K^2 n) loop.
+
+    Each point solves (I - M) z(k) = N z(k - r) + f(k) - (history sum) with
+    its own dot product and ``np.linalg.solve``.  It stops after the first
+    non-finite row, leaving zeros after it.  This is the reference the
+    blocked :func:`step_solve` must reproduce to rounding.
+    """
+    r, K, n = system.delay, system.horizon, system.dim
+    ImM = np.eye(n) - system.M
+    weights = monomial_run(-system.alpha - 1.0, K + r)
+    V = np.zeros((K + r, n))
+    V[:r] = system.phi.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K + 1):
+            pos = k + r - 1
+            history = weights[pos:0:-1] @ V[:pos]
+            rhs = system.N @ V[k - 1] + system.forcing_at(k) - history
+            V[pos] = np.linalg.solve(ImM, rhs)
+            if not np.isfinite(V[pos]).all():
+                break
+    return V
+
+
+def stepping_system(kind, n, delay, horizon, forced, seed):
+    """A random system of one of three kinds for the stepping agreement tests.
+
+    ``damped``: M = -0.3 I + S as in the long-horizon benchmark; ``growing``:
+    undamped, |z| reaches about 1e40-1e80 by k = 600; ``ill``: I - M has
+    condition about 1e8 (one heavily damped direction, rotated).
+    """
+    rng = np.random.default_rng(seed)
+    A, C = rng.normal(size=(2, n, n))
+    A /= np.linalg.norm(A, 1)
+    C /= np.linalg.norm(C, 1)
+    if kind == "damped":
+        M, N = -0.3 * np.eye(n) + 0.1 * A, 0.15 * C
+    elif kind == "growing":
+        M, N = 0.3 * np.eye(n) + 0.1 * A, 0.3 * C
+    else:
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        M, N = np.eye(n) - Q @ np.diag([1e8] + [1.0] * (n - 1)) @ Q.T, 0.15 * C
+    forcing = rng.normal(size=(horizon, n)) if forced else None
+    return DelaySystem(0.6, delay, M, N, rng.normal(size=(delay, n)), forcing, horizon)
+
+
+def assert_agrees_with_direct_loop(system):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = step_solve(system).values.values
+        want = _direct_step(system)
+    assert np.isfinite(want).all()
+    np.testing.assert_array_equal(got[: system.delay], system.phi.values)
+    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(want).max(axis=1)))
+    deviation = np.abs(got - want).max(axis=1)
+    assert np.all(deviation <= 1e-12 * scale), (system.delay, system.horizon)
+    return got
+
+
+KINDS = [("damped", 1), ("damped", 3), ("damped", 8), ("growing", 1), ("growing", 3),
+         ("growing", 8), ("ill", 3), ("ill", 8)]
+
+
 class TestDelaySystem:
     def test_alpha_bounds(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -189,6 +252,83 @@ class TestStepSolve:
             2.0 * step_solve(base).values.values,
             atol=1e-12,
         )
+
+
+class TestBlockedStepping:
+    """The blocked FFT recurrence of step_solve against the point-by-point loop."""
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("kind,dim", KINDS)
+    def test_agrees_at_every_leaf_edge(self, monkeypatch, kind, dim, forced):
+        # Leaves of B = 8 rows: one partial leaf, exact multiples of B, one
+        # row past them, and delays on both sides of the leaf length.
+        B = 8
+        monkeypatch.setattr(solver, "_leaf_rows", lambda K, n: min(K, B))
+        for delay in (1, B - 1, B, B + 1, 10):
+            for horizon in (1, 2, B - 1, B, B + 1, 203):
+                assert_agrees_with_direct_loop(
+                    stepping_system(kind, dim, delay, horizon, forced, seed=delay + horizon)
+                )
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("kind,dim", KINDS)
+    def test_agrees_at_the_default_leaf_length(self, kind, dim, forced):
+        for horizon in (203, 437, 611):
+            B = solver._leaf_rows(horizon, dim)
+            for delay in (1, B - 1, B, B + 1, 10):
+                assert_agrees_with_direct_loop(
+                    stepping_system(kind, dim, delay, horizon, forced, seed=delay + horizon)
+                )
+
+    def test_near_singular_implicit_matrix_with_an_idle_direction(self):
+        # I - M has the eigenvalue 1e-8 (condition about 7e7) on a component
+        # that no datum feeds, so the recurrence keeps it at exactly 0.  The
+        # leaf's impulse response grows by 5e7 a point there and overflows
+        # within 40 points; leaves must stop short of that, or inf * 0 would
+        # put nan into the trajectory.
+        horizon = 2000
+        assert solver._leaf_rows(horizon, 2) > 60
+        system = DelaySystem(
+            0.5, 2, np.diag([1.0 - 1e-8, 0.3]), np.diag([0.0, 0.2]),
+            [[0.0, 1.0], [0.0, -0.5]], horizon=horizon,
+        )
+        assert step_solve(system).condition > 1e7
+        assert not np.any(assert_agrees_with_direct_loop(system)[:, 0])
+
+    # alpha, delay, diagonal of M, diagonal of N, phi, dimension, horizon and
+    # where the first overflow falls relative to the default leaves.
+    OVERFLOWS = [
+        (0.6, 1, 0.9, 0.9, 1.0, 1, 3000, "mid-leaf"),
+        (0.9, 3, 0.95, 2.0, 1.0, 3, 1900, "mid-leaf"),
+        (0.3, 4, 0.6, 0.5, 1e-100, 2, 6000, "mid-leaf"),
+        (0.6, 1, 0.9, 0.9, 1.0, 1, 1900, "leaf boundary"),
+        (0.5, 1, 0.999, 0.5, 1.0, 1, 300, "leaf boundary"),
+        (0.5, 1, 0.999, 0.5, 1.0, 1, 3000, "first leaf"),
+        (0.8, 1, 0.999, 0.9, 1.0, 1, 6000, "first leaf"),
+        # Slow growth keeps |z| above 1e300 for long: transforms of unscaled
+        # blocks would overflow five points before the trajectory does.
+        (0.3, 1, 0.5, 0.55, 1.0, 1, 1900, "mid-leaf"),
+        # N z(k - 20) overflows for a row late in the leaf while the first
+        # rows are still finite: its inf must not reach them as 0 * inf.
+        (0.5, 20, 0.3, 2.7, 1.0, 1, 5283, "mid-leaf"),
+    ]
+
+    @pytest.mark.parametrize("alpha,delay,m,n,phi,dim,horizon,where", OVERFLOWS)
+    def test_overflow_names_the_first_point_of_the_direct_loop(
+        self, alpha, delay, m, n, phi, dim, horizon, where
+    ):
+        M = m * np.eye(dim) + 0.05 * (np.ones((dim, dim)) - np.eye(dim))
+        system = DelaySystem(
+            alpha, delay, M, n * np.eye(dim), np.full((delay, dim), phi), horizon=horizon
+        )
+        direct = _direct_step(system)
+        first = int(np.flatnonzero(~np.isfinite(direct).all(axis=1))[0]) + 1 - delay
+        u, B = first - 1, solver._leaf_rows(horizon, dim)
+        assert where == ("first leaf" if u < B else "leaf boundary" if u % B == 0 else "mid-leaf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=f"overflowed float64 at k = {first}$"):
+                step_solve(system)
 
 
 class TestEquationResiduals:
@@ -450,6 +590,11 @@ class TestVerify:
         assert report.max_deviation is None
         assert report.oracle is not None
         assert np.all(np.isfinite(report.oracle.values.values))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_a_non_finite_or_negative_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            verify(scalar_system(delay=2, horizon=8), tol=tol)
 
     def test_tolerance_is_respected(self):
         system = scalar_system(horizon=10)
