@@ -255,8 +255,7 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
     end = K + r
     V = np.zeros((end, n))
     V[:r] = system.phi.values
-    H = np.zeros((end, n))  # history sums of the rows solved so far
-    spectra: dict[int, np.ndarray] = {}
+    H = np.zeros((end, n))  # each row's history sum over the rows solved so far
 
     def add_history(lo: int, mid: int, hi: int) -> None:
         # Rows [lo, mid) of V into the history sums of rows [mid, hi).  A
@@ -264,10 +263,9 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
         # unaliased.  The block is scaled by a power of two, exactly, so
         # the transforms cannot overflow before the trajectory does.
         size = 1 << (hi - lo - 1).bit_length()
-        if size not in spectra:
-            spectra[size] = np.fft.rfft(weights[:size], size)[:, None]
         exponent = int(np.frexp(np.max(np.abs(V[lo:mid])))[1])
-        spectrum = spectra[size] * np.fft.rfft(np.ldexp(V[lo:mid], -exponent), size, axis=0)
+        block = np.fft.rfft(np.ldexp(V[lo:mid], -exponent), size, axis=0)
+        spectrum = np.fft.rfft(weights[:size], size)[:, None] * block
         H[mid:hi] += np.ldexp(np.fft.irfft(spectrum, size, axis=0)[mid - lo : hi - lo], exponent)
 
     with np.errstate(over="ignore", invalid="ignore"):
