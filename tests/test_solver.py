@@ -98,7 +98,7 @@ def stepping_system(kind, n, delay, horizon, forced, seed):
     """A random system of one of three kinds for the stepping agreement tests.
 
     ``damped``: M = -0.3 I + S as in the long-horizon benchmark; ``growing``:
-    undamped, |z| reaches about 1e40-1e80 by k = 600; ``ill``: I - M has
+    undamped, |z| reaches 1e5-1e81 by k = 611; ``ill``: I - M has
     condition about 1e8 (one heavily damped direction, rotated).
     """
     rng = np.random.default_rng(seed)
