@@ -200,14 +200,13 @@ def _leaf_inverse(ImM: np.ndarray, N: np.ndarray, weights: np.ndarray, r: int, r
 
     Inside a leaf the unknowns z(k), ..., z(k + B - 1) solve a block lower
     triangular Toeplitz system with blocks I - M on the diagonal, w_j I at
-    offset j and w_r I - N at offset r.  Its inverse is block lower
-    triangular Toeplitz too; the first block column G_0 .. G_{B-1} is the
-    impulse response, stepped like the trajectory: G_0 = (I - M)^-1 and
-    G_i = G_0 (N G_{i-r} - sum_{j=1}^{i} w_j G_{i-j}), the N term only for
-    i >= r.  The leaf is cut
-    before the first non-finite G_i, so a fast-growing impulse response
-    cannot turn a zero right-hand side into nan.  Blocks above the diagonal
-    are exact zeros: a row never reads a later one.
+    offset j and w_r I - N at offset r (when r < B).  Its inverse is block
+    lower triangular Toeplitz too; the first block column G_0 .. G_{B-1}
+    is the impulse response, stepped like the trajectory: G_0 = (I - M)^-1
+    and G_i = G_0 (N G_{i-r} - sum_{j=1}^{i} w_j G_{i-j}), the N term only
+    for i >= r.  The leaf is cut before the first non-finite G_i, so a
+    fast-growing impulse response cannot turn a zero right-hand side into
+    nan.  Blocks above the diagonal are exact zeros.
     """
     n = ImM.shape[0]
     C = np.zeros((2 * rows - 1, n, n))  # C[rows - 1 - i] = G_i, zeros after G_0
