@@ -84,79 +84,78 @@ class TruncationPolicy:
     divergence_growth: int = 10
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.window < 1 or self.i_max < 1 or self.divergence_growth < 1:
             raise ValueError("window, i_max and divergence_growth must be >= 1")
 
 
-def _non_finite_term(i: int, pol: TruncationPolicy) -> DivergenceError:
-    return DivergenceError(
-        f"series term at order i={i} is non-finite; treating as divergent ({pol!r})"
-    )
+class _StopRule:
+    """The adaptive rule of a TruncationPolicy, run on many series at once.
 
+    Each row is one series with its own quiet, growth and previous-norm
+    state.  A call takes one order's terms and the running totals, both
+    shaped (rows, n * n).  It returns None while every row runs on, else
+    the mask of rows that met the stop rule at that order; those rows
+    then leave the state, so the caller drops them from its own arrays
+    too.  It raises :class:`DivergenceError` on a non-finite term and on
+    terms of a running row growing for ``divergence_growth`` orders past
+    ``i_max / 2``.
+    """
 
-def _growing_terms(pol: TruncationPolicy) -> DivergenceError:
-    return DivergenceError(
-        f"series terms grew for {pol.divergence_growth} consecutive "
-        f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
-    )
-
-
-def _exhausted(pol: TruncationPolicy) -> DivergenceError:
-    return DivergenceError(
-        f"series did not meet the truncation stop rule within "
-        f"i_max = {pol.i_max} terms ({pol!r})"
-    )
-
-
-class _SeriesAccumulator:
-    """Tracks a matrix series under the adaptive rules of a TruncationPolicy."""
-
-    def __init__(self, policy: TruncationPolicy, dim: int) -> None:
+    def __init__(self, policy: TruncationPolicy, rows: int) -> None:
         self.policy = policy
-        self.total = np.zeros((dim, dim))
-        self._quiet = 0
-        self._growth = 0
-        self._prev = None
-        self._i = -1
+        self.quiet = np.zeros(rows, dtype=int)
+        self.growth = np.zeros(rows, dtype=int)
+        self.prev = np.full(rows, np.inf)
 
-    def add(self, term: np.ndarray) -> bool:
-        """Accumulate one term; return True once the stop rule is met."""
+    def __call__(self, i: int, term: np.ndarray, total: np.ndarray) -> np.ndarray | None:
         pol = self.policy
-        self._i += 1
-        self.total += term
-        norm = float(np.max(np.abs(term)))
-        if not np.isfinite(norm):
-            raise _non_finite_term(self._i, pol)
-        if norm < pol.tol * (1.0 + float(np.max(np.abs(self.total)))):
-            self._quiet += 1
-            if self._quiet >= pol.window:
-                return True
-        else:
-            self._quiet = 0
-        if self._prev is not None and norm > self._prev:
-            self._growth += 1
-            if self._growth >= pol.divergence_growth and self._i > pol.i_max // 2:
-                raise _growing_terms(pol)
-        else:
-            self._growth = 0
-        self._prev = norm
-        return False
+        norm = np.abs(term).max(axis=1)
+        if not math.isfinite(norm.max()):  # max propagates nan
+            raise DivergenceError(
+                f"series term at order i={i} is non-finite; treating as divergent ({pol!r})"
+            )
+        small = norm < pol.tol * (1.0 + np.abs(total).max(axis=1))
+        self.quiet = (self.quiet + 1) * small
+        done = self.quiet >= pol.window
+        self.growth = (self.growth + 1) * (norm > self.prev)
+        if i > pol.i_max // 2 and np.any(~done & (self.growth >= pol.divergence_growth)):
+            raise DivergenceError(
+                f"series terms grew for {pol.divergence_growth} consecutive "
+                f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
+            )
+        self.prev = norm
+        if not done.any():
+            return None
+        keep = ~done
+        self.quiet, self.growth, self.prev = self.quiet[keep], self.growth[keep], norm[keep]
+        return done
 
     def exhausted(self) -> DivergenceError:
-        return _exhausted(self.policy)
+        return DivergenceError(
+            f"series did not meet the truncation stop rule within "
+            f"i_max = {self.policy.i_max} terms ({self.policy!r})"
+        )
 
 
-def _as_square(A) -> np.ndarray:
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{name} has a non-finite entry {arr[index]!r} at index {index}")
+
+
+def _as_square(A, name: str) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(A, dtype=float))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    _require_finite(name, arr)
     return arr
 
 
 def _as_square_pair(M, N) -> tuple[np.ndarray, np.ndarray]:
-    M, N = _as_square(M), _as_square(N)
+    M, N = _as_square(M, "M"), _as_square(N, "N")
     if M.shape != N.shape:
         raise ValueError(f"matrix dimensions differ: {M.shape} vs {N.shape}")
     return M, N
@@ -279,6 +278,8 @@ class DpmlParams:
             raise ValueError(f"delay must be an integer >= 1, got {self.r}")
         self.alpha = float(self.alpha)
         self.beta = float(self.beta)
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         self.r = int(self.r)
         self.M, self.N = _as_square_pair(self.M, self.N)
         if not isinstance(self.policy, TruncationPolicy):
@@ -295,11 +296,12 @@ class DpmlFunction:
     :meth:`stack` sums the series for a whole range of grid points at
     once: each series order is one matrix product of the monomial weights
     of every point still running against one word-sum row.  :meth:`value`
-    and :meth:`partial_sum` are one-point calls of the same driver.  The
-    word-sum table is kept across calls.  With ``commutative=True`` the
-    word sums are produced from the binomial closed form for commuting
-    pairs instead of the general recursion (a :class:`CommutativityError`
-    is raised if the pair does not commute).
+    and :meth:`partial_sum` are one-point calls of the same driver.  Only
+    the general word-sum table is kept across calls.  With
+    ``commutative=True`` the word sums are produced from the binomial
+    closed form for commuting pairs instead of the general recursion (a
+    :class:`CommutativityError` is raised if the pair does not commute);
+    its matrix powers are built afresh by every call.
 
     Concurrent calls on a shared instance are safe: word-sum growth is
     lock-serialized and every call returns fresh arrays.
@@ -308,12 +310,9 @@ class DpmlFunction:
     def __init__(self, params: DpmlParams, commutative: bool = False) -> None:
         self.params = params
         self.dim = params.dim
-        self._lock = threading.Lock()
         if commutative:
             _require_commuting(params.M, params.N)
             self._table = None
-            self._mpows = [np.eye(self.dim)]
-            self._npows = [np.eye(self.dim)]
         else:
             self._table = WordSumTable(params.M, params.N)
         norm_sum = float(
@@ -345,21 +344,27 @@ class DpmlFunction:
 
     # -- word sums -----------------------------------------------------
 
-    def _qrow(self, i: int, jmax: int) -> np.ndarray:
-        """Stack of Q(i + 1, j) for j = 0 .. jmax (jmax <= i)."""
+    def _qrows(self):
+        """Function of (i, jmax) giving the stack of Q(i + 1, j), j = 0 .. jmax.
+
+        The commutative form keeps its powers of M and N in the returned
+        function, so they live as long as one call of the driver.
+        """
         if self._table is not None:
-            return self._table.row(i + 1)[: jmax + 1]
-        with self._lock:
-            while len(self._mpows) <= i:
-                self._mpows.append(self._mpows[-1] @ self.params.M)
-            while len(self._npows) <= jmax:
-                self._npows.append(self._npows[-1] @ self.params.N)
+            return lambda i, jmax: self._table.row(i + 1)[: jmax + 1]
+        M, N = self.params.M, self.params.N
+        mpows, npows = [np.eye(self.dim)], [np.eye(self.dim)]
+
+        def qrow(i: int, jmax: int) -> np.ndarray:
+            while len(mpows) <= i:
+                mpows.append(mpows[-1] @ M)
+            while len(npows) <= jmax:
+                npows.append(npows[-1] @ N)
             return np.stack(
-                [
-                    float(math.comb(i, j)) * (self._mpows[i - j] @ self._npows[j])
-                    for j in range(jmax + 1)
-                ]
+                [float(math.comb(i, j)) * (mpows[i - j] @ npows[j]) for j in range(jmax + 1)]
             )
+
+        return qrow
 
     # -- evaluation ----------------------------------------------------
 
@@ -388,7 +393,7 @@ class DpmlFunction:
 
     def _series(self, kmin: int, kmax: int, imax: int | None) -> np.ndarray:
         # Sums orders 0 .. imax when imax is given, else stops each point on
-        # its own under the policy, with the semantics of _SeriesAccumulator.
+        # its own under the policy.
         r, n = self.params.r, self.dim
         out = np.zeros((max(0, kmax - kmin + 1), n * n))
         if kmin <= -r <= kmax:
@@ -406,40 +411,27 @@ class DpmlFunction:
         m = np.where(j <= p[:, None], ks[:, None] - (j - 1) * r, 0)
         rows = ks - kmin  # position in out of each point still running
         total = np.zeros((ks.size, n * n))
-        quiet = np.zeros(ks.size, dtype=int)
-        growth = np.zeros(ks.size, dtype=int)
-        prev = np.full(ks.size, np.inf)
+        rule = _StopRule(pol, ks.size)
+        qrow = self._qrows()
         with np.errstate(over="ignore", invalid="ignore"):
             h = self._monomials(last + 1, kmax + r + 1)
             for i in range(last + 1):
                 jmax = min(i, m.shape[1] - 1)
                 weights = h[i][m[:, : jmax + 1]]
-                q = self._qrow(i, jmax).reshape(jmax + 1, n * n)
-                term = weights @ q
+                term = weights @ qrow(i, jmax).reshape(jmax + 1, n * n)
                 total += term
                 if imax is not None:
                     continue
-                norm = np.abs(term).max(axis=1)
-                if not np.isfinite(norm).all():
-                    raise _non_finite_term(i, pol)
-                small = norm < pol.tol * (1.0 + np.abs(total).max(axis=1))
-                quiet = np.where(small, quiet + 1, 0)
-                done = quiet >= pol.window
-                growth = np.where(norm > prev, growth + 1, 0)
-                if i > pol.i_max // 2 and np.any(~done & (growth >= pol.divergence_growth)):
-                    raise _growing_terms(pol)
-                prev = norm
-                if done.any():
+                done = rule(i, term, total)
+                if done is not None:
                     out[rows[done]] = total[done]
                     keep = ~done
                     if not keep.any():
                         return out.reshape(-1, n, n)
-                    rows, total, quiet, growth, prev, p = (
-                        a[keep] for a in (rows, total, quiet, growth, prev, p)
-                    )
+                    rows, total, p = rows[keep], total[keep], p[keep]
                     m = m[keep, : int(p.max()) + 1]
         if imax is None:
-            raise _exhausted(pol)
+            raise rule.exhausted()
         out[rows] = total
         return out.reshape(-1, n, n)
 
@@ -467,12 +459,19 @@ def ml_partial_sum(M, alpha: float, c: float, k: int, a: int, imax: int) -> np.n
     return _ml_series(M, alpha, c, k, a, imax, None)
 
 
+# Orders per block of monomial weights in _ml_series.  A block as long as
+# i_max would cost as much as the scalar monomial calls it replaces.
+_ML_BLOCK = 32
+
+
 def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
                policy: TruncationPolicy | None) -> np.ndarray:
     # Sums orders 0 .. imax when imax is given, else stops under the policy.
-    M = _as_square(M)
+    M = _as_square(M, "M")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if imax is not None and imax < 0:
         raise ValueError("imax must be >= 0")
     if k < a:
@@ -490,19 +489,25 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
             RuntimeWarning,
             stacklevel=3,
         )
-    acc = _SeriesAccumulator(pol, M.shape[0])
-    power = np.eye(M.shape[0])
+    n = M.shape[0]
+    last = pol.i_max if imax is None else imax
+    rule = _StopRule(pol, 1)
+    total = np.zeros((1, n * n))
+    power = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range((pol.i_max if imax is None else imax) + 1):
-            term = monomial(i * alpha + c, k, a) * power
-            if imax is not None:
-                acc.total += term
-            elif acc.add(term):
-                return acc.total
+        for i in range(last + 1):
+            if i % _ML_BLOCK == 0:
+                # monomial(i * alpha + c, k, a) for the next block of orders.
+                orders = np.arange(i, min(i + _ML_BLOCK, last + 1))
+                h = _monomial_rows(orders * alpha + c, np.empty((orders.size, k - a)))[:, -1]
+            term = h[i % _ML_BLOCK] * power.reshape(1, -1)
+            total += term
+            if imax is None and rule(i, term, total) is not None:
+                return total.reshape(n, n)
             power = power @ M
     if imax is None:
-        raise acc.exhausted()
-    return acc.total
+        raise rule.exhausted()
+    return total.reshape(n, n)
 
 
 # -- closed-form reductions ---------------------------------------------
@@ -570,17 +575,19 @@ def _reduce_exponential_perturbation(
     # Unit orders, general pair: word sums weighted by integer binomials.
     p = max(0, -((-k) // r))
     table = WordSumTable(M, N)
-    acc = _SeriesAccumulator(policy, M.shape[0])
+    rule = _StopRule(policy, 1)
+    total = np.zeros((1, M.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(policy.i_max + 1):
             jmax = min(i, p)
             weights = np.array(
                 [_falling_binomial(float(k - (j - 1) * r + i - 1), i) for j in range(jmax + 1)]
             )
-            term = np.tensordot(weights, table.row(i + 1)[: jmax + 1], axes=(0, 0))
-            if acc.add(term):
-                return acc.total
-    raise acc.exhausted()
+            term = np.tensordot(weights, table.row(i + 1)[: jmax + 1], axes=(0, 0)).reshape(1, -1)
+            total += term
+            if rule(i, term, total) is not None:
+                return total.reshape(M.shape)
+    raise rule.exhausted()
 
 
 def _reduce_delayed_ml(N: np.ndarray, alpha: float, r: int, k: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy
+from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
 from .grid_calculus import GridSeries, monomial_run
 
 __all__ = [
@@ -129,10 +129,7 @@ class DelaySystem:
         if self.forcing is not None:
             data["forcing"] = self.forcing.values
         for name, arr in data.items():
-            bad = np.argwhere(~np.isfinite(arr))
-            if bad.size:
-                index = tuple(int(i) for i in bad[0])
-                raise ValueError(f"{name} has a non-finite entry {arr[index]!r} at index {index}")
+            _require_finite(name, arr)
         if not isinstance(self.policy, TruncationPolicy):
             raise TypeError("policy must be a TruncationPolicy")
 

@@ -8,12 +8,16 @@ Core claims:
 - truncation policy semantics: adaptive stop, divergence detection with a
   policy-naming message, a convergence warning for large coefficients, and
   soundness of reported values under tolerance tightening;
+- every series driver stops where the order-by-order accumulator below
+  stops, with the same value or error text;
+- non-finite input is rejected with a ValueError naming the field;
 - a shared evaluator instance is safe under concurrent reads;
 - each classical reduction, computed from its own formula, agrees with the
   general series.
 """
 
 import itertools
+import math
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -34,15 +38,67 @@ from nabladelay import (
     dpml_eval,
     ml_eval,
     ml_partial_sum,
+    monomial,
     monomial_run,
     special_reductions,
     word_sum,
     word_sum_commutative,
 )
-from nabladelay.dpml import _SeriesAccumulator
 
 M2 = np.array([[0.2, 0.1], [0.0, 0.3]])
 N2 = np.array([[0.1, 0.0], [0.4, 0.2]])
+
+
+class _SeriesAccumulator:
+    """One matrix series under the adaptive rules of a TruncationPolicy.
+
+    The scalar, order-by-order form of the library's stop rule, with the
+    same error texts.  It is the reference the series drivers are
+    compared against.
+    """
+
+    def __init__(self, policy: TruncationPolicy, dim: int) -> None:
+        self.policy = policy
+        self.total = np.zeros((dim, dim))
+        self._quiet = 0
+        self._growth = 0
+        self._prev = None
+        self._i = -1
+
+    def add(self, term: np.ndarray) -> bool:
+        """Accumulate one term; return True once the stop rule is met."""
+        pol = self.policy
+        self._i += 1
+        self.total += term
+        norm = float(np.max(np.abs(term)))
+        if not np.isfinite(norm):
+            raise DivergenceError(
+                f"series term at order i={self._i} is non-finite; "
+                f"treating as divergent ({pol!r})"
+            )
+        if norm < pol.tol * (1.0 + float(np.max(np.abs(self.total)))):
+            self._quiet += 1
+            if self._quiet >= pol.window:
+                return True
+        else:
+            self._quiet = 0
+        if self._prev is not None and norm > self._prev:
+            self._growth += 1
+            if self._growth >= pol.divergence_growth and self._i > pol.i_max // 2:
+                raise DivergenceError(
+                    f"series terms grew for {pol.divergence_growth} consecutive "
+                    f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
+                )
+        else:
+            self._growth = 0
+        self._prev = norm
+        return False
+
+    def exhausted(self) -> DivergenceError:
+        return DivergenceError(
+            f"series did not meet the truncation stop rule within "
+            f"i_max = {self.policy.i_max} terms ({self.policy!r})"
+        )
 
 
 def gamma_ratio(mu: float, m: int) -> float:
@@ -180,6 +236,44 @@ class TestTruncationPolicy:
         with pytest.raises(ValueError):
             TruncationPolicy(i_max=0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite_tol(self, tol):
+        # An infinite tol once stopped every series after `window` terms.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            TruncationPolicy(tol=tol)
+
+
+INF = [[math.inf]]
+NAN = [[0.1, math.nan], [0.0, 0.1]]
+
+
+class TestNonFiniteInput:
+    """Bad input is a ValueError naming the field, not a divergent series."""
+
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            pytest.param(lambda: DpmlParams(0.5, 0.5, 2, INF, [[0.1]]), "M", id="params-M"),
+            pytest.param(lambda: DpmlParams(0.5, 0.5, 2, [[0.1]], INF), "N", id="params-N"),
+            pytest.param(lambda: DpmlParams(0.5, math.nan, 2, [[0.1]], [[0.1]]), "beta",
+                         id="params-beta-nan"),
+            pytest.param(lambda: DpmlParams(0.5, -math.inf, 2, [[0.1]], [[0.1]]), "beta",
+                         id="params-beta-inf"),
+            pytest.param(lambda: WordSumTable(NAN, np.eye(2)), "M", id="table-M"),
+            pytest.param(lambda: word_sum(np.eye(2), NAN, 2, 1), "N", id="word_sum-N"),
+            pytest.param(lambda: word_sum_commutative(INF, [[0.1]], 2, 1), "M",
+                         id="word_sum_commutative-M"),
+            pytest.param(lambda: ml_eval(NAN, 0.5, -0.5, 4, 0), "M", id="ml_eval-M"),
+            pytest.param(lambda: ml_partial_sum(INF, 0.5, -0.5, 4, 0, 3), "M",
+                         id="ml_partial_sum-M"),
+            pytest.param(lambda: ml_eval(M2, 0.5, math.nan, 4, 0), "c", id="ml_eval-c-nan"),
+            pytest.param(lambda: ml_eval(M2, 0.5, math.inf, 0, 0), "c", id="ml_eval-c-base-point"),
+        ],
+    )
+    def test_rejected_with_the_field_named(self, call, field):
+        with pytest.raises(ValueError, match=rf"^{field} (has a non-finite entry|must be finite)"):
+            call()
+
 
 class TestDpmlEval:
     def test_identity_at_base_point(self):
@@ -281,14 +375,18 @@ class TestDpmlEval:
         assert fn.value(4)[0, 0] != 123.0
 
     def test_concurrent_reads_match_sequential(self):
-        params = DpmlParams(0.5, 0.5, 2, M2, N2)
-        sequential = {k: dpml_eval(params, k) for k in range(-3, 21)}
-        shared = DpmlFunction(params)
-        points = [k for k in range(-3, 21)] * 4
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda k: (k, shared.value(k)), points))
-        for k, value in results:
-            np.testing.assert_array_equal(value, sequential[k])
+        commuting = (np.diag([0.3, -0.2]), np.diag([0.2, 0.1]))
+        for (M, N), commutative in (((M2, N2), False), (commuting, True)):
+            params = DpmlParams(0.5, 0.5, 2, M, N)
+            sequential = {
+                k: DpmlFunction(params, commutative).value(k) for k in range(-3, 21)
+            }
+            shared = DpmlFunction(params, commutative)
+            points = [k for k in range(-3, 21)] * 4
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda k: (k, shared.value(k)), points))
+            for k, value in results:
+                np.testing.assert_array_equal(value, sequential[k])
 
     def test_commutative_source_matches_recursion(self):
         M = np.diag([0.3, -0.2])
@@ -468,6 +566,118 @@ class TestMlEval:
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             ml_eval(M2, 1.5, 0.0, 3, 0)
+
+
+TIGHT = TruncationPolicy(i_max=20, divergence_growth=3)
+STOP_MESSAGES = ("is non-finite", "grew for", "did not meet")
+
+
+def outcome(call):
+    """The array a series call returns, or the text of its DivergenceError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return call()
+        except DivergenceError as exc:
+            return str(exc)
+
+
+def assert_same_outcome(got, want):
+    """Bit-for-bit equal arrays, or equal error texts."""
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_ml(M, alpha, c, k, a, policy, imax=None):
+    """The one-matrix series for k > a, order by order: scalar monomials
+    and the accumulator, or a plain sum through ``imax``."""
+    M = np.asarray(M, dtype=float)
+    acc = _SeriesAccumulator(policy, M.shape[0])
+    power = np.eye(M.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range((policy.i_max if imax is None else imax) + 1):
+            term = monomial(i * alpha + c, k, a) * power
+            if imax is not None:
+                acc.total += term
+            elif acc.add(term):
+                return acc.total
+            power = power @ M
+    if imax is None:
+        raise acc.exhausted()
+    return acc.total
+
+
+def falling_binomial(x, i):
+    value = 1.0
+    for t in range(i):
+        value *= (x - t) / (t + 1)
+    return value
+
+
+def reference_exponential_perturbation(M, N, r, k, policy):
+    """Unit-order word-sum series for k >= 1 - r, order by order."""
+    p = max(0, -(-k // r))
+    table = WordSumTable(M, N)
+    acc = _SeriesAccumulator(policy, table.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(policy.i_max + 1):
+            weights = [
+                falling_binomial(float(k - (j - 1) * r + i - 1), i) for j in range(min(i, p) + 1)
+            ]
+            if acc.add(np.tensordot(weights, table.row(i + 1)[: len(weights)], axes=(0, 0))):
+                return acc.total
+    raise acc.exhausted()
+
+
+class TestOneRowDrivers:
+    """ml_eval and the exponential-perturbation reduction stop exactly where
+    the order-by-order accumulator stops, with the same value or error."""
+
+    ML_PAIRS = (M2, 0.9 * M2 / np.linalg.norm(M2, 1), 1.6 * M2, [[1e300]])
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(), TIGHT], ids=["default", "tight"])
+    def test_ml_eval_matches_accumulator(self, policy):
+        seen = set()
+        for M, alpha, c, m in itertools.product(
+            self.ML_PAIRS, (0.5, 0.8, 1.0), (-0.3, 0.0, 0.4), (1, 2, 9, 40)
+        ):
+            c = alpha - 1.0 if c == 0.4 else c
+            want = outcome(lambda: reference_ml(M, alpha, c, m - 2, -2, policy))
+            got = outcome(lambda: ml_eval(M, alpha, c, m - 2, -2, policy))
+            assert_same_outcome(got, want)
+            seen.update(text for text in STOP_MESSAGES if text in str(want))
+        if policy is TIGHT:
+            assert seen == set(STOP_MESSAGES)
+
+    def test_ml_partial_sum_matches_plain_sum(self):
+        for M, m, imax in itertools.product(self.ML_PAIRS, (1, 2, 9, 40), (0, 1, 5, 33, 70)):
+            want = outcome(lambda: reference_ml(M, 0.7, -0.3, m, 0, TIGHT, imax))
+            assert_same_outcome(outcome(lambda: ml_partial_sum(M, 0.7, -0.3, m, 0, imax)), want)
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(), TIGHT], ids=["default", "tight"])
+    def test_exponential_perturbation_matches_accumulator(self, policy):
+        seen = set()
+        pairs = [(0.3 * M2, 0.3 * N2), ([[1e200]], [[1e200]])]
+        if policy is TIGHT:
+            # Growing terms; under the default policy each point would run
+            # 250 orders of the reference before it raises.
+            pairs.append((3.0 * M2, 2.0 * N2))
+        for (M, N), r in itertools.product(pairs, (1, 3)):
+            params = DpmlParams(1.0, 1.0, r, M, N, policy)
+            for k in range(1 - r, 12):
+                want = outcome(
+                    lambda: reference_exponential_perturbation(params.M, params.N, r, k, policy)
+                )
+                got = outcome(
+                    lambda: special_reductions(params, k, pattern="exponential_perturbation")
+                )
+                assert_same_outcome(got, want)
+                seen.update(text for text in STOP_MESSAGES if text in str(want))
+        if policy is TIGHT:
+            assert seen == set(STOP_MESSAGES)
 
 
 class TestSpecialReductions:
