@@ -119,12 +119,15 @@ class _StopRule:
         small = norm < pol.tol * (1.0 + np.abs(total).max(axis=1))
         self.quiet = (self.quiet + 1) * small
         done = self.quiet >= pol.window
-        self.growth = (self.growth + 1) * (norm > self.prev)
-        if i > pol.i_max // 2 and np.any(~done & (self.growth >= pol.divergence_growth)):
-            raise DivergenceError(
-                f"series terms grew for {pol.divergence_growth} consecutive "
-                f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
-            )
+        # Growth is only tested past i_max // 2, so counting it from
+        # divergence_growth orders before that raises at the same order.
+        if i > pol.i_max // 2 - pol.divergence_growth:
+            self.growth = (self.growth + 1) * (norm > self.prev)
+            if i > pol.i_max // 2 and np.any(~done & (self.growth >= pol.divergence_growth)):
+                raise DivergenceError(
+                    f"series terms grew for {pol.divergence_growth} consecutive "
+                    f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
+                )
         self.prev = norm
         if not done.any():
             return None
