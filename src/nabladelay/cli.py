@@ -29,6 +29,7 @@ and files are written atomically (temp file then rename).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -93,9 +94,38 @@ def _as_vector(value, length: int, path: str) -> list[float]:
     return [_as_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
+def _finite_table(rows: list, width: int) -> np.ndarray | None:
+    # The table as a float array when every row is a list of ``width`` finite
+    # ints and floats, else None, leaving the caller's per-entry checks to
+    # name the fault.  The type test comes first: numpy would read true as
+    # 1.0 and "1.5" as 1.5.  numpy converts an int as float() does and
+    # raises OverflowError where float() would.
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}:
+        return None
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+    except OverflowError:
+        return None
+    return flat.reshape(len(rows), width) if np.isfinite(flat).all() else None
+
+
+def _as_vectors(value: list, length: int, path: str):
+    # Rows of ``length`` numbers, checked in one pass when they are plain.
+    table = _finite_table(value, length)
+    if table is not None:
+        return table
+    return [_as_vector(v, length, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _as_matrix(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ConfigError(path, "expected a nonempty 2-D row-major array")
+    if isinstance(value[0], list) and value[0]:
+        table = _finite_table(value, len(value[0]))
+        if table is not None:
+            return table
     width = None
     rows = []
     for i, row in enumerate(value):
@@ -140,9 +170,7 @@ def parse_config(doc) -> DelaySystem:
         raise ConfigError(
             "phi", f"expected {delay} vectors ordered k = {1 - delay} .. 0"
         )
-    phi = GridSeries(
-        1 - delay, [_as_vector(v, dim, f"phi[{i}]") for i, v in enumerate(phi_doc)]
-    )
+    phi = GridSeries(1 - delay, _as_vectors(phi_doc, dim, "phi"))
     forcing = _parse_forcing(doc.get("forcing"), dim, horizon)
     policy = _parse_truncation(doc.get("truncation"))
     try:
@@ -171,10 +199,7 @@ def _parse_forcing(doc, dim: int, horizon: int) -> GridSeries | None:
             raise ConfigError(
                 "forcing.values", f"expected {horizon} vectors ordered k = 1 .. {horizon}"
             )
-        rows = [
-            _as_vector(v, dim, f"forcing.values[{i}]") for i, v in enumerate(values)
-        ]
-        return GridSeries(1, rows)
+        return GridSeries(1, _as_vectors(values, dim, "forcing.values"))
     raise ConfigError("forcing.type", f"expected 'zero', 'constant' or 'table', got {ftype!r}")
 
 
@@ -239,14 +264,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: str, rows, comment: str | None = None) -> None:
-    lines = []
-    if comment is not None:
-        lines.append(comment)
+def _write_csv(path: str, header: str, ks, rows: list, comment: str | None = None) -> None:
+    # ``rows`` holds Python floats, as ndarray.tolist() gives them: the repr
+    # of a numpy scalar is not the repr of its float.
+    lines = [] if comment is None else [comment]
     lines.append(header)
-    for row in rows:
-        lines.append(",".join(repr(float(x)) if i else str(x) for i, x in enumerate(row)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines.extend(f"{k}," + ",".join(map(repr, row)) for k, row in zip(ks, rows))
+    lines.append("")
+    _atomic_write(path, "\n".join(lines))
 
 
 # --method choice -> solver route.  Routes are looked up on the solver
@@ -263,8 +288,7 @@ def cmd_solve(args) -> int:
     system = load_config(args.config)
     trace = getattr(solver, _METHODS[args.method])(system)
     header = "k," + ",".join(f"z{i + 1}" for i in range(system.dim))
-    rows = zip(trace.values.points(), trace.values.values.tolist())
-    _write_csv(args.out, header, ((k, *z) for k, z in rows))
+    _write_csv(args.out, header, trace.values.points(), trace.values.values.tolist())
     return 0
 
 
@@ -351,7 +375,7 @@ def cmd_figure(args) -> int:
             if value is None:
                 value = _ml_series([[args.m]], args.alpha, args.beta - 1.0, k, -r, imax, None)
             E.append(value[0, 0])
-        return list(zip(points, D, E, F))
+        return np.column_stack((D, E, F)).tolist()
 
     comment = None
     try:
@@ -361,7 +385,7 @@ def cmd_figure(args) -> int:
         # every column so the table remains well defined.
         comment = f"# truncated at i={args.imax}, convergence not guaranteed"
         rows = table(args.imax)
-    _write_csv(args.out, "k,D,E,F", rows, comment=comment)
+    _write_csv(args.out, "k,D,E,F", points, rows, comment=comment)
     return 0
 
 

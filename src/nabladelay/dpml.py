@@ -90,6 +90,12 @@ class TruncationPolicy:
             raise ValueError("window, i_max and divergence_growth must be >= 1")
 
 
+# Orders per block of monomial weights in DpmlFunction._series and
+# _ml_series.  Most series stop after a few dozen orders, so a table
+# filled for all i_max orders up front would cost more than the sum.
+_ORDER_BLOCK = 32
+
+
 class _StopRule:
     """The adaptive rule of a TruncationPolicy, run on many series at once.
 
@@ -331,17 +337,19 @@ class DpmlFunction:
 
     # -- monomial table ------------------------------------------------
 
-    def _monomials(self, rows: int, cols: int) -> np.ndarray:
-        """Table h[i, m] of the order-(i alpha + beta - 1) monomial at m = k - a.
+    def _monomials(self, first: int, stop: int, cols: int) -> np.ndarray:
+        """Table h[i - first, m] of the order-(i alpha + beta - 1) monomial at m = k - a.
 
-        Columns 1 .. cols - 1 hold the product recurrence of
+        Rows are the orders first .. stop - 1; each row is independent of
+        the others, so a block of orders equals the same rows of a taller
+        table.  Columns 1 .. cols - 1 hold the product recurrence of
         :func:`~nabladelay.grid_calculus.monomial`.  Column 0 is zero: the
         series never reads m = 0 (every live delay block has m >= 1), so
         it pads the blocks past p(k).  High orders overflow to inf, which
         the stop rule reports.
         """
-        mu = np.arange(rows) * self.params.alpha + (self.params.beta - 1.0)
-        table = np.zeros((rows, cols))
+        mu = np.arange(first, stop) * self.params.alpha + (self.params.beta - 1.0)
+        table = np.zeros((stop - first, cols))
         _monomial_rows(mu, table[:, 1:])
         return table
 
@@ -417,10 +425,11 @@ class DpmlFunction:
         rule = _StopRule(pol, ks.size)
         qrow = self._qrows()
         with np.errstate(over="ignore", invalid="ignore"):
-            h = self._monomials(last + 1, kmax + r + 1)
             for i in range(last + 1):
+                if i % _ORDER_BLOCK == 0:
+                    h = self._monomials(i, min(i + _ORDER_BLOCK, last + 1), kmax + r + 1)
                 jmax = min(i, m.shape[1] - 1)
-                weights = h[i][m[:, : jmax + 1]]
+                weights = h[i % _ORDER_BLOCK][m[:, : jmax + 1]]
                 term = weights @ qrow(i, jmax).reshape(jmax + 1, n * n)
                 total += term
                 if imax is not None:
@@ -462,11 +471,6 @@ def ml_partial_sum(M, alpha: float, c: float, k: int, a: int, imax: int) -> np.n
     return _ml_series(M, alpha, c, k, a, imax, None)
 
 
-# Orders per block of monomial weights in _ml_series.  A block as long as
-# i_max would cost as much as the scalar monomial calls it replaces.
-_ML_BLOCK = 32
-
-
 def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
                policy: TruncationPolicy | None) -> np.ndarray:
     # Sums orders 0 .. imax when imax is given, else stops under the policy.
@@ -499,11 +503,11 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
     power = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(last + 1):
-            if i % _ML_BLOCK == 0:
+            if i % _ORDER_BLOCK == 0:
                 # monomial(i * alpha + c, k, a) for the next block of orders.
-                orders = np.arange(i, min(i + _ML_BLOCK, last + 1))
+                orders = np.arange(i, min(i + _ORDER_BLOCK, last + 1))
                 h = _monomial_rows(orders * alpha + c, np.empty((orders.size, k - a)))[:, -1]
-            term = h[i % _ML_BLOCK] * power.reshape(1, -1)
+            term = h[i % _ORDER_BLOCK] * power.reshape(1, -1)
             total += term
             if imax is None and rule(i, term, total) is not None:
                 return total.reshape(n, n)
@@ -583,9 +587,16 @@ def _reduce_exponential_perturbation(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(policy.i_max + 1):
             jmax = min(i, p)
-            weights = np.array(
-                [_falling_binomial(float(k - (j - 1) * r + i - 1), i) for j in range(jmax + 1)]
-            )
+            if i == 0:
+                weights = np.ones(1)
+            else:
+                # _falling_binomial(x_j, i) for every block j at once, with the
+                # same products in the same order.  The copy makes the weights
+                # contiguous: tensordot takes another BLAS path on a strided
+                # view, and its sums can differ in the last bit.
+                x = (k + i - 1.0) - (np.arange(jmax + 1) - 1) * r
+                t = np.arange(i)
+                weights = np.cumprod((x[:, None] - t) / (t + 1), axis=1)[:, -1].copy()
             term = np.tensordot(weights, table.row(i + 1)[: jmax + 1], axes=(0, 0)).reshape(1, -1)
             total += term
             if rule(i, term, total) is not None:

@@ -252,6 +252,7 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
     V = np.zeros((end, n))
     V[:r] = system.phi.values
     H = np.zeros((end, n))  # each row's history sum over the rows solved so far
+    kernels = {}  # FFT size -> spectrum of the weights, one per size in this solve
 
     def add_history(lo: int, mid: int, hi: int) -> None:
         # Rows [lo, mid) of V into the history sums of rows [mid, hi).  A
@@ -259,9 +260,11 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
         # unaliased.  The block is scaled by a power of two, exactly, so
         # the transforms cannot overflow before the trajectory does.
         size = 1 << (hi - lo - 1).bit_length()
+        if size not in kernels:
+            kernels[size] = np.fft.rfft(weights[:size], size)[:, None]
         exponent = int(np.frexp(np.max(np.abs(V[lo:mid])))[1])
         block = np.fft.rfft(np.ldexp(V[lo:mid], -exponent), size, axis=0)
-        spectrum = np.fft.rfft(weights[:size], size)[:, None] * block
+        spectrum = kernels[size] * block
         H[mid:hi] += np.ldexp(np.fft.irfft(spectrum, size, axis=0)[mid - lo : hi - lo], exponent)
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,7 +8,9 @@ stepping overflow.
 """
 
 import importlib
+import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -19,8 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nabladelay import closed_form_solve
-from nabladelay.cli import load_config, main
+import nabladelay
+from nabladelay import DpmlFunction, DpmlParams, closed_form_solve, ml_eval, ml_partial_sum
+from nabladelay.cli import ConfigError, load_config, main, parse_config
+from nabladelay.dpml import DivergenceError
 
 M2 = [[0.2, 0.1], [0.0, 0.3]]
 N2 = [[0.1, 0.0], [0.4, 0.2]]
@@ -260,6 +264,154 @@ class TestConfigValidation:
         assert exc.value.code == 2
 
 
+# The per-entry number checks, one call per entry, that the CLI ran on every
+# table before tables were checked in one pass; the reference for the
+# messages and values the one-pass checks must reproduce.
+
+
+def reference_number(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return number
+
+
+def reference_vectors(rows, length, path):
+    checked = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != length:
+            raise ConfigError(f"{path}[{i}]", f"expected a list of {length} numbers")
+        checked.append([reference_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
+    return np.array(checked, dtype=float)
+
+
+def reference_matrix(value, path):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "expected a nonempty 2-D row-major array")
+    width = None
+    rows = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or not row:
+            raise ConfigError(f"{path}[{i}]", "expected a nonempty list of numbers")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ConfigError(f"{path}[{i}]", f"expected {width} entries, got {len(row)}")
+        rows.append([reference_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
+    return np.array(rows)
+
+
+def reference_tables(doc):
+    """M, N, phi and forcing.values of ``doc`` as bytes, or the error text."""
+    try:
+        M = reference_matrix(doc["M"], "M")
+        N = reference_matrix(doc["N"], "N")
+        phi = reference_vectors(doc["phi"], M.shape[0], "phi")
+        forcing = reference_vectors(doc["forcing"]["values"], M.shape[0], "forcing.values")
+    except ConfigError as exc:
+        return str(exc)
+    return [(a.shape, a.tobytes()) for a in (M, N, phi, forcing)]
+
+
+def parsed_tables(doc):
+    try:
+        system = parse_config(doc)
+    except ConfigError as exc:
+        return str(exc)
+    arrays = (system.M, system.N, system.phi.values, system.forcing.values)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+TABLE_FIELDS = ("M", "phi", "forcing.values")
+# JSON texts of single entries: wrong types, non-finite numbers (1e400 reads
+# as inf, the int 10**400 overflows float) and valid ints past 2**63.
+ENTRY_TEXTS = ("true", '"1.5"', "null", "[1.0]", "NaN", "Infinity", "-Infinity", "1e400",
+               "1" + "0" * 400, str(2**63 + 1), str(10**30), "-0.0", "5e-324", "7")
+ROW_TEXTS = ("[]", "[0.25, 0.5, 0.75]", "[0.25]", "0.5", "[[0.25, 0.5]]")
+
+
+def parity_doc():
+    """A valid config with fresh 2-wide tables M, phi and forcing.values."""
+    return base_config(
+        delay=2, horizon=3, M=[[0.2, 0.1], [0.0, 0.3]], N=N2, phi=[[1.0, 2.0], [3.0, 4.0]],
+        forcing={"type": "table", "values": [[0.5, 1.5], [2.5, 3.5], [4.5, 5.5]]},
+    )
+
+
+def parity_table(doc, field):
+    return doc["forcing"]["values"] if field == "forcing.values" else doc[field]
+
+
+def parity_config_text(field, index, text, row=False):
+    """A valid config text with one entry (or row) of ``field`` replaced by ``text``."""
+    doc = parity_doc()
+    rows = parity_table(doc, field)
+    if row:
+        rows[index] = "SLOT"
+    else:
+        rows[index][index] = "SLOT"
+    return json.dumps(doc).replace('"SLOT"', text)
+
+
+def parity_cases():
+    for field, index in itertools.product(TABLE_FIELDS, (0, -1)):
+        for text in ENTRY_TEXTS:
+            yield pytest.param(parity_config_text(field, index, text),
+                               id=f"{field}[{index}][{index}]={text[:12]}")
+        for text in ROW_TEXTS:
+            yield pytest.param(parity_config_text(field, index, text, row=True),
+                               id=f"{field}[{index}]={text}")
+
+
+class TestOneTableCheckParity:
+    """Tables checked in one pass give the per-entry checks' messages and bytes."""
+
+    @pytest.mark.parametrize("text", list(parity_cases()))
+    def test_cli_and_parse_match_per_entry_checks(self, tmp_path, capsys, text):
+        doc = json.loads(text)
+        want = reference_tables(doc)
+        assert parsed_tables(doc) == want
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        out = tmp_path / "trace.csv"
+        code = main(["solve", "--method", "step", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if isinstance(want, str):
+            assert (code, err) == (2, f"config error: {want}\n")
+            assert not out.exists()
+        else:  # an M entry of 1e30 makes I - M singular (exit 1)
+            assert code in (0, 1) and not err.startswith("config error")
+
+    @pytest.mark.parametrize("late, early", [("null", "true"), ("NaN", "[1.0]"),
+                                             ("1e400", "Infinity"), ("7", '"1.5"')])
+    def test_first_fault_in_parse_order_is_named(self, late, early):
+        for first, second in (("M", "phi"), ("M", "forcing.values"), ("phi", "forcing.values")):
+            doc = json.loads(parity_config_text(second, 0, late))
+            parity_table(doc, first)[-1][-1] = json.loads(early)
+            want = reference_tables(doc)
+            assert parsed_tables(doc) == want
+            assert want.startswith(f"{first}[")
+
+    @pytest.mark.parametrize("bad", [None, np.float64("nan"), np.float64(np.inf), np.int64(7),
+                                     np.float32(0.1), np.bool_(True)])
+    def test_numpy_scalars_take_the_per_entry_checks(self, bad):
+        rng = np.random.default_rng(4)
+        doc = parity_doc()
+        for field in TABLE_FIELDS:
+            for row in parity_table(doc, field):
+                row[:] = [np.float64(x) for x in rng.normal(size=len(row)) * 0.1]
+        if bad is not None:
+            doc["forcing"]["values"][1][1] = bad
+        want = reference_tables(doc)
+        assert parsed_tables(doc) == want
+        assert isinstance(want, list) == (bad is None)
+
+
 class TestVerifyCommand:
     def test_pass_prints_report_and_exits_0(self, tmp_path, capsys):
         cfg = write_config(
@@ -433,6 +585,79 @@ class TestFigureCommand:
         ]
         assert main(args) == 2
         assert "alpha" in capsys.readouterr().err
+
+
+def reference_csv(rows, header, comment=None):
+    """Reference writer: CSV bytes built one cell at a time with repr(float(x))."""
+    lines = [] if comment is None else [comment]
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(repr(float(x)) if i else str(x) for i, x in enumerate(row)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# -0.0, subnormals, the extremes of float64, and magnitudes either side of
+# 1e16, where repr switches from positional to exponent notation.  The step
+# route copies phi into the CSV verbatim; the forcing puts magnitudes near
+# 1e300 into the trajectory.
+PHI_EDGES = [[-0.0, 5e-324], [-2.2250738585072014e-308, 2.0**-1074 * 3],
+             [1e16, 9999999999999998.0], [-1e16 - 2.0, 123456789012345680.0]]
+FORCING_EDGES = [[1e-300, -1e300], [1.7976931348623157e300, 1e15 + 0.3], [0.1, 1 / 3],
+                 [1e-5, 1e-4], [1e16, -1e-16], [0.0, 1e22]]
+
+
+class TestCsvByteParity:
+    """The CSV writer gives the bytes of the per-cell repr(float(x)) writer."""
+
+    @pytest.mark.parametrize("method", ["closed", "step", "commutative", "delta"])
+    def test_solve_output_matches_per_cell_writer(self, tmp_path, method):
+        cfg = write_config(
+            tmp_path, delay=4, horizon=6, M=[[0.2, 0.0], [0.0, 0.2]], N=[[0.1, 0.0], [0.0, 0.1]],
+            phi=PHI_EDGES, forcing={"type": "table", "values": FORCING_EDGES},
+        )
+        out = tmp_path / "trace.csv"
+        assert main(["solve", "--method", method, "--config", cfg, "--out", str(out)]) == 0
+        route = {"closed": "closed_form_solve", "step": "step_solve",
+                 "commutative": "commutative_solve", "delta": "delta_solve"}[method]
+        trace = getattr(nabladelay, route)(load_config(cfg)).values
+        rows = ((k, *z) for k, z in zip(trace.points(), trace.values))
+        assert out.read_bytes() == reference_csv(rows, "k,z1,z2")
+        if method == "step":
+            assert out.read_text().splitlines()[1].split(",")[1:] == ["-0.0", "5e-324"]
+
+    @pytest.mark.parametrize(
+        "alpha, beta, m, n, delay, kmax",
+        [(0.9, 0.6, 5.0, 3.0, 2, 20), (0.5, 0.5, 0.3, 0.0, 2, 20), (0.5, 0.5, 0.0, 0.3, 2, 20),
+         (0.7, 1.2, 0.2, 0.3, 3, 40), (0.4, 0.9, -0.3, 0.2, 1, -1)],
+    )
+    def test_figure_output_matches_per_cell_writer(self, tmp_path, alpha, beta, m, n, delay,
+                                                   kmax):
+        out = tmp_path / "figure.csv"
+        argv = ["figure", "--alpha", str(alpha), "--beta", str(beta), "--m", str(m),
+                "--n", str(n), "--delay", str(delay), "--kmax", str(kmax), "--out", str(out)]
+        points = range(-delay, kmax + 1)
+
+        def table(imax):
+            # Numpy scalars in every value column, as the figure command built them.
+            D, F = (fn.stack(-delay, kmax)[:, 0, 0] if imax is None
+                    else [fn.partial_sum(k, imax)[0, 0] for k in points] for fn in pairs)
+            E = [np.eye(1)[0, 0] if k == -delay
+                 else (ml_eval([[m]], alpha, beta - 1.0, k, -delay) if imax is None
+                       else ml_partial_sum([[m]], alpha, beta - 1.0, k, -delay, imax))[0, 0]
+                 for k in points]
+            return list(zip(points, D, E, F))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 0
+            pairs = [DpmlFunction(DpmlParams(alpha, beta, delay, [[mm]], [[n]]))
+                     for mm in (m, 0.0)]
+            try:
+                comment, rows = None, table(None)
+            except DivergenceError:
+                comment, rows = "# truncated at i=60, convergence not guaranteed", table(60)
+        assert (comment is not None) == (m == 5.0)
+        assert out.read_bytes() == reference_csv(rows, "k,D,E,F", comment)
 
 
 def out_argv(command, tmp_path, out):

@@ -676,6 +676,17 @@ class TestOneRowDrivers:
                 )
                 assert_same_outcome(got, want)
                 seen.update(text for text in STOP_MESSAGES if text in str(want))
+        # Long horizons at r = 1 give up to k + 1 weights per order; there a
+        # strided weight vector sends tensordot down another BLAS path.
+        for scale, k in itertools.product((0.05, 0.1, 0.3), (20, 40, 80, 120, 160)):
+            params = DpmlParams(1.0, 1.0, 1, scale * np.array(M2), scale * np.array(N2), policy)
+            want = outcome(
+                lambda: reference_exponential_perturbation(params.M, params.N, 1, k, policy)
+            )
+            got = outcome(
+                lambda: special_reductions(params, k, pattern="exponential_perturbation")
+            )
+            assert_same_outcome(got, want)
         if policy is TIGHT:
             assert seen == set(STOP_MESSAGES)
 
