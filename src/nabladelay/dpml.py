@@ -27,8 +27,8 @@ divergent parameter sets.
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -170,18 +170,67 @@ def _as_square_pair(M, N) -> tuple[np.ndarray, np.ndarray]:
     return M, N
 
 
-def _commutation_defect(M: np.ndarray, N: np.ndarray) -> float:
-    return float(np.max(np.abs(M @ N - N @ M)))
+def _commutation(M: np.ndarray, N: np.ndarray) -> tuple[bool, float, float]:
+    # Whether max |MN - NM| <= _COMMUTE_TOL * max(1, max|M| max|N|), with the
+    # defect and the scale.  The products are taken on M and N scaled by the
+    # powers of two that bring their largest entries into [0.5, 1): that is
+    # exact, so it cannot overflow and every pair whose products do not
+    # overflow gets the decision of the unscaled test.  A defect or scale
+    # past the float range reads inf.
+    big_m, big_n = float(np.max(np.abs(M))), float(np.max(np.abs(N)))
+    (fm, a), (fn, b) = math.frexp(big_m), math.frexp(big_n)
+    Ms, Ns = np.ldexp(M, -a), np.ldexp(N, -b)
+    scaled = float(np.max(np.abs(Ms @ Ns - Ns @ Ms)))  # defect / 2**(a + b)
+    with np.errstate(over="ignore"):
+        defect = float(np.ldexp(scaled, a + b))
+    commutes = scaled <= _COMMUTE_TOL * (fm * fn) or defect <= _COMMUTE_TOL
+    return commutes, defect, max(1.0, big_m * big_n)
 
 
 def _require_commuting(M: np.ndarray, N: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(M))) * float(np.max(np.abs(N))))
-    defect = _commutation_defect(M, N)
-    if defect > _COMMUTE_TOL * scale:
+    commutes, defect, scale = _commutation(M, N)
+    if not commutes:
         raise CommutativityError(
             f"matrices do not commute: max |MN - NM| = {defect:.3e} "
             f"exceeds {_COMMUTE_TOL:g} * {scale:g}"
         )
+
+
+def _blocks(r: int, k):
+    # p(k) = max(0, ceil(k / r)), the last delay block with a live monomial,
+    # for an integer or an integer array k.
+    return np.maximum(0, -(-k // r))
+
+
+def _word_sum_step(M: np.ndarray, N: np.ndarray, prev: np.ndarray, size: int) -> np.ndarray:
+    # Q(i + 1, j) = M Q(i, j) + N Q(i, j - 1) for j < size, from the stack
+    # prev of Q(i, j) for j < len(prev); size is len(prev) or len(prev) + 1.
+    nxt = np.zeros((size, *M.shape))
+    nxt[: len(prev)] = M @ prev
+    nxt[1:] += N @ prev[: size - 1]
+    return nxt
+
+
+def _word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
+    """Yield the stack of Q(i + 1, j), j = 0 .. min(i, width), for i = 0, 1, ..."""
+    row = np.eye(M.shape[0])[None]
+    while True:
+        yield row
+        row = _word_sum_step(M, N, row, min(len(row), width) + 1)
+
+
+def _commuting_word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
+    """Yield C(i, j) M**(i - j) N**j, j = 0 .. min(i, width), for i = 0, 1, ...
+
+    The word sums of a commuting pair, one batched product per order.
+    """
+    mpows = npows = np.eye(M.shape[0])[None]  # M**i .. M**(i - jmax); N**0 .. N**jmax
+    for i in itertools.count():
+        coef = np.array([float(math.comb(i, j)) for j in range(len(npows))])
+        yield coef[:, None, None] * (mpows @ npows)
+        mpows = np.concatenate(((mpows[0] @ M)[None], mpows[:width]))
+        if i < width:
+            npows = np.concatenate((npows, (npows[-1] @ N)[None]))
 
 
 class WordSumTable:
@@ -194,14 +243,14 @@ class WordSumTable:
         Q(i + 1, j) = M Q(i, j) + N Q(i, j - 1),
 
     seeded by Q(1, 0) = I, with Q(0, j) and Q(i, -1) zero.  Rows are grown
-    lazily and growth is lock-serialized, so a single table may be shared
-    across threads.
+    on demand into a copy of the memo, which then replaces it in one
+    assignment, so a table may be shared across threads: racing readers
+    may grow the same rows twice but never see a wrong or missing row.
     """
 
     def __init__(self, M, N) -> None:
         self.M, self.N = _as_square_pair(M, N)
         self.dim = self.M.shape[0]
-        self._lock = threading.Lock()
         first = np.eye(self.dim)[None]
         first.setflags(write=False)
         # _rows[i] stacks Q(i, j) for j = 0 .. i-1; row 0 is empty.
@@ -211,9 +260,15 @@ class WordSumTable:
         """Read-only stack of Q(i, j) for j = 0 .. i - 1."""
         if i < 0:
             raise ValueError("word length index must be >= 0")
-        if i >= len(self._rows):
-            self._grow(i)
-        return self._rows[i]
+        rows = self._rows
+        if i >= len(rows):
+            rows = list(rows)
+            while len(rows) <= i:
+                nxt = _word_sum_step(self.M, self.N, rows[-1], len(rows))
+                nxt.setflags(write=False)
+                rows.append(nxt)
+            self._rows = rows
+        return rows[i]
 
     def value(self, i: int, j: int) -> np.ndarray:
         """Q(i, j), the zero matrix outside 0 <= j <= i - 1."""
@@ -222,16 +277,6 @@ class WordSumTable:
         if i == 0 or j < 0 or j > i - 1:
             return np.zeros((self.dim, self.dim))
         return self.row(i)[j]
-
-    def _grow(self, i: int) -> None:
-        with self._lock:
-            while len(self._rows) <= i:
-                prev = self._rows[-1]
-                nxt = np.zeros((prev.shape[0] + 1, self.dim, self.dim))
-                nxt[:-1] = self.M @ prev
-                nxt[1:] += self.N @ prev
-                nxt.setflags(write=False)
-                self._rows.append(nxt)
 
 
 def word_sum(M, N, i: int, j: int) -> np.ndarray:
@@ -304,26 +349,23 @@ class DpmlFunction:
 
     :meth:`stack` sums the series for a whole range of grid points at
     once: each series order is one matrix product of the monomial weights
-    of every point still running against one word-sum row.  :meth:`value`
-    and :meth:`partial_sum` are one-point calls of the same driver.  Only
-    the general word-sum table is kept across calls.  With
-    ``commutative=True`` the word sums are produced from the binomial
-    closed form for commuting pairs instead of the general recursion (a
-    :class:`CommutativityError` is raised if the pair does not commute);
-    its matrix powers are built afresh by every call.
+    of every point still running against one row of word sums.
+    :meth:`value` and :meth:`partial_sum` are one-point calls of the same
+    sum.  Every call builds its own word sums from the general
+    recursion or, with ``commutative=True``, from the binomial closed form
+    for commuting pairs (a :class:`CommutativityError` is raised if the
+    pair does not commute); nothing is kept across calls.
 
-    Concurrent calls on a shared instance are safe: word-sum growth is
-    lock-serialized and every call returns fresh arrays.
+    An instance holds only its parameters and route flag, so concurrent
+    calls on a shared instance are safe, and every call returns fresh
+    arrays.
     """
 
     def __init__(self, params: DpmlParams, commutative: bool = False) -> None:
         self.params = params
-        self.dim = params.dim
+        self.commutative = commutative
         if commutative:
             _require_commuting(params.M, params.N)
-            self._table = None
-        else:
-            self._table = WordSumTable(params.M, params.N)
         norm_sum = float(
             np.linalg.norm(params.M, 1) + np.linalg.norm(params.N, 1)
         )
@@ -353,30 +395,6 @@ class DpmlFunction:
         _monomial_rows(mu, table[:, 1:])
         return table
 
-    # -- word sums -----------------------------------------------------
-
-    def _qrows(self):
-        """Function of (i, jmax) giving the stack of Q(i + 1, j), j = 0 .. jmax.
-
-        The commutative form keeps its powers of M and N in the returned
-        function, so they live as long as one call of the driver.
-        """
-        if self._table is not None:
-            return lambda i, jmax: self._table.row(i + 1)[: jmax + 1]
-        M, N = self.params.M, self.params.N
-        mpows, npows = [np.eye(self.dim)], [np.eye(self.dim)]
-
-        def qrow(i: int, jmax: int) -> np.ndarray:
-            while len(mpows) <= i:
-                mpows.append(mpows[-1] @ M)
-            while len(npows) <= jmax:
-                npows.append(npows[-1] @ N)
-            return np.stack(
-                [float(math.comb(i, j)) * (mpows[i - j] @ npows[j]) for j in range(jmax + 1)]
-            )
-
-        return qrow
-
     # -- evaluation ----------------------------------------------------
 
     def stack(self, kmin: int, kmax: int) -> np.ndarray:
@@ -405,7 +423,7 @@ class DpmlFunction:
     def _series(self, kmin: int, kmax: int, imax: int | None) -> np.ndarray:
         # Sums orders 0 .. imax when imax is given, else stops each point on
         # its own under the policy.
-        r, n = self.params.r, self.dim
+        r, n = self.params.r, self.params.dim
         out = np.zeros((max(0, kmax - kmin + 1), n * n))
         if kmin <= -r <= kmax:
             out[-r - kmin] = np.eye(n).ravel()
@@ -417,20 +435,21 @@ class DpmlFunction:
         ks = np.arange(first, kmax + 1)
         # Delay block count p(k) and monomial arguments m_j(k) = k - (j-1) r;
         # blocks past p(k) read the zero column.
-        p = np.maximum(0, -(-ks // r))
+        p = _blocks(r, ks)
         j = np.arange(int(p.max()) + 1)
         m = np.where(j <= p[:, None], ks[:, None] - (j - 1) * r, 0)
         rows = ks - kmin  # position in out of each point still running
         total = np.zeros((ks.size, n * n))
         rule = _StopRule(pol, ks.size)
-        qrow = self._qrows()
+        source = _commuting_word_sum_rows if self.commutative else _word_sum_rows
+        qrows = source(self.params.M, self.params.N, m.shape[1] - 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(last + 1):
+            for i, q in zip(range(last + 1), qrows):
                 if i % _ORDER_BLOCK == 0:
                     h = self._monomials(i, min(i + _ORDER_BLOCK, last + 1), kmax + r + 1)
                 jmax = min(i, m.shape[1] - 1)
                 weights = h[i % _ORDER_BLOCK][m[:, : jmax + 1]]
-                term = weights @ qrow(i, jmax).reshape(jmax + 1, n * n)
+                term = weights @ q[: jmax + 1].reshape(jmax + 1, n * n)
                 total += term
                 if imax is not None:
                     continue
@@ -484,8 +503,10 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
     if k < a:
         return np.zeros_like(M)
     if k == a:
-        # At the base point only orders with i*alpha + c == 0 contribute.
-        i = int(round(-c / alpha))
+        # At the base point only orders with i*alpha + c == 0 contribute;
+        # none is in reach when -c / alpha overflows.
+        q = -float(c) / float(alpha)
+        i = int(round(q)) if math.isfinite(q) else -1
         if i >= 0 and i * alpha + c == 0.0:
             return np.linalg.matrix_power(M, i)
         return np.zeros_like(M)
@@ -539,21 +560,33 @@ def _piecewise_branch(n: int, r: int, k: int) -> np.ndarray | None:
     return None
 
 
-def _falling_binomial(x: float, i: int) -> float:
-    # C(x, i) with a real upper argument.
-    value = 1.0
-    for t in range(i):
-        value *= (x - t) / (t + 1)
-    return value
+# Cells of the triangle one cumprod of _falling_binomials may hold.
+_TRIANGLE_CELLS = 1 << 20
 
 
-def _delay_block_sum(N: np.ndarray, r: int, k: int, weight) -> np.ndarray:
-    # Finite sum of weight(i) * N**i over the delay blocks i = 0 .. p(k).
-    p = max(0, -((-k) // r))
+def _falling_binomials(x: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    # C(x_j, orders_j) with real upper arguments: the products
+    # (x_j - t) / (t + 1) for t = 0 .. orders_j - 1, multiplied in that
+    # order.  Columns past a row's order hold 1, which leaves the product
+    # exact; rows go in blocks so the triangle stays within _TRIANGLE_CELLS.
+    # The result is contiguous: tensordot takes another BLAS path on a
+    # strided view, and its sums can differ in the last bit.
+    t = np.arange(max(1, int(orders.max())))
+    out = np.empty(x.size)
+    step = max(1, _TRIANGLE_CELLS // t.size)
+    for lo in range(0, x.size, step):
+        rows = slice(lo, lo + step)
+        factors = np.where(t < orders[rows, None], (x[rows, None] - t) / (t + 1), 1.0)
+        out[rows] = np.cumprod(factors, axis=1)[:, -1]
+    return out
+
+
+def _delay_block_sum(N: np.ndarray, weights) -> np.ndarray:
+    # Finite sum of weights[i] * N**i over the delay blocks i = 0 .. p(k).
     total = np.zeros_like(N)
     power = np.eye(N.shape[0])
-    for i in range(p + 1):
-        total += weight(i) * power
+    for weight in weights:
+        total += weight * power
         power = power @ N
     return total
 
@@ -562,15 +595,17 @@ def _reduce_delayed_exponential(N: np.ndarray, r: int, k: int) -> np.ndarray:
     # Classical delayed discrete exponential with lag h = r - 1.  The block
     # cutoff i <= p is essential: beyond it the falling binomial no longer
     # matches the vanishing grid monomial.
-    return _delay_block_sum(N, r, k, lambda i: _falling_binomial(float(k - (i - 1) * (r - 1)), i))
+    i = np.arange(_blocks(r, k) + 1)
+    return _delay_block_sum(N, _falling_binomials((k - (i - 1) * (r - 1)).astype(float), i))
 
 
-def _reduce_factored_exponential(M: np.ndarray, N: np.ndarray, r: int, k: int) -> np.ndarray:
-    # Commuting pair at unit orders: pull the M-resolvent out of every word
-    # and reduce to a delayed exponential of the deformed delay matrix.
-    n = M.shape[0]
-    resolvent = np.linalg.inv(np.eye(n) - M)
-    deformed = np.linalg.matrix_power(np.eye(n) - M, r - 1) @ N
+def _reduce_factored_exponential(
+    resolvent: np.ndarray, M: np.ndarray, N: np.ndarray, r: int, k: int
+) -> np.ndarray:
+    # Commuting pair at unit orders: pull the M-resolvent (I - M)^-1 out of
+    # every word and reduce to a delayed exponential of the deformed delay
+    # matrix.
+    deformed = np.linalg.matrix_power(np.eye(M.shape[0]) - M, r - 1) @ N
     return np.linalg.matrix_power(resolvent, k + r) @ _reduce_delayed_exponential(
         deformed, r, k
     )
@@ -580,34 +615,23 @@ def _reduce_exponential_perturbation(
     M: np.ndarray, N: np.ndarray, r: int, k: int, policy: TruncationPolicy
 ) -> np.ndarray:
     # Unit orders, general pair: word sums weighted by integer binomials.
-    p = max(0, -((-k) // r))
-    table = WordSumTable(M, N)
     rule = _StopRule(policy, 1)
     total = np.zeros((1, M.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(policy.i_max + 1):
-            jmax = min(i, p)
-            if i == 0:
-                weights = np.ones(1)
-            else:
-                # _falling_binomial(x_j, i) for every block j at once, with the
-                # same products in the same order.  The copy makes the weights
-                # contiguous: tensordot takes another BLAS path on a strided
-                # view, and its sums can differ in the last bit.
-                x = (k + i - 1.0) - (np.arange(jmax + 1) - 1) * r
-                t = np.arange(i)
-                weights = np.cumprod((x[:, None] - t) / (t + 1), axis=1)[:, -1].copy()
-            term = np.tensordot(weights, table.row(i + 1)[: jmax + 1], axes=(0, 0)).reshape(1, -1)
-            total += term
-            if rule(i, term, total) is not None:
-                return total.reshape(M.shape)
+    for i, q in zip(range(policy.i_max + 1), _word_sum_rows(M, N, _blocks(r, k))):
+        x = (k + i - 1.0) - (np.arange(len(q)) - 1) * r
+        weights = _falling_binomials(x, np.full(len(q), i))
+        term = np.tensordot(weights, q, axes=(0, 0)).reshape(1, -1)
+        total += term
+        if rule(i, term, total) is not None:
+            return total.reshape(M.shape)
     raise rule.exhausted()
 
 
 def _reduce_delayed_ml(N: np.ndarray, alpha: float, r: int, k: int) -> np.ndarray:
     # Pure delay term: the series is a finite sum because each order lives
     # on its own delay block.
-    return _delay_block_sum(N, r, k, lambda i: monomial(i * alpha + alpha - 1.0, k, (i - 1) * r))
+    weights = [monomial(i * alpha + alpha - 1.0, k, (i - 1) * r) for i in range(_blocks(r, k) + 1)]
+    return _delay_block_sum(N, weights)
 
 
 def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -> np.ndarray:
@@ -619,9 +643,9 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
 
     - ``delayed_exponential``: alpha = beta = 1 and M = 0; binomial
       delayed discrete exponential of N.
-    - ``factored_exponential``: alpha = beta = 1 and MN = NM; resolvent
-      power of (I - M) times a delayed exponential of the deformed delay
-      matrix (I - M)**(r-1) N.
+    - ``factored_exponential``: alpha = beta = 1, MN = NM and I - M
+      invertible; resolvent power of (I - M) times a delayed exponential
+      of the deformed delay matrix (I - M)**(r-1) N.
     - ``exponential_perturbation``: alpha = beta = 1, general pair; word
       sums with integer binomial weights.
     - ``delayed_ml``: M = 0 and alpha = beta; finite one-matrix sum over
@@ -631,17 +655,23 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
     With ``pattern=None`` the most specific applicable pattern is chosen
     in the order above; :class:`ReductionPatternError` is raised when no
     pattern applies, or when an explicitly requested pattern does not
-    match the parameters.
+    match the parameters.  A value that overflows raises
+    :class:`DivergenceError` naming the pattern and ``k``.
     """
     M, N = params.M, params.N
     unit_orders = params.alpha == 1.0 and params.beta == 1.0
     m_zero = not M.any()
     n_zero = not N.any()
-    scale = max(1.0, float(np.max(np.abs(M))) * float(np.max(np.abs(N))))
-    commuting = _commutation_defect(M, N) <= _COMMUTE_TOL * scale
+    commuting = _commutation(M, N)[0]
+    resolvent = None
+    if unit_orders and commuting:
+        try:
+            resolvent = np.linalg.inv(np.eye(params.dim) - M)
+        except np.linalg.LinAlgError:
+            pass  # I - M is singular: the factored form does not apply.
     applicable = {
         "delayed_exponential": unit_orders and m_zero,
-        "factored_exponential": unit_orders and commuting,
+        "factored_exponential": resolvent is not None,
         "exponential_perturbation": unit_orders,
         "delayed_ml": m_zero and params.alpha == params.beta,
         "ml": n_zero,
@@ -658,6 +688,8 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
             )
     elif pattern not in REDUCTION_PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; choose from {REDUCTION_PATTERNS}")
+    elif pattern == "factored_exponential" and unit_orders and commuting and resolvent is None:
+        raise ReductionPatternError(f"pattern {pattern!r} needs I - M invertible; it is singular")
     elif not applicable[pattern]:
         raise ReductionPatternError(
             f"pattern {pattern!r} does not match the parameters "
@@ -667,13 +699,18 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
     value = _piecewise_branch(params.dim, params.r, k)
     if value is not None:
         return value
-    if pattern == "delayed_exponential":
-        return _reduce_delayed_exponential(N, params.r, k)
-    if pattern == "factored_exponential":
-        return _reduce_factored_exponential(M, N, params.r, k)
-    if pattern == "exponential_perturbation":
-        return _reduce_exponential_perturbation(M, N, params.r, k, params.policy)
-    if pattern == "delayed_ml":
-        return _reduce_delayed_ml(N, params.alpha, params.r, k)
-    # No delay term: the one-matrix series based at -r.
-    return ml_eval(M, params.alpha, params.beta - 1.0, k, -params.r, params.policy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pattern == "delayed_exponential":
+            value = _reduce_delayed_exponential(N, params.r, k)
+        elif pattern == "factored_exponential":
+            value = _reduce_factored_exponential(resolvent, M, N, params.r, k)
+        elif pattern == "exponential_perturbation":
+            value = _reduce_exponential_perturbation(M, N, params.r, k, params.policy)
+        elif pattern == "delayed_ml":
+            value = _reduce_delayed_ml(N, params.alpha, params.r, k)
+        else:
+            # No delay term: the one-matrix series based at -r.
+            value = ml_eval(M, params.alpha, params.beta - 1.0, k, -params.r, params.policy)
+    if not np.isfinite(value).all():
+        raise DivergenceError(f"reduction {pattern!r} is non-finite at k = {k}")
+    return value

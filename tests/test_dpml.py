@@ -11,13 +11,20 @@ Core claims:
 - every series driver stops where the order-by-order accumulator below
   stops, with the same value or error text;
 - non-finite input is rejected with a ValueError naming the field;
-- a shared evaluator instance is safe under concurrent reads;
+- a shared evaluator instance and a shared word-sum table are safe under
+  concurrent reads, and an evaluator keeps no state across calls;
+- the per-call word-sum sources give the memo table's rows and the
+  sequential-power binomial products bit for bit;
+- the commutation test decides as the unscaled test wherever that one
+  does not overflow, and rejects overflowing pairs without a warning;
 - each classical reduction, computed from its own formula, agrees with the
   general series.
 """
 
 import itertools
 import math
+import pickle
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +33,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, gammasgn
 
+from nabladelay import dpml
 from nabladelay import (
     CommutativityError,
     DivergenceError,
@@ -218,6 +226,139 @@ class TestWordSumCommutative:
     def test_non_commuting_pair_rejected(self):
         with pytest.raises(CommutativityError):
             word_sum_commutative(M2, N2, 3, 1)
+
+    def test_overflowing_pair_rejected_without_warning(self):
+        # Unscaled, MN - NM is inf - inf = nan here, which no tolerance
+        # comparison rejects.
+        M = 1e200 * np.array([[1.0, 2.0], [3.0, 4.0]])
+        N = 1e200 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CommutativityError):
+                word_sum_commutative(M, N, 3, 1)
+            with pytest.raises(CommutativityError):
+                DpmlFunction(DpmlParams(0.5, 0.5, 2, M, N), commutative=True)
+            params = DpmlParams(1.0, 1.0, 2, M, N, TIGHT)
+            with pytest.raises(ReductionPatternError, match="commuting: False"):
+                special_reductions(params, 3, pattern="factored_exponential")
+
+    def test_decision_matches_unscaled_test(self):
+        # Pairs at every scale whose products stay finite, with defects on
+        # both sides of the tolerance: the same decision and message as the
+        # plain test max|MN - NM| <= 1e-12 * max(1, max|M| max|N|).
+        rng = np.random.default_rng(21)
+        for scale_m, scale_n, size in itertools.product(
+            (1e-150, 1e-7, 0.5, 3.0, 1e9, 1e150), (1e-140, 1e-3, 1.0, 7.0, 1e120), (1, 2, 3)
+        ):
+            if scale_m * scale_n > 1e300:
+                continue
+            E = rng.normal(size=(size, size))
+            for gap in (0.0, 1e-16, 1e-13, 3e-13, 1e-12, 4e-12, 1e-9, 1e-3):
+                M = scale_m * np.diag(rng.uniform(-1.0, 1.0, size))
+                N = scale_n * (np.diag(rng.uniform(-1.0, 1.0, size)) + gap * E)
+                defect = float(np.max(np.abs(M @ N - N @ M)))
+                bound = max(1.0, float(np.max(np.abs(M))) * float(np.max(np.abs(N))))
+                if defect <= 1e-12 * bound:
+                    word_sum_commutative(M, N, 2, 1)
+                    continue
+                want = (
+                    f"matrices do not commute: max |MN - NM| = {defect:.3e} "
+                    f"exceeds 1e-12 * {bound:g}"
+                )
+                with pytest.raises(CommutativityError) as info:
+                    word_sum_commutative(M, N, 2, 1)
+                assert str(info.value) == want
+
+
+def sequential_commuting_rows(M, N, width, count):
+    """C(i, j) M**(i - j) N**j for j <= min(i, width), one product per j,
+    with the powers built by sequential matrix products."""
+    mpows, npows = [np.eye(M.shape[0])], [np.eye(M.shape[0])]
+    for _ in range(count):
+        mpows.append(mpows[-1] @ M)
+        npows.append(npows[-1] @ N)
+    return [
+        np.stack(
+            [float(math.comb(i, j)) * (mpows[i - j] @ npows[j]) for j in range(min(i, width) + 1)]
+        )
+        for i in range(count)
+    ]
+
+
+class TestWordSumSources:
+    """The per-call word-sum row sources of the series."""
+
+    ORDERS = 14
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_general_source_equals_table_rows(self, n):
+        rng = np.random.default_rng(31 + n)
+        M, N = 0.3 * rng.normal(size=(n, n)), 0.3 * rng.normal(size=(n, n))
+        table = WordSumTable(M, N)
+        # Widths below, equal to and above the order i.
+        for width in (0, 1, 5, self.ORDERS - 1, 40):
+            rows = dpml._word_sum_rows(M, N, width)
+            for i, got in zip(range(self.ORDERS), rows):
+                want = table.row(i + 1)[: width + 1]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_commutative_source_equals_sequential_powers(self, n):
+        rng = np.random.default_rng(41 + n)
+        A = rng.normal(size=(n, n))
+        M = 0.3 * A / np.linalg.norm(A, 1)
+        N = 0.2 * np.eye(n) + M @ M
+        for width in (0, 1, 5, self.ORDERS - 1, 40):
+            want = sequential_commuting_rows(M, N, width, self.ORDERS)
+            rows = dpml._commuting_word_sum_rows(M, N, width)
+            for got, expected in zip(rows, want):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("commutative", [False, True])
+    def test_evaluator_keeps_no_state_across_calls(self, commutative):
+        M, N = np.diag([0.3, -0.2]), np.diag([0.2, 0.1])
+        fn = DpmlFunction(DpmlParams(0.6, 0.7, 2, M, N), commutative=commutative)
+        before, state = dict(vars(fn)), pickle.dumps(vars(fn))
+        fn.stack(-3, 30)
+        fn.value(17)
+        fn.partial_sum(9, 12)
+        assert vars(fn).keys() == before.keys() and pickle.dumps(vars(fn)) == state
+        assert all(vars(fn)[key] is value for key, value in before.items())
+
+    def test_shared_table_matches_sequential_rows(self):
+        # Rounds of eight threads growing one fresh table each, every thread
+        # reading rows 1 .. 60 in its own order.
+        M, N = 0.4 * np.array(M2), 0.4 * np.array(N2)
+        sequential = WordSumTable(M, N)
+        want = {i: sequential.row(i).tobytes() for i in range(1, 61)}
+        orders = [np.random.default_rng(w).permutation(60) + 1 for w in range(8)]
+
+        def read(table, start, order, out):
+            start.wait(timeout=30)
+            out.append({int(i): table.row(int(i)) for i in order})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                shared, start, results = WordSumTable(M, N), threading.Barrier(8), []
+                threads = [
+                    threading.Thread(target=read, args=(shared, start, order, results))
+                    for order in orders
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == 8
+                for rows in results + [{i: shared.row(i) for i in want}]:
+                    assert rows.keys() == want.keys()
+                    for i, row in rows.items():
+                        assert row.tobytes() == want[i]
+                        assert not row.flags.writeable
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTruncationPolicy:
@@ -567,6 +708,13 @@ class TestMlEval:
         with pytest.raises(ValueError):
             ml_eval(M2, 1.5, 0.0, 3, 0)
 
+    @pytest.mark.parametrize("c", [1e308, -1e308])
+    def test_base_point_with_out_of_reach_order(self, c):
+        # -c / alpha overflows, so no integer order can make i*alpha + c zero.
+        zero = np.zeros((1, 1))
+        np.testing.assert_array_equal(ml_eval([[0.1]], 0.5, c, 0, 0), zero)
+        np.testing.assert_array_equal(ml_partial_sum([[0.1]], 0.5, c, 0, 0, 3), zero)
+
 
 TIGHT = TruncationPolicy(i_max=20, divergence_growth=3)
 STOP_MESSAGES = ("is non-finite", "grew for", "did not meet")
@@ -632,6 +780,17 @@ def reference_exponential_perturbation(M, N, r, k, policy):
     raise acc.exhausted()
 
 
+def reference_delayed_exponential(N, r, k):
+    """Sum of C(k - (i - 1)(r - 1), i) N**i over the delay blocks, with
+    scalar falling binomials."""
+    total = np.zeros_like(N)
+    power = np.eye(N.shape[0])
+    for i in range(max(0, -(-k // r)) + 1):
+        total += falling_binomial(float(k - (i - 1) * (r - 1)), i) * power
+        power = power @ N
+    return total
+
+
 class TestOneRowDrivers:
     """ml_eval and the exponential-perturbation reduction stop exactly where
     the order-by-order accumulator stops, with the same value or error."""
@@ -689,6 +848,23 @@ class TestOneRowDrivers:
             assert_same_outcome(got, want)
         if policy is TIGHT:
             assert seen == set(STOP_MESSAGES)
+
+    @pytest.mark.parametrize("cells", [None, 1, 7, 100])
+    def test_falling_binomial_weights_match_scalar_rule(self, cells, monkeypatch):
+        # The triangle of falling-binomial factors is cut into row blocks of
+        # at most `cells` cells; every cut gives the scalar rule's products.
+        if cells is not None:
+            monkeypatch.setattr(dpml, "_TRIANGLE_CELLS", cells)
+        N = 0.3 * np.array(N2)
+        for r, k in itertools.product((1, 2, 4), (0, 1, 5, 30, 90)):
+            params = DpmlParams(1.0, 1.0, r, np.zeros((2, 2)), N)
+            got = special_reductions(params, k, pattern="delayed_exponential")
+            assert got.tobytes() == reference_delayed_exponential(N, r, k).tobytes()
+        for r, k in itertools.product((1, 3), (4, 40)):
+            params = DpmlParams(1.0, 1.0, r, 0.1 * np.array(M2), 0.1 * np.array(N2))
+            want = reference_exponential_perturbation(params.M, params.N, r, k, params.policy)
+            got = special_reductions(params, k, pattern="exponential_perturbation")
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSpecialReductions:
@@ -772,6 +948,33 @@ class TestSpecialReductions:
         for k in (-r - 2, -r - 1):
             np.testing.assert_array_equal(special_reductions(params, k, pattern), zero)
         np.testing.assert_array_equal(special_reductions(params, -r, pattern), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "M", [np.eye(2), np.diag([1.0, 0.3])], ids=["identity", "unit-eigenvalue"]
+    )
+    def test_singular_resolvent_makes_factored_form_inapplicable(self, M):
+        params = DpmlParams(1.0, 1.0, 2, M, np.diag([0.1, 0.2]), TIGHT)
+        with pytest.raises(ReductionPatternError, match="I - M"):
+            special_reductions(params, 3, pattern="factored_exponential")
+        # Detection moves on to the next pattern, the word-sum series.
+        for k in (-2, 0, 3, 9):
+            want = outcome(lambda: special_reductions(params, k, "exponential_perturbation"))
+            assert_same_outcome(outcome(lambda: special_reductions(params, k)), want)
+
+    @pytest.mark.parametrize(
+        "pattern, params, k",
+        [
+            ("delayed_exponential", DpmlParams(1.0, 1.0, 1, 0 * np.eye(2), 5 * np.eye(2)), 2000),
+            ("delayed_ml", DpmlParams(0.6, 0.6, 1, 0 * np.eye(2), 50 * np.eye(2)), 400),
+            ("factored_exponential", DpmlParams(1.0, 1.0, 1, 0.999 * np.eye(2), N2), 200),
+        ],
+        ids=["delayed_exponential", "delayed_ml", "factored_exponential"],
+    )
+    def test_overflowing_reduction_raises_without_warning(self, pattern, params, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=f"'{pattern}'.* k = {k}"):
+                special_reductions(params, k, pattern)
 
     def test_pattern_registry_is_stable(self):
         assert REDUCTION_PATTERNS == (
