@@ -90,23 +90,44 @@ class TruncationPolicy:
             raise ValueError("window, i_max and divergence_growth must be >= 1")
 
 
-# Orders per block of monomial weights in DpmlFunction._series and
-# _ml_series.  Most series stop after a few dozen orders, so a table
-# filled for all i_max orders up front would cost more than the sum.
+# Orders per block of the series drivers.  Most series stop after a few
+# dozen orders, so a monomial table filled for all i_max orders up front
+# would cost more than the sum; the block also bounds how many orders a
+# row that met the stop rule inside it is summed past its stop.
 _ORDER_BLOCK = 32
+
+# Cells of one block of terms, (orders, n * n, rows): long stacks take
+# fewer orders per block, so the buffer stays small.
+_BLOCK_CELLS = 1 << 15
+
+
+def _block_orders(rows: int, cells: int) -> int:
+    # Orders per block for `rows` series of `cells` entries each.
+    return max(1, min(_ORDER_BLOCK, _BLOCK_CELLS // (rows * cells)))
 
 
 class _StopRule:
     """The adaptive rule of a TruncationPolicy, run on many series at once.
 
     Each row is one series with its own quiet, growth and previous-norm
-    state.  A call takes one order's terms and the running totals, both
-    shaped (rows, n * n).  It returns None while every row runs on, else
-    the mask of rows that met the stop rule at that order; those rows
-    then leave the state, so the caller drops them from its own arrays
-    too.  It raises :class:`DivergenceError` on a non-finite term and on
-    terms of a running row growing for ``divergence_growth`` orders past
-    ``i_max / 2``.
+    state.  :meth:`block` takes the terms of the consecutive orders
+    i0 .. i0 + b - 1, shaped (b, n * n, rows), and the running totals
+    before them, shaped (n * n, rows).  Rows come last, so the per-row
+    norms reduce with long inner loops.  It turns the terms into the
+    running totals after each order, in place, by the sequential adds of
+    ``total += term`` per order, and returns per row the order at which
+    the row met the stop rule, -1 for a row that runs on.  Quiet and
+    growth run lengths come from ``np.maximum.accumulate`` over the
+    block, continuing the runs carried from the block before.  Rows that
+    stopped leave the state, so the caller drops them from its own arrays
+    too; their terms past the stop order are never inspected.
+
+    It raises :class:`DivergenceError` at the first order where a row
+    still running has a non-finite term, or terms grown for
+    ``divergence_growth`` orders past ``i_max / 2``, with the text and at
+    the order of the rule applied one order at a time.  :meth:`reach`
+    is the number of orders up to the first one at which a row can stop,
+    for a driver that must not sum past the stop.
     """
 
     def __init__(self, policy: TruncationPolicy, rows: int) -> None:
@@ -115,37 +136,73 @@ class _StopRule:
         self.growth = np.zeros(rows, dtype=int)
         self.prev = np.full(rows, np.inf)
 
-    def __call__(self, i: int, term: np.ndarray, total: np.ndarray) -> np.ndarray | None:
+    def reach(self) -> int:
+        return self.policy.window - int(self.quiet.max())
+
+    def block(self, i0: int, terms: np.ndarray, total: np.ndarray) -> np.ndarray:
         pol = self.policy
-        norm = np.abs(term).max(axis=1)
+        b = len(terms)
+        t = np.arange(b)[:, None]
+        norm = np.abs(terms).max(axis=1)
+        totals = _running_totals(terms, total)
+        small = norm < pol.tol * (1.0 + np.abs(totals).max(axis=1))
+        quiet = _runs(small, self.quiet, t)
+        done = quiet >= pol.window
+        stop = np.where(done.any(axis=0), done.argmax(axis=0), b)  # offset; b runs on
+        broken = b
         if not math.isfinite(norm.max()):  # max propagates nan
-            raise DivergenceError(
-                f"series term at order i={i} is non-finite; treating as divergent ({pol!r})"
-            )
-        small = norm < pol.tol * (1.0 + np.abs(total).max(axis=1))
-        self.quiet = (self.quiet + 1) * small
-        done = self.quiet >= pol.window
+            broken = _first(~np.isfinite(norm) & (t <= stop))
         # Growth is only tested past i_max // 2, so counting it from
         # divergence_growth orders before that raises at the same order.
-        if i > pol.i_max // 2 - pol.divergence_growth:
-            self.growth = (self.growth + 1) * (norm > self.prev)
-            if i > pol.i_max // 2 and np.any(~done & (self.growth >= pol.divergence_growth)):
-                raise DivergenceError(
-                    f"series terms grew for {pol.divergence_growth} consecutive "
-                    f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
-                )
-        self.prev = norm
-        if not done.any():
-            return None
-        keep = ~done
-        self.quiet, self.growth, self.prev = self.quiet[keep], self.growth[keep], norm[keep]
-        return done
+        gate = pol.i_max // 2 - pol.divergence_growth
+        growth, grown = np.zeros_like(quiet), b
+        if i0 + b - 1 > gate:
+            prev = np.concatenate((self.prev[None], norm[:-1]))
+            growth = _runs((norm > prev) & (t + i0 > gate), self.growth, t)
+            tested = (growth >= pol.divergence_growth) & (t + i0 > pol.i_max // 2)
+            grown = _first(tested & (t < stop))
+        if broken < b and broken <= grown:
+            raise DivergenceError(
+                f"series term at order i={i0 + broken} is non-finite; "
+                f"treating as divergent ({pol!r})"
+            )
+        if grown < b:
+            raise DivergenceError(
+                f"series terms grew for {pol.divergence_growth} consecutive "
+                f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
+            )
+        keep = stop == b
+        self.quiet, self.growth, self.prev = quiet[-1, keep], growth[-1, keep], norm[-1, keep]
+        return np.where(keep, -1, i0 + stop)
 
     def exhausted(self) -> DivergenceError:
         return DivergenceError(
             f"series did not meet the truncation stop rule within "
             f"i_max = {self.policy.i_max} terms ({self.policy!r})"
         )
+
+
+def _running_totals(terms: np.ndarray, total: np.ndarray) -> np.ndarray:
+    # The running totals after each order of a block of terms, in place,
+    # from `total` before it: the adds of `total += term` in order.  One
+    # add per order: np.cumsum over the short order axis runs several
+    # times slower on a block of many rows.
+    terms[0] += total
+    for t in range(1, len(terms)):
+        terms[t] += terms[t - 1]
+    return terms
+
+
+def _runs(hits: np.ndarray, seed: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # Length of the run of True in each column of hits ending at each row,
+    # continuing a run of `seed` before row 0; t is the column of row numbers.
+    return t - np.maximum.accumulate(np.where(hits, -1 - seed, t), axis=0)
+
+
+def _first(hits: np.ndarray) -> int:
+    # First row of hits with a True in any column, len(hits) if none.
+    rows = hits.any(axis=1)
+    return int(rows.argmax()) if rows.any() else len(hits)
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -439,31 +496,36 @@ class DpmlFunction:
         j = np.arange(int(p.max()) + 1)
         m = np.where(j <= p[:, None], ks[:, None] - (j - 1) * r, 0)
         rows = ks - kmin  # position in out of each point still running
-        total = np.zeros((ks.size, n * n))
+        total = np.zeros((n * n, ks.size))
         rule = _StopRule(pol, ks.size)
         source = _commuting_word_sum_rows if self.commutative else _word_sum_rows
         qrows = source(self.params.M, self.params.N, m.shape[1] - 1)
+        i = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, q in zip(range(last + 1), qrows):
-                if i % _ORDER_BLOCK == 0:
-                    h = self._monomials(i, min(i + _ORDER_BLOCK, last + 1), kmax + r + 1)
-                jmax = min(i, m.shape[1] - 1)
-                weights = h[i % _ORDER_BLOCK][m[:, : jmax + 1]]
-                term = weights @ q[: jmax + 1].reshape(jmax + 1, n * n)
-                total += term
+            while i <= last:
+                i0, i = i, min(i + _block_orders(rows.size, n * n), last + 1)
+                h = self._monomials(i0, i, kmax + r + 1)
+                terms = np.empty((i - i0, n * n, rows.size))
+                for t, q in zip(range(i - i0), qrows):
+                    jmax = min(i0 + t, m.shape[1] - 1)
+                    weights = h[t][m[:, : jmax + 1]]
+                    # weights @ q, stored transposed: the product q.T @ weights.T
+                    # rounds differently, which moves values in the cancellation regime.
+                    terms[t] = (weights @ q[: jmax + 1].reshape(jmax + 1, n * n)).T
                 if imax is not None:
+                    total = _running_totals(terms, total)[-1]
                     continue
-                done = rule(i, term, total)
-                if done is not None:
-                    out[rows[done]] = total[done]
-                    keep = ~done
-                    if not keep.any():
-                        return out.reshape(-1, n, n)
-                    rows, total, p = rows[keep], total[keep], p[keep]
-                    m = m[keep, : int(p.max()) + 1]
+                stop = rule.block(i0, terms, total)
+                done = stop >= 0
+                out[rows[done]] = terms[stop[done] - i0, :, done]
+                keep = ~done
+                if not keep.any():
+                    return out.reshape(-1, n, n)
+                rows, total, p = rows[keep], terms[-1][:, keep], p[keep]
+                m = m[keep, : int(p.max()) + 1]
         if imax is None:
             raise rule.exhausted()
-        out[rows] = total
+        out[rows] = total.T
         return out.reshape(-1, n, n)
 
 
@@ -508,7 +570,13 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
         q = -float(c) / float(alpha)
         i = int(round(q)) if math.isfinite(q) else -1
         if i >= 0 and i * alpha + c == 0.0:
-            return np.linalg.matrix_power(M, i)
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = np.linalg.matrix_power(M, i)
+            if not np.isfinite(power).all():
+                raise DivergenceError(
+                    f"series value at the base point k = {a} is M**{i}, which is non-finite"
+                )
+            return power
         return np.zeros_like(M)
     pol = policy if policy is not None else TruncationPolicy()
     if imax is None and float(np.linalg.norm(M, 1)) >= 1.0:
@@ -520,19 +588,25 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
     n = M.shape[0]
     last = pol.i_max if imax is None else imax
     rule = _StopRule(pol, 1)
-    total = np.zeros((1, n * n))
+    total = np.zeros((n * n, 1))
     power = np.eye(n)
+    b = _block_orders(1, n * n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(last + 1):
-            if i % _ORDER_BLOCK == 0:
-                # monomial(i * alpha + c, k, a) for the next block of orders.
-                orders = np.arange(i, min(i + _ORDER_BLOCK, last + 1))
-                h = _monomial_rows(orders * alpha + c, np.empty((orders.size, k - a)))[:, -1]
-            term = h[i % _ORDER_BLOCK] * power.reshape(1, -1)
-            total += term
-            if imax is None and rule(i, term, total) is not None:
-                return total.reshape(n, n)
-            power = power @ M
+        for i in range(0, last + 1, b):
+            # monomial(i * alpha + c, k, a) for the next block of orders.
+            orders = np.arange(i, min(i + b, last + 1))
+            h = _monomial_rows(orders * alpha + c, np.empty((orders.size, k - a)))[:, -1]
+            terms = np.empty((orders.size, n * n, 1))
+            for t in range(orders.size):
+                terms[t] = h[t] * power.reshape(-1, 1)
+                power = power @ M
+            if imax is not None:
+                total = _running_totals(terms, total)[-1]
+                continue
+            stop = rule.block(i, terms, total)[0]
+            if stop >= 0:
+                return terms[stop - i, :, 0].reshape(n, n)
+            total = terms[-1]
     if imax is None:
         raise rule.exhausted()
     return total.reshape(n, n)
@@ -596,7 +670,14 @@ def _reduce_delayed_exponential(N: np.ndarray, r: int, k: int) -> np.ndarray:
     # cutoff i <= p is essential: beyond it the falling binomial no longer
     # matches the vanishing grid monomial.
     i = np.arange(_blocks(r, k) + 1)
-    return _delay_block_sum(N, _falling_binomials((k - (i - 1) * (r - 1)).astype(float), i))
+    if r == 1:
+        # Every block has the upper argument k, so the running products of
+        # one row of factors (k - t) / (t + 1) are every C(k, i).
+        t = i[:-1]
+        weights = np.concatenate(([1.0], np.cumprod((float(k) - t) / (t + 1))))
+    else:
+        weights = _falling_binomials((k - (i - 1) * (r - 1)).astype(float), i)
+    return _delay_block_sum(N, weights)
 
 
 def _reduce_factored_exponential(
@@ -615,15 +696,23 @@ def _reduce_exponential_perturbation(
     M: np.ndarray, N: np.ndarray, r: int, k: int, policy: TruncationPolicy
 ) -> np.ndarray:
     # Unit orders, general pair: word sums weighted by integer binomials.
+    # Its weights cost O(p i) per order, so a block ends at the first order
+    # where the series can stop and no order past the stop is computed.
     rule = _StopRule(policy, 1)
-    total = np.zeros((1, M.size))
-    for i, q in zip(range(policy.i_max + 1), _word_sum_rows(M, N, _blocks(r, k))):
-        x = (k + i - 1.0) - (np.arange(len(q)) - 1) * r
-        weights = _falling_binomials(x, np.full(len(q), i))
-        term = np.tensordot(weights, q, axes=(0, 0)).reshape(1, -1)
-        total += term
-        if rule(i, term, total) is not None:
-            return total.reshape(M.shape)
+    total = np.zeros((M.size, 1))
+    qrows = _word_sum_rows(M, N, _blocks(r, k))
+    i = 0
+    while i <= policy.i_max:
+        terms = np.empty((min(rule.reach(), policy.i_max + 1 - i), M.size, 1))
+        for order, q in zip(range(i, i + len(terms)), qrows):
+            x = (k + order - 1.0) - (np.arange(len(q)) - 1) * r
+            weights = _falling_binomials(x, np.full(len(q), order))
+            terms[order - i] = np.tensordot(weights, q, axes=(0, 0)).reshape(-1, 1)
+        stop = rule.block(i, terms, total)[0]
+        if stop >= 0:
+            return terms[stop - i, :, 0].reshape(M.shape)
+        total = terms[-1]
+        i += len(terms)
     raise rule.exhausted()
 
 

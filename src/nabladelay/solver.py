@@ -300,8 +300,8 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
 def _forcing_rows(system: DelaySystem, kmax: int) -> np.ndarray:
     """Rows f(1) .. f(kmax) of the forcing, zero when there is none."""
     f = system.forcing
-    if f is None:
-        return np.zeros((kmax, system.dim))
+    if f is None or kmax < 1:
+        return np.zeros((max(0, kmax), system.dim))
     f.at(kmax)  # raises GridRangeError past the stored range
     return f.values[1 - f.base : kmax + 1 - f.base]
 
@@ -322,64 +322,76 @@ def _equation_residuals(system: DelaySystem, values: GridSeries) -> np.ndarray:
     return np.abs(defect).max(axis=1)
 
 
-def _closed_trajectory(
-    system: DelaySystem,
-    kmax: int,
-    commutative: bool = False,
-    history: bool = True,
-    forcing: bool = True,
-) -> np.ndarray:
+def _history_weights(system: DelaySystem) -> np.ndarray:
+    """Rows w(1 - r) .. w(0) of the history weights w(s) = (RL difference of phi)(s) - M phi(s).
+
+    The RL difference based at -r is the reversed prefix of one kernel run
+    against phi, so w(1 - r) reduces to (I - M) phi(1 - r).
+    """
+    r, M, phi = system.delay, system.M, system.phi.values
+    kernel = monomial_run(-system.alpha - 1.0, r)
+    return np.array([kernel[j::-1] @ phi[: j + 1] - M @ phi[j] for j in range(r)])
+
+
+def _dpml(system: DelaySystem, commutative: bool = False) -> DpmlFunction:
+    alpha = system.alpha
+    params = DpmlParams(alpha, alpha, system.delay, system.M, system.N, system.policy)
+    return DpmlFunction(params, commutative=commutative)
+
+
+def _closed_trajectory(system: DelaySystem, kmax: int, commutative: bool = False) -> np.ndarray:
     """Rows z(1 - r) .. z(kmax) of the explicit representation, kmax >= 1 - r.
 
     One causal convolution z(k) = sum_{s = 1 - r}^{k} Phi(k - r - s + 1) g(s)
     with g = [w; f]: the history weights w(s) on [1 - r, 0] and the forcing
-    f(s) from 1 on.  ``history=False`` zeroes w and ``forcing=False`` zeroes
-    f, which gives the forced and the homogeneous part on their own.
+    f(s) from 1 on.
     """
-    alpha, r, M, phi = system.alpha, system.delay, system.M, system.phi.values
-    fn = DpmlFunction(
-        DpmlParams(alpha, alpha, r, M, system.N, system.policy), commutative=commutative
-    )
+    r = system.delay
     length = kmax + r
     g = np.zeros((length, system.dim))
-    if history:
-        # w(s) at row j = s + r - 1: the RL difference based at -r is the
-        # reversed prefix of one kernel run against phi, so w(1 - r) reduces
-        # to (I - M) phi(1 - r).
-        kernel = monomial_run(-alpha - 1.0, r)
-        w = np.array([kernel[j::-1] @ phi[: j + 1] - M @ phi[j] for j in range(r)])
-        g[:r] = w[:length]
-    if forcing:
-        g[r:] = _forcing_rows(system, kmax)
+    g[:r] = _history_weights(system)[:length]
+    g[r:] = _forcing_rows(system, kmax)
     # Psi(t) = Phi(t + 1 - r) weighs g(q - t) in z at position q.
-    psi = fn.stack(1 - r, kmax)
+    psi = _dpml(system, commutative).stack(1 - r, kmax)
     z = np.zeros_like(g)
     for t in range(length):
         z[t:] += g[: length - t] @ psi[t].T
     return z
 
 
+def _contract(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # sum_j phi[j] @ g[-1 - j]: DPML values from the lowest grid point up
+    # against their weights from the latest point down.
+    return np.tensordot(phi, g[::-1], axes=([0, 2], [0, 1]))
+
+
 def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
     """History contribution of the explicit representation at point ``k``.
 
     Sums DPML values against the history weights w(s) over
-    s in [1 - delay, min(k, 0)].  On the initial interval this reproduces
-    phi(k) identically; forcing is ignored.
+    s in [1 - delay, min(k, 0)]: Phi on [max(1 - delay, k + 1 - delay), k],
+    at most ``delay`` points.  On the initial interval this reproduces
+    phi(k) to rounding; forcing is ignored.
     """
-    if k < 1 - system.delay:
+    r = system.delay
+    if k < 1 - r:
         return np.zeros(system.dim)
-    return _closed_trajectory(system, k, forcing=False)[-1]
+    lo = max(1 - r, k + 1 - r)
+    w = _history_weights(system)[: k - lo + 1]
+    return _contract(_dpml(system).stack(lo, k), w)
 
 
 def forced_part(system: DelaySystem, k: int) -> np.ndarray:
     """Forcing contribution of the explicit representation at point ``k``.
 
-    Discrete convolution of DPML values with the forcing over
-    s in [1, k]; zero on the initial interval and for zero forcing.
+    Discrete convolution of DPML values on [1 - delay, k - delay] with the
+    forcing over s in [1, k]; zero on the initial interval and for zero
+    forcing.
     """
     if k < 1:
         return np.zeros(system.dim)
-    return _closed_trajectory(system, k, history=False)[-1]
+    r = system.delay
+    return _contract(_dpml(system).stack(1 - r, k - r), _forcing_rows(system, k))
 
 
 def _closed_trace(system: DelaySystem, commutative: bool, base: int, method: str) -> SolutionTrace:

@@ -558,7 +558,7 @@ def reference_stack(params, kmin, kmax, qrow):
 
     ``qrow(i, jmax)`` stacks Q(i + 1, j) for j = 0 .. jmax.  Each point is
     summed on its own, order by order, as the evaluator did before it was
-    batched.
+    batched.  A DivergenceError it raises carries the order as ``order``.
     """
     r, n, pol = params.r, params.dim, params.policy
     runs = {}
@@ -572,15 +572,19 @@ def reference_stack(params, kmin, kmax, qrow):
             continue
         p = max(0, -(-k // r))
         acc = _SeriesAccumulator(pol, n)
-        for i in range(pol.i_max + 1):
-            if i not in runs:
-                runs[i] = monomial_run(i * params.alpha + (params.beta - 1.0), kmax + r)
-            jmax = min(i, p)
-            weights = [runs[i][k - (j - 1) * r - 1] for j in range(jmax + 1)]
-            if acc.add(np.tensordot(weights, qrow(i, jmax), axes=1)):
-                break
-        else:
-            raise acc.exhausted()
+        try:
+            for i in range(pol.i_max + 1):
+                if i not in runs:
+                    runs[i] = monomial_run(i * params.alpha + (params.beta - 1.0), kmax + r)
+                jmax = min(i, p)
+                weights = [runs[i][k - (j - 1) * r - 1] for j in range(jmax + 1)]
+                if acc.add(np.tensordot(weights, qrow(i, jmax), axes=1)):
+                    break
+            else:
+                raise acc.exhausted()
+        except DivergenceError as exc:
+            exc.order = acc._i  # the order the point raised at, for first_error
+            raise
         out.append(acc.total)
     return np.array(out)
 
@@ -715,6 +719,18 @@ class TestMlEval:
         np.testing.assert_array_equal(ml_eval([[0.1]], 0.5, c, 0, 0), zero)
         np.testing.assert_array_equal(ml_partial_sum([[0.1]], 0.5, c, 0, 0, 3), zero)
 
+
+    @pytest.mark.parametrize("c", [-1e3, -1e300])
+    def test_base_point_overflowing_power_raises(self, c):
+        # i * alpha + c = 0 at i = -2c, and M**i overflows: a DivergenceError
+        # naming the base point, with no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: ml_eval([[2.0]], 0.5, c, 0, 0),
+                         lambda: ml_partial_sum([[2.0]], 0.5, c, 0, 0, 3)):
+                with pytest.raises(DivergenceError, match="base point k = 0 .* non-finite"):
+                    call()
+            np.testing.assert_array_equal(ml_eval([[1.0]], 0.5, c, 0, 0), [[1.0]])
 
 TIGHT = TruncationPolicy(i_max=20, divergence_growth=3)
 STOP_MESSAGES = ("is non-finite", "grew for", "did not meet")
@@ -984,3 +1000,175 @@ class TestSpecialReductions:
             "delayed_ml",
             "ml",
         )
+
+
+# An i_max that is a multiple of none of the block lengths below.
+ODD = TruncationPolicy(i_max=45, divergence_growth=4)
+
+
+def first_error(errors):
+    """The text of the error the block rule raises among (order, text) pairs:
+    the lowest order, and at one order a non-finite term before growth
+    before running out of orders."""
+    rank = {text: j for j, text in enumerate(STOP_MESSAGES)}
+    return min(
+        (order, next(rank[t] for t in STOP_MESSAGES if t in text), text) for order, text in errors
+    )[2]
+
+
+def reference_outcome(params, kmin, kmax, qrow):
+    """What stack(kmin, kmax) gives: reference_stack's values, or the error
+    its batched stop rule meets first over all points."""
+    errors = []
+    for k in range(kmin, kmax + 1):
+        try:
+            reference_stack(params, k, k, qrow)
+        except DivergenceError as exc:
+            errors.append((exc.order, str(exc)))
+    return first_error(errors) if errors else reference_stack(params, kmin, kmax, qrow)
+
+
+def drive_rule(policy, terms, lengths):
+    """Run dpml._StopRule over terms shaped (orders, cells, rows) in blocks of
+    the given lengths, cycled, dropping finished rows as the series drivers
+    do.  Returns {row: (stop order, total bytes)} or the error text."""
+    rows = np.arange(terms.shape[2])
+    rule = dpml._StopRule(policy, rows.size)
+    total = np.zeros(terms.shape[1:])
+    found = {}
+    i = 0
+    for b in itertools.cycle(lengths):
+        if i > policy.i_max:
+            return str(rule.exhausted())
+        block = terms[i : min(i + b, policy.i_max + 1)][:, :, rows].copy()
+        try:
+            stop = rule.block(i, block, total)
+        except DivergenceError as exc:
+            return str(exc)
+        for j in np.flatnonzero(stop >= 0):
+            found[int(rows[j])] = (int(stop[j]), block[stop[j] - i, :, j].tobytes())
+        keep = stop < 0
+        if not keep.any():
+            return found
+        rows, total = rows[keep], block[-1][:, keep]
+        i += len(block)
+
+
+def accumulate_rows(policy, terms):
+    """Each row of terms through _SeriesAccumulator on its own: the same
+    {row: (stop order, total bytes)}, or the error the block rule must raise."""
+    found, errors = {}, []
+    for row in range(terms.shape[2]):
+        acc = _SeriesAccumulator(policy, 2)
+        try:
+            for i in range(policy.i_max + 1):
+                if acc.add(terms[i, :, row].reshape(2, 2)):
+                    found[row] = (i, acc.total.tobytes())
+                    break
+            else:
+                raise acc.exhausted()
+        except DivergenceError as exc:
+            errors.append((acc._i, str(exc)))
+    return first_error(errors) if errors else found
+
+
+def norm_row(norms, orders=TIGHT.i_max + 1):
+    """Terms of one row, shaped (orders, 4), with max-norms `norms` (padded
+    with tiny terms); the other entries are signed fractions of it."""
+    norms = np.concatenate((norms, np.full(orders - len(norms), 1e-20)))
+    return norms[:, None] * np.array([0.25, -1.0, 0.5, -0.75])
+
+
+def big(count):
+    return np.ones(count)
+
+
+# Rows for TIGHT (window 3; growth is tested past i = 10) and blocks of 4,
+# which start at orders 0, 4, 8, 12, ...
+ROWS = {
+    "stops-at-block-start": norm_row(big(6)),  # quiet at 6, 7, 8: stops at 8
+    "stops-at-block-end": norm_row(big(9)),  # stops at 11
+    "stops-early": norm_row(big(2)),  # stops at 4
+    "stops-late": norm_row(big(15)),  # stops at 17
+    "inf-after-stop": norm_row(np.r_[big(3), 1e-20, 1e-20, 1e-20, np.inf, np.nan]),  # stops at 5
+    "grows-across-blocks": norm_row(np.r_[big(10), 2.0 ** np.arange(1, 12)]),  # raises at 12
+    "inf-while-running": norm_row(np.r_[big(13), np.inf, big(7)]),  # raises at 13
+    "inf-as-growth-raises": norm_row(np.r_[big(12), np.inf, big(8)]),  # raises at 12
+    # Stops at 8, then tiny terms grow at 9, 10, 11 in the same block.
+    "grows-after-stop": norm_row(np.r_[big(6), 1e-20, 1e-20, 1e-20, 1e-19, 1e-18, 1e-17]),
+    "never-stops": norm_row(big(TIGHT.i_max + 1)),
+}
+
+
+def terms_of(*names):
+    return np.stack([ROWS[name] for name in names], axis=2)
+
+
+class TestBlockStopRule:
+    """The block-wise stop rule stops, and raises, where the order-by-order
+    accumulator does, whatever the block lengths."""
+
+    LENGTHS = [(4,), (1,), (3,), (32,), (5, 2, 7)]
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    def test_rows_stop_where_the_accumulator_stops(self, lengths):
+        names = ["stops-at-block-start", "stops-at-block-end", "stops-early", "stops-late",
+                 "inf-after-stop"]
+        terms = terms_of(*names)
+        want = accumulate_rows(TIGHT, terms)
+        stops = {row: order for row, (order, _) in want.items()}
+        assert stops == dict(enumerate([8, 11, 4, 17, 5]))
+        assert drive_rule(TIGHT, terms, lengths) == want
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("stops-at-block-start", "grows-across-blocks"), "grew for 3"),
+            (("stops-late", "inf-while-running"), "order i=13 is non-finite"),
+            (("grows-across-blocks", "inf-while-running"), "grew for 3"),
+            (("grows-across-blocks", "inf-as-growth-raises"), "order i=12 is non-finite"),
+            (("grows-after-stop", "stops-late"), None),
+            (("stops-early", "never-stops"), "did not meet"),
+            (("inf-after-stop",), None),
+        ],
+        ids=["growth", "non-finite", "growth-first", "non-finite-first", "growth-after-stop",
+             "exhausted", "inf-after-stop"],
+    )
+    def test_raises_where_the_accumulator_raises(self, names, message, lengths):
+        terms = terms_of(*names)
+        want = accumulate_rows(TIGHT, terms)
+        if message is None:
+            # The non-finite or growing terms come after the row stopped.
+            assert want[0][0] in (5, 8)
+        else:
+            assert message in want
+        assert drive_rule(TIGHT, terms, lengths) == want
+
+    @pytest.mark.parametrize("block", [1, 4, 7, 32])
+    @pytest.mark.parametrize("policy", [TIGHT, ODD], ids=["tight", "odd"])
+    def test_stack_matches_reference(self, policy, block, monkeypatch):
+        # Block lengths the orders of TIGHT and ODD are no multiple of; the
+        # pairs scaled up grow, and [[1e150]] overflows.
+        monkeypatch.setattr(dpml, "_ORDER_BLOCK", block)
+        seen = set()
+        for n, r, scale in itertools.product((1, 2), (1, 3), (0.1, 1.0, 4.0, 8.0)):
+            base = stack_case(n, r, False)
+            params = DpmlParams(0.7, 0.4, r, scale * base.M, scale * base.N, policy)
+            seen.update(self.check(params, -r - 2, 14))
+        seen.update(self.check(DpmlParams(0.7, 0.4, 2, [[1e150]], [[1e150]], policy), -2, 9))
+        assert seen == {"values", *STOP_MESSAGES}
+
+    @staticmethod
+    def check(params, kmin, kmax):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_outcome(params, kmin, kmax, table_rows(params.M, params.N))
+        got = outcome(lambda: DpmlFunction(params).stack(kmin, kmax))
+        if isinstance(want, str):
+            assert got == want
+            return {text for text in STOP_MESSAGES if text in want}
+        scale = rounding_scale(
+            DpmlParams(params.alpha, params.beta, params.r, params.M, params.N), kmin, kmax
+        )
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale)
+        return {"values"}

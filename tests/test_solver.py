@@ -35,7 +35,7 @@ from nabladelay import (
     verify,
 )
 from nabladelay.cli import main
-from nabladelay.solver import _equation_residuals
+from nabladelay.solver import _closed_trajectory, _equation_residuals
 
 M2 = np.array([[0.2, 0.1], [0.0, 0.3]])
 N2 = np.array([[0.1, 0.0], [0.4, 0.2]])
@@ -408,6 +408,72 @@ class TestForcedPart:
         for k in range(1, 21):
             got = forced_part(system, k)[0]
             assert got == pytest.approx(oracle.values.at(k)[0], rel=1e-8)
+
+
+class TestPartsReadOnlyWhatTheyUse:
+    """Each part asks for the DPML values it sums, in one stack call, and
+    equals the matching part of the full trajectory."""
+
+    @staticmethod
+    def system(r, forced, seed=5):
+        rng = np.random.default_rng(seed + r)
+        M, N = 0.15 * rng.normal(size=(2, 2)), 0.15 * rng.normal(size=(2, 2))
+        forcing = rng.normal(size=(40, 2)) if forced else None
+        return DelaySystem(0.6, r, M, N, rng.normal(size=(r, 2)), forcing=forcing, horizon=40)
+
+    @staticmethod
+    def majorant(system, k):
+        """1 + sum_s |Phi|(k - r - s + 1) |g(s)|, with Phi of (|M|, |N|): it
+        bounds the sum of term magnitudes either route adds up at k."""
+        r = system.delay
+        params = DpmlParams(0.6, 0.6, r, np.abs(system.M), np.abs(system.N))
+        phi = np.abs(solver.DpmlFunction(params).stack(1 - r, k))
+        g = np.abs(np.vstack((solver._history_weights(system),
+                              solver._forcing_rows(system, k))))[: k + r]
+        return 1.0 + np.tensordot(phi, g[::-1], axes=([0, 2], [0, 1])).max()
+
+    @staticmethod
+    def record_stacks(monkeypatch):
+        calls = []
+        stack = solver.DpmlFunction.stack
+
+        def recording(fn, kmin, kmax):
+            calls.append((kmin, kmax))
+            return stack(fn, kmin, kmax)
+
+        monkeypatch.setattr(solver.DpmlFunction, "stack", recording)
+        return calls
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_stack_calls(self, r, monkeypatch):
+        calls = self.record_stacks(monkeypatch)
+        system = self.system(r, True)
+        for k in (1 - r, 0, 1, r, r + 1, 40):
+            calls.clear()
+            homogeneous_part(system, k)
+            assert calls == [(max(1 - r, k + 1 - r), k)]
+            assert k - calls[0][0] + 1 <= r
+            calls.clear()
+            forced_part(system, k)
+            assert calls == ([(1 - r, k - r)] if k >= 1 else [])
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_parts_equal_the_trajectory(self, r, forced):
+        system = self.system(r, forced)
+        history_only = DelaySystem(0.6, r, system.M, system.N, system.phi, horizon=40)
+        forcing_only = DelaySystem(0.6, r, system.M, system.N, np.zeros((r, 2)),
+                                   forcing=system.forcing, horizon=40)
+        for k in (1 - r, 0, 1, r, r + 1, 40):
+            # One stack row and a many-row stack round differently, as do
+            # the contraction and the trajectory loop.
+            bound = 1e-13 * self.majorant(system, k)
+            z_history = _closed_trajectory(history_only, k)[-1]
+            z_forcing = _closed_trajectory(forcing_only, k)[-1]
+            assert np.abs(homogeneous_part(system, k) - z_history).max() <= bound
+            assert np.abs(forced_part(system, k) - z_forcing).max() <= bound
+            if not forced:
+                np.testing.assert_array_equal(forced_part(system, k), np.zeros(2))
 
 
 class TestClosedFormSolve:
