@@ -45,9 +45,9 @@ from .dpml import (
     DpmlFunction,
     DpmlParams,
     TruncationPolicy,
-    WordSumTable,
     _ml_series,
     _piecewise_branch,
+    _word_sum_table,
 )
 from .grid_calculus import GridSeries
 from .solver import DelaySystem, SingularityError, _SteppingOverflow, verify
@@ -327,11 +327,9 @@ def cmd_qtable(args) -> int:
             f"shape {N.shape[0]}x{N.shape[1]} does not match {args.m} "
             f"({M.shape[0]}x{M.shape[0]})",
         )
-    table = WordSumTable(M, N)
     blocks = []
-    for i in range(1, args.imax + 1):
-        for j in range(i):
-            entry = table.value(i, j)
+    for i, row in enumerate(_word_sum_table(M, N, args.imax), start=1):
+        for j, entry in enumerate(row):
             body = "\n".join(
                 "  [" + ", ".join(repr(float(x)) for x in row) + "]" for row in entry
             )

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_calculus import _monomial_rows, monomial
+from .grid_calculus import _monomial_rows
 
 __all__ = [
     "CommutativityError",
@@ -96,14 +96,25 @@ class TruncationPolicy:
 # row that met the stop rule inside it is summed past its stop.
 _ORDER_BLOCK = 32
 
-# Cells of one block of terms, (orders, n * n, rows): long stacks take
-# fewer orders per block, so the buffer stays small.
+# Cells of one block of terms, (orders, n * n, rows), and of one gather
+# of monomial weights: long stacks take fewer orders per block, so the
+# buffers stay small.
 _BLOCK_CELLS = 1 << 15
+
+# Cells of one order of a block, rows * n * n, up to which the running
+# totals are one np.cumsum over the orders.  Over more cells np.cumsum,
+# which runs along the short order axis, is slower than one add per order.
+_NARROW_CELLS = 128
 
 
 def _block_orders(rows: int, cells: int) -> int:
-    # Orders per block for `rows` series of `cells` entries each.
-    return max(1, min(_ORDER_BLOCK, _BLOCK_CELLS // (rows * cells)))
+    # Orders per block for `rows` series of `cells` entries each.  A lone
+    # series takes 2 * _ORDER_BLOCK: its per-block NumPy calls cost more
+    # than the orders it sums past its stop.  Several rows keep
+    # _ORDER_BLOCK, so they leave the products at the same orders: BLAS
+    # rounds each row of a product by the rows beside it.
+    limit = 2 * _ORDER_BLOCK if rows == 1 else _ORDER_BLOCK
+    return max(1, min(limit, _BLOCK_CELLS // (rows * cells)))
 
 
 class _StopRule:
@@ -115,7 +126,9 @@ class _StopRule:
     before them, shaped (n * n, rows).  Rows come last, so the per-row
     norms reduce with long inner loops.  It turns the terms into the
     running totals after each order, in place, by the sequential adds of
-    ``total += term`` per order, and returns per row the order at which
+    ``total += term`` per order: one ``np.cumsum`` over the orders on a
+    narrow block (at most ``_NARROW_CELLS`` cells an order), one add per
+    order on a wider one.  It returns per row the order at which
     the row met the stop rule, -1 for a row that runs on.  Quiet and
     growth run lengths come from ``np.maximum.accumulate`` over the
     block, continuing the runs carried from the block before.  Rows that
@@ -184,10 +197,12 @@ class _StopRule:
 
 def _running_totals(terms: np.ndarray, total: np.ndarray) -> np.ndarray:
     # The running totals after each order of a block of terms, in place,
-    # from `total` before it: the adds of `total += term` in order.  One
-    # add per order: np.cumsum over the short order axis runs several
-    # times slower on a block of many rows.
+    # from `total` before it: the adds of `total += term` in order.  Both
+    # paths make the same adds; which is faster depends on the cells an
+    # order holds.
     terms[0] += total
+    if terms[0].size <= _NARROW_CELLS:
+        return np.cumsum(terms, axis=0, out=terms)
     for t in range(1, len(terms)):
         terms[t] += terms[t - 1]
     return terms
@@ -206,10 +221,10 @@ def _first(hits: np.ndarray) -> int:
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        index = tuple(int(i) for i in bad[0])
-        raise ValueError(f"{name} has a non-finite entry {arr[index]!r} at index {index}")
+    if np.isfinite(arr).all():
+        return
+    index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+    raise ValueError(f"{name} has a non-finite entry {arr[index]!r} at index {index}")
 
 
 def _as_square(A, name: str) -> np.ndarray:
@@ -259,35 +274,66 @@ def _blocks(r: int, k):
     return np.maximum(0, -(-k // r))
 
 
-def _word_sum_step(M: np.ndarray, N: np.ndarray, prev: np.ndarray, size: int) -> np.ndarray:
-    # Q(i + 1, j) = M Q(i, j) + N Q(i, j - 1) for j < size, from the stack
-    # prev of Q(i, j) for j < len(prev); size is len(prev) or len(prev) + 1.
-    nxt = np.zeros((size, *M.shape))
-    nxt[: len(prev)] = M @ prev
-    nxt[1:] += N @ prev[: size - 1]
-    return nxt
-
-
 def _word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
-    """Yield the stack of Q(i + 1, j), j = 0 .. min(i, width), for i = 0, 1, ..."""
-    row = np.eye(M.shape[0])[None]
-    while True:
-        yield row
-        row = _word_sum_step(M, N, row, min(len(row), width) + 1)
+    """Yield the rows Q(i + 1, j)ᵀ, flattened, j = 0 .. min(i, width), for i = 0, 1, ...
+
+    Each order is one (J, n * n) array.  The word sums follow
+    Q(i + 1, j) = M Q(i, j) + N Q(i, j - 1).  Kept as a (J n) × n stack
+    of transposes, one product advances every j at once: the stack S of
+    Q(i, j)ᵀ gives S Mᵀ, the stack of (M Q(i, j))ᵀ.  The same memory,
+    viewed as (J, n * n), is the right operand of a series term.  Each
+    array yielded is a view of one of two buffers that take turns, so it
+    holds its values only until the second next one is drawn.
+    """
+    n = M.shape[0]
+    Mt, Nt = np.ascontiguousarray(M.T), np.ascontiguousarray(N.T)
+    cap = (width + 1) * n
+    buffers = np.empty((2, cap, n))
+    lower = np.empty((cap, n))  # the N products
+    row = buffers[0, :n]
+    row[...] = np.eye(n)
+    for i in itertools.count(1):
+        yield row.reshape(-1, n * n)
+        size = len(row)
+        nxt = buffers[i % 2, : min(size + n, cap)]
+        np.dot(row, Mt, out=nxt[:size])
+        if size < cap:
+            nxt[size:] = 0.0
+        np.dot(row[: len(nxt) - n], Nt, out=lower[: len(nxt) - n])
+        nxt[n:] += lower[: len(nxt) - n]
+        row = nxt
 
 
 def _commuting_word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
-    """Yield C(i, j) M**(i - j) N**j, j = 0 .. min(i, width), for i = 0, 1, ...
+    """Yield the rows (C(i, j) M**(i - j) N**j)ᵀ, flattened, j = 0 .. min(i, width), ...
 
-    The word sums of a commuting pair, one batched product per order.
+    The word sums of a commuting pair, one batched product per order, in
+    the layout of :func:`_word_sum_rows`.
     """
-    mpows = npows = np.eye(M.shape[0])[None]  # M**i .. M**(i - jmax); N**0 .. N**jmax
+    Mt, Nt = np.ascontiguousarray(M.T), np.ascontiguousarray(N.T)
+    # (M**i)ᵀ .. (M**(i - jmax))ᵀ and (N**0)ᵀ .. (N**jmax)ᵀ
+    mpows = npows = np.eye(M.shape[0])[None]
+    binomials = [1]  # C(i, j), exact integers, rounded to float once each
     for i in itertools.count():
-        coef = np.array([float(math.comb(i, j)) for j in range(len(npows))])
-        yield coef[:, None, None] * (mpows @ npows)
-        mpows = np.concatenate(((mpows[0] @ M)[None], mpows[:width]))
+        coef = np.array(binomials, dtype=float)
+        yield (coef[:, None, None] * (npows @ mpows)).reshape(len(coef), -1)
+        binomials = [a + b for a, b in zip(binomials + [0], [0] + binomials)][: width + 1]
+        mpows = np.concatenate(((Mt @ mpows[0])[None], mpows[:width]))
         if i < width:
-            npows = np.concatenate((npows, (npows[-1] @ N)[None]))
+            npows = np.concatenate((npows, (Nt @ npows[-1])[None]))
+
+
+def _word_sum_table(M: np.ndarray, N: np.ndarray, count: int):
+    """Yield rows i = 1 .. count of the word-sum table: the stacks of Q(i, j), j < i.
+
+    Read from :func:`_word_sum_rows` and transposed back into fresh
+    arrays.  Adding 0.0 gives +0.0 where the 1 × 1 products of n = 1 keep
+    a -0.0 that a matrix product sums to +0.0, so the table holds the
+    values of the recursion taken one matrix product at a time.
+    """
+    n = M.shape[0]
+    for _, row in zip(range(count), _word_sum_rows(M, N, count - 1)):
+        yield row.reshape(-1, n, n).transpose(0, 2, 1) + 0.0
 
 
 class WordSumTable:
@@ -299,19 +345,19 @@ class WordSumTable:
 
         Q(i + 1, j) = M Q(i, j) + N Q(i, j - 1),
 
-    seeded by Q(1, 0) = I, with Q(0, j) and Q(i, -1) zero.  Rows are grown
-    on demand into a copy of the memo, which then replaces it in one
-    assignment, so a table may be shared across threads: racing readers
-    may grow the same rows twice but never see a wrong or missing row.
+    seeded by Q(1, 0) = I, with Q(0, j) and Q(i, -1) zero.  A thin memo
+    over the row source the DPML series reads: rows are read from it
+    afresh, to at least twice the memo's length, into a new memo that
+    replaces the old one in one assignment.  A table may so be shared
+    across threads: racing readers may compute the same rows twice but
+    never see a wrong or missing row.
     """
 
     def __init__(self, M, N) -> None:
         self.M, self.N = _as_square_pair(M, N)
         self.dim = self.M.shape[0]
-        first = np.eye(self.dim)[None]
-        first.setflags(write=False)
         # _rows[i] stacks Q(i, j) for j = 0 .. i-1; row 0 is empty.
-        self._rows = [np.zeros((0, self.dim, self.dim)), first]
+        self._rows = [np.zeros((0, self.dim, self.dim))]
 
     def row(self, i: int) -> np.ndarray:
         """Read-only stack of Q(i, j) for j = 0 .. i - 1."""
@@ -319,11 +365,10 @@ class WordSumTable:
             raise ValueError("word length index must be >= 0")
         rows = self._rows
         if i >= len(rows):
-            rows = list(rows)
-            while len(rows) <= i:
-                nxt = _word_sum_step(self.M, self.N, rows[-1], len(rows))
-                nxt.setflags(write=False)
-                rows.append(nxt)
+            rows = rows[:1]
+            for row in _word_sum_table(self.M, self.N, max(i, 2 * (len(self._rows) - 1))):
+                row.setflags(write=False)
+                rows.append(row)
             self._rows = rows
         return rows[i]
 
@@ -339,10 +384,18 @@ class WordSumTable:
 def word_sum(M, N, i: int, j: int) -> np.ndarray:
     """Sum of all ordered length-(i-1) products of {M, N} with j factors N.
 
-    Convenience wrapper over :class:`WordSumTable`; build a table directly
-    when many indices are needed for the same matrix pair.
+    Runs the word-sum recursion up to row ``i``; build a
+    :class:`WordSumTable` when many indices are needed for the same
+    matrix pair.
     """
-    return WordSumTable(M, N).value(i, j)
+    M, N = _as_square_pair(M, N)
+    if i < 0 or j < -1:
+        raise ValueError("word sum indices must satisfy i >= 0, j >= -1")
+    if i == 0 or j < 0 or j > i - 1:
+        return np.zeros_like(M)
+    for row in _word_sum_table(M, N, i):
+        pass
+    return row[j]
 
 
 def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
@@ -436,20 +489,20 @@ class DpmlFunction:
 
     # -- monomial table ------------------------------------------------
 
-    def _monomials(self, first: int, stop: int, cols: int) -> np.ndarray:
-        """Table h[i - first, m] of the order-(i alpha + beta - 1) monomial at m = k - a.
+    def _monomials(self, first: int, stop: int, cols: int, pad: int) -> np.ndarray:
+        """Table h[i - first, pad + m - 1] of the order-(i alpha + beta - 1) monomial at m = k - a.
 
         Rows are the orders first .. stop - 1; each row is independent of
         the others, so a block of orders equals the same rows of a taller
-        table.  Columns 1 .. cols - 1 hold the product recurrence of
-        :func:`~nabladelay.grid_calculus.monomial`.  Column 0 is zero: the
-        series never reads m = 0 (every live delay block has m >= 1), so
-        it pads the blocks past p(k).  High orders overflow to inf, which
-        the stop rule reports.
+        table.  Columns pad .. pad + cols - 1 hold m = 1 .. cols, by the
+        product recurrence of :func:`~nabladelay.grid_calculus.monomial`.
+        The pad columns on the left are zero: the series reads them at
+        m <= 0, for the delay blocks past p(k).  High orders overflow to
+        inf, which the stop rule reports.
         """
         mu = np.arange(first, stop) * self.params.alpha + (self.params.beta - 1.0)
-        table = np.zeros((stop - first, cols))
-        _monomial_rows(mu, table[:, 1:])
+        table = np.zeros((stop - first, pad + cols))
+        _monomial_rows(mu, table[:, pad:])
         return table
 
     # -- evaluation ----------------------------------------------------
@@ -479,7 +532,9 @@ class DpmlFunction:
 
     def _series(self, kmin: int, kmax: int, imax: int | None) -> np.ndarray:
         # Sums orders 0 .. imax when imax is given, else stops each point on
-        # its own under the policy.
+        # its own under the policy.  The word sums come transposed, so the
+        # terms and `out` hold each value transposed, flattened, until the
+        # end.
         r, n = self.params.r, self.params.dim
         out = np.zeros((max(0, kmax - kmin + 1), n * n))
         if kmin <= -r <= kmax:
@@ -489,44 +544,59 @@ class DpmlFunction:
             return out.reshape(-1, n, n)
         pol = self.params.policy
         last = pol.i_max if imax is None else imax
-        ks = np.arange(first, kmax + 1)
-        # Delay block count p(k) and monomial arguments m_j(k) = k - (j-1) r;
-        # blocks past p(k) read the zero column.
-        p = _blocks(r, ks)
-        j = np.arange(int(p.max()) + 1)
-        m = np.where(j <= p[:, None], ks[:, None] - (j - 1) * r, 0)
-        rows = ks - kmin  # position in out of each point still running
-        total = np.zeros((n * n, ks.size))
-        rule = _StopRule(pol, ks.size)
+        pos = np.arange(kmax + 1 - first)  # k - first of each point still running
+        p = _blocks(r, pos + first)  # delay block count p(k)
+        total = np.zeros((n * n, pos.size))
+        rule = _StopRule(pol, pos.size)
         source = _commuting_word_sum_rows if self.commutative else _word_sum_rows
-        qrows = source(self.params.M, self.params.N, m.shape[1] - 1)
+        qrows = source(self.params.M, self.params.N, min(int(p.max()), last))
         i = 0
         with np.errstate(over="ignore", invalid="ignore"):
             while i <= last:
-                i0, i = i, min(i + _block_orders(rows.size, n * n), last + 1)
-                h = self._monomials(i0, i, kmax + r + 1)
-                terms = np.empty((i - i0, n * n, rows.size))
+                i0, i = i, min(i + _block_orders(pos.size, n * n), last + 1)
+                pmax = int(p.max())
+                cols = min(i - 1, pmax) + 1  # delay blocks j live at the block's last order
+                h = self._monomials(i0, i, kmax + r, (cols - 1) * r)
+                # view[x, t, j] = h[t, pad + m - 1] at m = k - (j - 1) r for
+                # the point k = first + x, pad = (cols - 1) r, through
+                # strides alone.
+                view = np.ndarray(
+                    (kmax + 1 - first, i - i0, cols), buffer=h,
+                    offset=(h.shape[1] - 1 - (kmax - first)) * h.itemsize,
+                    strides=(h.itemsize, h.strides[0], -r * h.itemsize),
+                )
+                step = max(1, _BLOCK_CELLS // (pos.size * cols))
+                products = np.empty((i - i0, pos.size, n * n))
                 for t, q in zip(range(i - i0), qrows):
-                    jmax = min(i0 + t, m.shape[1] - 1)
-                    weights = h[t][m[:, : jmax + 1]]
-                    # weights @ q, stored transposed: the product q.T @ weights.T
-                    # rounds differently, which moves values in the cancellation regime.
-                    terms[t] = (weights @ q[: jmax + 1].reshape(jmax + 1, n * n)).T
+                    if t % step == 0:
+                        # A copy of the running rows, unit stride along j:
+                        # BLAS takes its slices, where the view's negative
+                        # stride would send the product to NumPy's own loop,
+                        # which rounds otherwise.
+                        weights = view[pos, t : t + step]
+                    live = min(i0 + t, pmax) + 1
+                    np.dot(weights[:, t % step, :live], q[:live], out=products[t])
+                # Rows last, as the stop rule reduces them (one copy a block).
+                terms = np.ascontiguousarray(products.transpose(0, 2, 1))
                 if imax is not None:
                     total = _running_totals(terms, total)[-1]
                     continue
                 stop = rule.block(i0, terms, total)
                 done = stop >= 0
-                out[rows[done]] = terms[stop[done] - i0, :, done]
+                out[pos[done] + (first - kmin)] = terms[stop[done] - i0, :, done]
                 keep = ~done
                 if not keep.any():
-                    return out.reshape(-1, n, n)
-                rows, total, p = rows[keep], terms[-1][:, keep], p[keep]
-                m = m[keep, : int(p.max()) + 1]
+                    return _transposed(out, n)
+                pos, total, p = pos[keep], terms[-1][:, keep], p[keep]
         if imax is None:
             raise rule.exhausted()
-        out[rows] = total.T
-        return out.reshape(-1, n, n)
+        out[pos + (first - kmin)] = total.T
+        return _transposed(out, n)
+
+
+def _transposed(flat: np.ndarray, n: int) -> np.ndarray:
+    # Fresh (L, n, n) values from rows holding each one transposed, flattened.
+    return np.ascontiguousarray(flat.reshape(-1, n, n).transpose(0, 2, 1))
 
 
 def dpml_eval(params: DpmlParams, k: int) -> np.ndarray:
@@ -589,17 +659,18 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
     last = pol.i_max if imax is None else imax
     rule = _StopRule(pol, 1)
     total = np.zeros((n * n, 1))
-    power = np.eye(n)
     b = _block_orders(1, n * n)
+    powers = np.empty((b + 1, n, n))  # M**i .. M**(i + b) of the block at order i
+    powers[0] = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, last + 1, b):
             # monomial(i * alpha + c, k, a) for the next block of orders.
             orders = np.arange(i, min(i + b, last + 1))
             h = _monomial_rows(orders * alpha + c, np.empty((orders.size, k - a)))[:, -1]
-            terms = np.empty((orders.size, n * n, 1))
             for t in range(orders.size):
-                terms[t] = h[t] * power.reshape(-1, 1)
-                power = power @ M
+                np.dot(powers[t], M, out=powers[t + 1])
+            terms = (h[:, None] * powers[: orders.size].reshape(orders.size, n * n))[:, :, None]
+            powers[0] = powers[orders.size]
             if imax is not None:
                 total = _running_totals(terms, total)[-1]
                 continue
@@ -655,14 +726,18 @@ def _falling_binomials(x: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return out
 
 
-def _delay_block_sum(N: np.ndarray, weights) -> np.ndarray:
-    # Finite sum of weights[i] * N**i over the delay blocks i = 0 .. p(k).
-    total = np.zeros_like(N)
-    power = np.eye(N.shape[0])
-    for weight in weights:
-        total += weight * power
-        power = power @ N
-    return total
+def _delay_block_sum(N: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # Finite sum of weights[i] * N**i over the delay blocks i = 0 .. p(k):
+    # the powers scaled in place, then summed in order from a zero row by
+    # one cumsum, the adds of `total += weight * power`.
+    n = N.shape[0]
+    terms = np.empty((len(weights) + 1, n, n))
+    terms[0] = 0.0
+    terms[1] = np.eye(n)
+    for i in range(1, len(weights)):
+        np.dot(terms[i], N, out=terms[i + 1])
+    terms[1:] *= weights[:, None, None]
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def _reduce_delayed_exponential(N: np.ndarray, r: int, k: int) -> np.ndarray:
@@ -700,7 +775,7 @@ def _reduce_exponential_perturbation(
     # where the series can stop and no order past the stop is computed.
     rule = _StopRule(policy, 1)
     total = np.zeros((M.size, 1))
-    qrows = _word_sum_rows(M, N, _blocks(r, k))
+    qrows = _word_sum_rows(M, N, min(_blocks(r, k), policy.i_max))  # transposed
     i = 0
     while i <= policy.i_max:
         terms = np.empty((min(rule.reach(), policy.i_max + 1 - i), M.size, 1))
@@ -710,7 +785,7 @@ def _reduce_exponential_perturbation(
             terms[order - i] = np.tensordot(weights, q, axes=(0, 0)).reshape(-1, 1)
         stop = rule.block(i, terms, total)[0]
         if stop >= 0:
-            return terms[stop - i, :, 0].reshape(M.shape)
+            return terms[stop - i, :, 0].reshape(M.shape).T.copy()
         total = terms[-1]
         i += len(terms)
     raise rule.exhausted()
@@ -718,8 +793,18 @@ def _reduce_exponential_perturbation(
 
 def _reduce_delayed_ml(N: np.ndarray, alpha: float, r: int, k: int) -> np.ndarray:
     # Pure delay term: the series is a finite sum because each order lives
-    # on its own delay block.
-    weights = [monomial(i * alpha + alpha - 1.0, k, (i - 1) * r) for i in range(_blocks(r, k) + 1)]
+    # on its own delay block.  Block i weighs N**i by
+    # monomial(i * alpha + alpha - 1, k, (i - 1) r), m = k - (i - 1) r >= 1,
+    # read from rows of the product recurrence cut to at most
+    # _TRIANGLE_CELLS cells.
+    i = np.arange(_blocks(r, k) + 1)
+    m = k - (i - 1) * r
+    weights = np.empty(i.size)
+    step = max(1, _TRIANGLE_CELLS // int(m[0]))
+    for lo in range(0, i.size, step):
+        rows = slice(lo, lo + step)
+        table = _monomial_rows(i[rows] * alpha + alpha - 1.0, np.empty((len(m[rows]), m[lo])))
+        weights[rows] = table[np.arange(len(m[rows])), m[rows] - 1]
     return _delay_block_sum(N, weights)
 
 

@@ -240,7 +240,10 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
 
     Raises :class:`SingularityError` when I - M is singular and
     :class:`~nabladelay.dpml.DivergenceError`, naming the first point,
-    when the trajectory overflows float64.  The returned trace copies phi
+    when the trajectory overflows float64.  That point can differ from
+    the one a point-by-point loop names by one or two steps, where a
+    partial sum overflows in one scheme and not in the other while |z|
+    is still finite.  The returned trace copies phi
     verbatim on the initial interval; like every route it carries no
     residuals (:func:`verify` computes them for the closed form).
     """

@@ -7,6 +7,7 @@ or linear-algebra failure, 2 config or usage error, 3 series divergence or
 stepping overflow.
 """
 
+import hashlib
 import importlib
 import itertools
 import json
@@ -494,6 +495,39 @@ class TestQtableCommand:
         np.testing.assert_allclose(
             self.parse_block(out, "Q(3,1)", 2), M @ N + N @ M, atol=1e-15
         )
+
+    # Output of the word-sum table before it read the series' row source.
+    # The signed zeros of M and N print as 0.0 there: the recursion took
+    # one matrix product at a time, which sums -0.0 products to +0.0.
+    CAPTURED = [
+        ([[-0.0]], [[0.5]], 3,
+         "Q(1,0) =\n  [1.0]\n\nQ(2,0) =\n  [0.0]\n\nQ(2,1) =\n  [0.5]\n\nQ(3,0) =\n  [0.0]\n\n"
+         "Q(3,1) =\n  [0.0]\n\nQ(3,2) =\n  [0.25]\n"),
+        ([[0.2, -0.0], [0.0, 0.3]], [[-0.0, 0.1], [0.4, 0.2]], 3,
+         "Q(1,0) =\n  [1.0, 0.0]\n  [0.0, 1.0]\n\nQ(2,0) =\n  [0.2, 0.0]\n  [0.0, 0.3]\n\n"
+         "Q(2,1) =\n  [0.0, 0.1]\n  [0.4, 0.2]\n\n"
+         "Q(3,0) =\n  [0.04000000000000001, 0.0]\n  [0.0, 0.09]\n\n"
+         "Q(3,1) =\n  [0.0, 0.05]\n  [0.2, 0.12]\n\n"
+         "Q(3,2) =\n  [0.04000000000000001, 0.020000000000000004]\n"
+         "  [0.08000000000000002, 0.08000000000000002]\n"),
+    ]
+    M3 = [[0.3, -0.1, 0.2], [0.05, 0.25, -0.15], [-0.2, 0.1, 0.35]]
+    N3 = [[0.1, 0.2, -0.3], [-0.25, 0.15, 0.05], [0.3, -0.05, 0.2]]
+    M3_SHA256 = "b4dc8768a69211975301bbcba2239ebfbae55a25da5e0c954aca1f28a1aa1f74"
+
+    @pytest.mark.parametrize("M, N, imax, want", CAPTURED, ids=["1x1-signed-zero", "2x2"])
+    def test_output_matches_captured_bytes(self, tmp_path, capsys, M, N, imax, want):
+        m_path = self.write_matrix(tmp_path, "m.json", M)
+        n_path = self.write_matrix(tmp_path, "n.json", N)
+        assert main(["qtable", "--m", m_path, "--n", n_path, "--imax", str(imax)]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_full_table_matches_captured_digest(self, tmp_path, capsys):
+        m_path = self.write_matrix(tmp_path, "m.json", self.M3)
+        n_path = self.write_matrix(tmp_path, "n.json", self.N3)
+        assert main(["qtable", "--m", m_path, "--n", n_path, "--imax", "12"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 16035 and hashlib.sha256(out).hexdigest() == self.M3_SHA256
 
     def test_imax_above_cap_rejected(self, tmp_path, capsys):
         m_path = self.write_matrix(tmp_path, "m.json", M2)

@@ -13,8 +13,11 @@ Core claims:
 - non-finite input is rejected with a ValueError naming the field;
 - a shared evaluator instance and a shared word-sum table are safe under
   concurrent reads, and an evaluator keeps no state across calls;
-- the per-call word-sum sources give the memo table's rows and the
-  sequential-power binomial products bit for bit;
+- the per-call word-sum sources, kept transposed, give the rows of the
+  recursion taken one matrix product at a time and the sequential-power
+  binomial products bit for bit, and the memo table and qtable read them;
+- the series, the running totals, the delay-block sums and the monomial
+  weights give the bytes of the per-order loops they replaced;
 - the commutation test decides as the unscaled test wherever that one
   does not overflow, and rejects overflowing pairs without a warning;
 - each classical reduction, computed from its own formula, agrees with the
@@ -285,34 +288,75 @@ def sequential_commuting_rows(M, N, width, count):
     ]
 
 
+def reference_word_sum_rows(M, N, width):
+    """Q(i + 1, j), j = 0 .. min(i, width), for i = 0, 1, ...: the recursion
+    Q(i + 1, j) = M Q(i, j) + N Q(i, j - 1) with one matrix product per j,
+    as the series drew its word sums before they were kept transposed."""
+    row = np.eye(M.shape[0])[None]
+    while True:
+        yield row
+        size = min(len(row), width) + 1
+        nxt = np.zeros((size, *M.shape))
+        nxt[: len(row)] = M @ row
+        nxt[1:] += N @ row[: size - 1]
+        row = nxt
+
+
+def reference_commuting_rows(M, N, width):
+    """C(i, j) M**(i - j) N**j, j = 0 .. min(i, width), for i = 0, 1, ..., as
+    the commutative route drew them before they were kept transposed."""
+    mpows = npows = np.eye(M.shape[0])[None]
+    for i in itertools.count():
+        coef = np.array([float(math.comb(i, j)) for j in range(len(npows))])
+        yield coef[:, None, None] * (mpows @ npows)
+        mpows = np.concatenate(((mpows[0] @ M)[None], mpows[:width]))
+        if i < width:
+            npows = np.concatenate((npows, (npows[-1] @ N)[None]))
+
+
+def untransposed(row):
+    """The (J, n, n) stack of a row source's (J, n * n) transposes.  Adding
+    0.0 turns the -0.0 a 1 × 1 product can keep into the +0.0 of a matrix
+    product; the series sums every term onto a +0.0 total either way."""
+    n = math.isqrt(row.shape[1])
+    return row.reshape(-1, n, n).transpose(0, 2, 1) + 0.0
+
+
 class TestWordSumSources:
     """The per-call word-sum row sources of the series."""
 
-    ORDERS = 14
+    ORDERS = 70  # C(i, j) passes 2**53 from i = 57 on
 
-    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 4])
     def test_general_source_equals_table_rows(self, n):
         rng = np.random.default_rng(31 + n)
         M, N = 0.3 * rng.normal(size=(n, n)), 0.3 * rng.normal(size=(n, n))
+        M[0, 0] = N[-1, 0] = -0.0
         table = WordSumTable(M, N)
         # Widths below, equal to and above the order i.
-        for width in (0, 1, 5, self.ORDERS - 1, 40):
-            rows = dpml._word_sum_rows(M, N, width)
-            for i, got in zip(range(self.ORDERS), rows):
-                want = table.row(i + 1)[: width + 1]
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for width in (0, 1, 5, 13, self.ORDERS - 1, 80):
+            want = reference_word_sum_rows(M, N, width)
+            for i, got, expected in zip(range(self.ORDERS), dpml._word_sum_rows(M, N, width), want):
+                assert got.shape == (len(expected), n * n)
+                assert untransposed(got).tobytes() == expected.tobytes()
+                assert table.row(i + 1)[: width + 1].tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 4])
     def test_commutative_source_equals_sequential_powers(self, n):
         rng = np.random.default_rng(41 + n)
         A = rng.normal(size=(n, n))
         M = 0.3 * A / np.linalg.norm(A, 1)
         N = 0.2 * np.eye(n) + M @ M
-        for width in (0, 1, 5, self.ORDERS - 1, 40):
-            want = sequential_commuting_rows(M, N, width, self.ORDERS)
+        for width in (0, 1, 5, 13, self.ORDERS - 1, 80):
             rows = dpml._commuting_word_sum_rows(M, N, width)
-            for got, expected in zip(rows, want):
-                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            want = reference_commuting_rows(M, N, width)
+            for _, got, expected in zip(range(self.ORDERS), rows, want):
+                assert untransposed(got).tobytes() == expected.tobytes()
+        # The reference agrees with one product per j and sequential powers.
+        for width in (0, 5, 40):
+            want = sequential_commuting_rows(M, N, width, 14)
+            for got, expected in zip(reference_commuting_rows(M, N, width), want):
+                assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("commutative", [False, True])
     def test_evaluator_keeps_no_state_across_calls(self, commutative):
@@ -414,6 +458,17 @@ class TestNonFiniteInput:
     def test_rejected_with_the_field_named(self, call, field):
         with pytest.raises(ValueError, match=rf"^{field} (has a non-finite entry|must be finite)"):
             call()
+
+    def test_message_names_the_first_bad_entry(self):
+        M = np.zeros((3, 4, 4))
+        M[1, 2, 3], M[2, 0, 0] = -math.inf, math.nan
+        with pytest.raises(ValueError) as info:
+            dpml._require_finite("M", M)
+        assert str(info.value) == f"M has a non-finite entry {M[1, 2, 3]!r} at index (1, 2, 3)"
+        with pytest.raises(ValueError) as info:
+            DpmlParams(0.5, 0.5, 2, NAN, [[0.1, 0.0], [0.0, 0.1]])
+        bad = np.asarray(NAN)[0, 1]
+        assert str(info.value) == f"M has a non-finite entry {bad!r} at index (0, 1)"
 
 
 class TestDpmlEval:
@@ -1172,3 +1227,248 @@ class TestBlockStopRule:
         )
         assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale)
         return {"values"}
+
+
+# -- byte references of the vectorised drivers ----------------------------
+
+
+def reference_series(params, kmin, kmax, imax=None, commutative=False):
+    """DpmlFunction._series as it was before its products were batched.
+
+    An (L × W) table of monomial arguments, one gather and one
+    ``weights @ q`` per order with untransposed word sums, running totals
+    added order by order, and blocks of at most _ORDER_BLOCK orders and
+    _BLOCK_CELLS cells.  Returns the values and {k: stop order} of the
+    points it summed under the policy; raises the stop rule's
+    DivergenceError.
+    """
+    r, n = params.r, params.dim
+    out = np.zeros((max(0, kmax - kmin + 1), n * n))
+    if kmin <= -r <= kmax:
+        out[-r - kmin] = np.eye(n).ravel()
+    stops = {}
+    first = max(kmin, 1 - r)
+    if first > kmax:
+        return out.reshape(-1, n, n), stops
+    pol = params.policy
+    last = pol.i_max if imax is None else imax
+    ks = np.arange(first, kmax + 1)
+    p = np.maximum(0, -(-ks // r))
+    j = np.arange(int(p.max()) + 1)
+    m = np.where(j <= p[:, None], ks[:, None] - (j - 1) * r, 0)
+    rows = ks - kmin
+    total = np.zeros((n * n, ks.size))
+    rule = dpml._StopRule(pol, ks.size)
+    source = reference_commuting_rows if commutative else reference_word_sum_rows
+    qrows = source(params.M, params.N, m.shape[1] - 1)
+    i = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i <= last:
+            b = max(1, min(dpml._ORDER_BLOCK, dpml._BLOCK_CELLS // (rows.size * n * n)))
+            i0, i = i, min(i + b, last + 1)
+            h = np.zeros((i - i0, kmax + r + 1))
+            for t in range(i - i0):
+                h[t, 1:] = monomial_run((i0 + t) * params.alpha + (params.beta - 1.0), kmax + r)
+            terms = np.empty((i - i0, n * n, rows.size))
+            for t, q in zip(range(i - i0), qrows):
+                jmax = min(i0 + t, m.shape[1] - 1)
+                weights = h[t][m[:, : jmax + 1]]
+                terms[t] = (weights @ q[: jmax + 1].reshape(jmax + 1, n * n)).T
+            if imax is not None:
+                for term in terms:
+                    total += term
+                continue
+            stop = rule.block(i0, terms, total)
+            done = stop >= 0
+            out[rows[done]] = terms[stop[done] - i0, :, done]
+            stops.update(zip((rows[done] + kmin).tolist(), stop[done].tolist()))
+            keep = ~done
+            if not keep.any():
+                return out.reshape(-1, n, n), stops
+            rows, total, p = rows[keep], terms[-1][:, keep], p[keep]
+            m = m[keep, : int(p.max()) + 1]
+    if imax is None:
+        raise rule.exhausted()
+    out[rows] = total.T
+    return out.reshape(-1, n, n), stops
+
+
+def quiet(call):
+    """outcome() of a call, with the convergence warning silenced too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return outcome(call)
+
+
+def reference_values(call):
+    """outcome() of a reference_series call, without the stop orders."""
+    got = quiet(call)
+    return got if isinstance(got, str) else got[0]
+
+
+class TestSeriesBytes:
+    """stack, value and partial_sum give the bytes and error texts of the
+    per-order loop of reference_series."""
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(), TIGHT, ODD],
+                             ids=["default", "tight", "odd"])
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_matches_per_order_loop(self, n, r, policy):
+        seen = set()
+        for commutative, scale in itertools.product((False, True), (0.3, 1.0, 4.0)):
+            base = stack_case(n, r, commutative)
+            params = DpmlParams(0.7, 0.4, r, scale * base.M, scale * base.N, policy)
+            fn = quiet(lambda: DpmlFunction(params, commutative=commutative))
+
+            def check(call, kmin, kmax, imax=None, point=False):
+                got = quiet(call)
+                want = reference_values(
+                    lambda: reference_series(params, kmin, kmax, imax, commutative)
+                )
+                if point and not isinstance(want, str):
+                    want = want[0]
+                assert_same_outcome(got, want)
+                seen.add("values" if isinstance(got, np.ndarray) else got[:40])
+
+            for kmin, kmax in ((-r - 2, 30), (-r, -r), (1 - r, 1 - r), (2, 9)):
+                check(lambda: fn.stack(kmin, kmax), kmin, kmax)
+            for k in (-r - 1, -r, 1 - r, 0, 1, 7, 30):
+                check(lambda: fn.value(k), k, k, point=True)
+            for k, imax in ((1 - r, 0), (5, 3), (12, 33), (30, 70)):
+                check(lambda: fn.partial_sum(k, imax), k, k, imax, point=True)
+        assert "values" in seen
+        if policy is TIGHT:
+            assert any(text in seen_text for text in STOP_MESSAGES for seen_text in seen)
+
+    @pytest.mark.parametrize("block", [4, 32])
+    @pytest.mark.parametrize("n, r", [(1, 1), (2, 3)])
+    def test_small_blocks_gather_weights_in_parts(self, n, r, block, monkeypatch):
+        # 256 cells a block: the 31-point stack at n = r = 1 takes at most 8
+        # orders a block and gathers the weights of fewer orders at a time
+        # once more than 8 delay blocks are live.
+        monkeypatch.setattr(dpml, "_ORDER_BLOCK", block)
+        monkeypatch.setattr(dpml, "_BLOCK_CELLS", 256)
+        for commutative, scale in itertools.product((False, True), (0.3, 1.0)):
+            base = stack_case(n, r, commutative)
+            params = DpmlParams(0.7, 0.4, r, scale * base.M, scale * base.N, TIGHT)
+            fn = quiet(lambda: DpmlFunction(params, commutative=commutative))
+            got = quiet(lambda: fn.stack(-r - 2, 30))
+            want = reference_values(lambda: reference_series(params, -r - 2, 30, None, commutative))
+            assert_same_outcome(got, want)
+
+    # (M, N) scalars whose value at k = 20 stops at orders 63 and 64: the
+    # last order of the first 64-order block of a lone series, and the first
+    # of the second.
+    EDGE_PAIRS = [((0.3241, 0.3241), 63), ((0.3286, 0.3286), 64)]
+
+    def test_lone_series_stops_at_block_edges(self):
+        for (m, nn), want in self.EDGE_PAIRS:
+            params = DpmlParams(0.7, 0.4, 1, [[m]], [[nn]])
+            values, stops = reference_series(params, 20, 20)
+            assert stops == {20: want}
+            got = DpmlFunction(params).value(20)
+            assert got.tobytes() == values[0].tobytes()
+            stacked = DpmlFunction(params).stack(20, 20)
+            assert stacked.tobytes() == values.tobytes()
+
+
+def sequential_totals(terms, total):
+    """The running totals after each order by ``total += term``, copied."""
+    total = total.copy()
+    out = []
+    for term in terms:
+        total += term
+        out.append(total.copy())
+    return np.array(out)
+
+
+def nan_canonical(values):
+    """Bytes of values with every NaN as np.nan.  IEEE 754 leaves open which
+    NaN an add of two NaNs returns, and the order of its operands picks it
+    on x86; every other bit of a sum is fixed."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+class TestRunningTotals:
+    """Both paths of _running_totals, one np.cumsum on narrow blocks and one
+    add per order on wide ones, make the sequential adds bit for bit, up to
+    which NaN an add of two NaNs returns."""
+
+    SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324])
+
+    # Up to _NARROW_CELLS = 128 cells an order (16 × 8) the cumsum path runs,
+    # from 16 × 9 on the add per order.
+    @pytest.mark.parametrize("cells, rows", [(1, 1), (4, 1), (16, 8), (16, 9), (9, 40), (1, 300)])
+    def test_paths_match_sequential_adds(self, cells, rows):
+        rng = np.random.default_rng(cells * 1000 + rows)
+        for orders in (1, 2, 7, 64):
+            # Mostly specials, so -0.0 + -0.0, inf - inf and nan all occur.
+            terms = rng.choice(self.SPECIAL, size=(orders, cells, rows))
+            plain = rng.random(terms.shape) < 0.3
+            terms[plain] = rng.normal(size=plain.sum())
+            total = rng.choice(self.SPECIAL, size=(cells, rows))
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = sequential_totals(terms, total)
+                got = dpml._running_totals(terms.copy(), total)
+            assert nan_canonical(got) == nan_canonical(want)
+
+
+def reference_delay_block_sum(N, weights):
+    """Sum of weights[i] * N**i by ``total += weight * power``, one matrix
+    product per power."""
+    total = np.zeros_like(N)
+    power = np.eye(N.shape[0])
+    for weight in weights:
+        total += weight * power
+        power = power @ N
+    return total
+
+
+class TestDelayBlockSums:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_delay_block_sum_matches_power_loop(self, n):
+        rng = np.random.default_rng(70 + n)
+        for count in (1, 2, 5, 40):
+            for N in (0.5 * rng.normal(size=(n, n)), -0.0 * np.ones((n, n)),
+                      np.where(rng.random((n, n)) < 0.5, -0.0, -0.3)):
+                # Signed and zero weights give -0.0 products.
+                weights = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=count)
+                got = dpml._delay_block_sum(N, weights)
+                assert got.tobytes() == reference_delay_block_sum(N, weights).tobytes()
+
+    @pytest.mark.parametrize("cells", [None, 1, 7, 100])
+    def test_delayed_ml_weights_match_scalar_monomial(self, cells, monkeypatch):
+        # The rows of monomial products are cut to at most `cells` cells;
+        # every cut gives the scalar rule's products.
+        if cells is not None:
+            monkeypatch.setattr(dpml, "_TRIANGLE_CELLS", cells)
+        N = 0.3 * np.array(N2)
+        for alpha, r, k in itertools.product((0.3, 0.75, 1.0), (1, 2, 5), (-1, 0, 1, 7, 60)):
+            if k <= -r:
+                continue
+            weights = [
+                monomial(i * alpha + alpha - 1.0, k, (i - 1) * r)
+                for i in range(max(0, -(-k // r)) + 1)
+            ]
+            want = reference_delay_block_sum(N, weights)
+            got = dpml._reduce_delayed_ml(N, alpha, r, k)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestSeriesMemory:
+    def test_stack_holds_no_point_by_block_table(self):
+        # At r = 1 there are as many delay blocks as points; an (L × W)
+        # argument table held 65 MiB here, K = 2000.
+        tracemalloc = pytest.importorskip("tracemalloc")
+        rng = np.random.default_rng(0)
+        A, B = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        M, N = 0.03 * A / np.linalg.norm(A, 1), 0.03 * B / np.linalg.norm(B, 1)
+        fn = DpmlFunction(DpmlParams(0.6, 0.6, 1, M, N))
+        tracemalloc.start()
+        try:
+            fn.stack(0, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
