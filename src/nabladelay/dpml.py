@@ -101,20 +101,27 @@ _ORDER_BLOCK = 32
 # buffers stay small.
 _BLOCK_CELLS = 1 << 15
 
+# Cells of the triangle one cumprod of _falling_binomials may hold, and of
+# the table of a lone series' block.
+_TRIANGLE_CELLS = 1 << 20
+
 # Cells of one order of a block, rows * n * n, up to which the running
 # totals are one np.cumsum over the orders.  Over more cells np.cumsum,
 # which runs along the short order axis, is slower than one add per order.
 _NARROW_CELLS = 128
 
 
-def _block_orders(rows: int, cells: int) -> int:
+def _block_orders(rows: int, cells: int, width: int = 1) -> int:
     # Orders per block for `rows` series of `cells` entries each.  A lone
     # series takes 2 * _ORDER_BLOCK: its per-block NumPy calls cost more
-    # than the orders it sums past its stop.  Several rows keep
-    # _ORDER_BLOCK, so they leave the products at the same orders: BLAS
-    # rounds each row of a product by the rows beside it.
-    limit = 2 * _ORDER_BLOCK if rows == 1 else _ORDER_BLOCK
-    return max(1, min(limit, _BLOCK_CELLS // (rows * cells)))
+    # than the orders it sums past its stop.  It also keeps its table,
+    # `width` cells an order, within _TRIANGLE_CELLS: its bytes do not
+    # depend on its block length.  Several rows keep _ORDER_BLOCK, so they
+    # leave the products at the same orders: BLAS rounds each row of a
+    # product by the rows beside it.
+    if rows == 1:
+        return max(1, min(2 * _ORDER_BLOCK, _BLOCK_CELLS // cells, _TRIANGLE_CELLS // width))
+    return max(1, min(_ORDER_BLOCK, _BLOCK_CELLS // (rows * cells)))
 
 
 class _StopRule:
@@ -138,9 +145,7 @@ class _StopRule:
     It raises :class:`DivergenceError` at the first order where a row
     still running has a non-finite term, or terms grown for
     ``divergence_growth`` orders past ``i_max / 2``, with the text and at
-    the order of the rule applied one order at a time.  :meth:`reach`
-    is the number of orders up to the first one at which a row can stop,
-    for a driver that must not sum past the stop.
+    the order of the rule applied one order at a time.
     """
 
     def __init__(self, policy: TruncationPolicy, rows: int) -> None:
@@ -148,9 +153,6 @@ class _StopRule:
         self.quiet = np.zeros(rows, dtype=int)
         self.growth = np.zeros(rows, dtype=int)
         self.prev = np.full(rows, np.inf)
-
-    def reach(self) -> int:
-        return self.policy.window - int(self.quiet.max())
 
     def block(self, i0: int, terms: np.ndarray, total: np.ndarray) -> np.ndarray:
         pol = self.policy
@@ -193,6 +195,49 @@ class _StopRule:
             f"series did not meet the truncation stop rule within "
             f"i_max = {self.policy.i_max} terms ({self.policy!r})"
         )
+
+
+def _block_sum(policy: TruncationPolicy, rows: int, cells: int, imax: int | None,
+               terms, width: int = 1) -> np.ndarray:
+    # The block loop of the adaptive series, for `rows` series of `cells`
+    # entries.  terms(i0, i, live) gives the terms of the orders i0 .. i - 1
+    # of the rows `live` still running (row indices, ascending), shaped
+    # (b, cells, live.size); it may end its block early, b <= i - i0.
+    # Sums orders 0 .. imax when imax is given; else stops each row under
+    # the policy through _StopRule, picks its running total at its stop
+    # order and asks no more terms of it.  Returns the values, shaped
+    # (rows, cells).  Blocks take _block_orders orders, a lone row's table
+    # holding `width` cells an order.
+    last = policy.i_max if imax is None else imax
+    out = np.empty((rows, cells))
+    live = np.arange(rows)
+    total = np.zeros((cells, rows))
+    rule = _StopRule(policy, rows)
+    i = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i <= last:
+            block = terms(i, min(i + _block_orders(live.size, cells, width), last + 1), live)
+            i0, i = i, i + len(block)
+            if imax is not None:
+                total = _running_totals(block, total)[-1]
+                continue
+            stop = rule.block(i0, block, total)
+            if live.size == 1:  # plain indexing saves a lone series some µs a block
+                if stop[0] >= 0:
+                    out[live[0]] = block[stop[0] - i0, :, 0]
+                    return out
+                total = block[-1]
+                continue
+            done = stop >= 0
+            out[live[done]] = block[stop[done] - i0, :, done]
+            keep = ~done
+            if not keep.any():
+                return out
+            live, total = live[keep], block[-1][:, keep]
+    if imax is None:
+        raise rule.exhausted()
+    out[live] = total.T
+    return out
 
 
 def _running_totals(terms: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -513,6 +558,11 @@ class DpmlFunction:
         Every point is summed under the adaptive truncation rule, with the
         zero/identity branches below the series range.  Raises
         :class:`DivergenceError` when any point fails the rule.
+
+        A point's value can depend on the points beside it: BLAS rounds
+        each row of a product by its neighbours, so ``stack(k, k)`` and
+        ``k`` in a longer stack may differ in the last bits, or by a whole
+        term where a term near the tolerance moves the stop order.
         """
         return self._series(kmin, kmax, None)
 
@@ -543,54 +593,40 @@ class DpmlFunction:
         if first > kmax:
             return out.reshape(-1, n, n)
         pol = self.params.policy
-        last = pol.i_max if imax is None else imax
-        pos = np.arange(kmax + 1 - first)  # k - first of each point still running
-        p = _blocks(r, pos + first)  # delay block count p(k)
-        total = np.zeros((n * n, pos.size))
-        rule = _StopRule(pol, pos.size)
+        p = int(_blocks(r, kmax))  # delay block count p(kmax)
         source = _commuting_word_sum_rows if self.commutative else _word_sum_rows
-        qrows = source(self.params.M, self.params.N, min(int(p.max()), last))
-        i = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while i <= last:
-                i0, i = i, min(i + _block_orders(pos.size, n * n), last + 1)
-                pmax = int(p.max())
-                cols = min(i - 1, pmax) + 1  # delay blocks j live at the block's last order
-                h = self._monomials(i0, i, kmax + r, (cols - 1) * r)
-                # view[x, t, j] = h[t, pad + m - 1] at m = k - (j - 1) r for
-                # the point k = first + x, pad = (cols - 1) r, through
-                # strides alone.
-                view = np.ndarray(
-                    (kmax + 1 - first, i - i0, cols), buffer=h,
-                    offset=(h.shape[1] - 1 - (kmax - first)) * h.itemsize,
-                    strides=(h.itemsize, h.strides[0], -r * h.itemsize),
-                )
-                step = max(1, _BLOCK_CELLS // (pos.size * cols))
-                products = np.empty((i - i0, pos.size, n * n))
-                for t, q in zip(range(i - i0), qrows):
-                    if t % step == 0:
-                        # A copy of the running rows, unit stride along j:
-                        # BLAS takes its slices, where the view's negative
-                        # stride would send the product to NumPy's own loop,
-                        # which rounds otherwise.
-                        weights = view[pos, t : t + step]
-                    live = min(i0 + t, pmax) + 1
-                    np.dot(weights[:, t % step, :live], q[:live], out=products[t])
-                # Rows last, as the stop rule reduces them (one copy a block).
-                terms = np.ascontiguousarray(products.transpose(0, 2, 1))
-                if imax is not None:
-                    total = _running_totals(terms, total)[-1]
-                    continue
-                stop = rule.block(i0, terms, total)
-                done = stop >= 0
-                out[pos[done] + (first - kmin)] = terms[stop[done] - i0, :, done]
-                keep = ~done
-                if not keep.any():
-                    return _transposed(out, n)
-                pos, total, p = pos[keep], terms[-1][:, keep], p[keep]
-        if imax is None:
-            raise rule.exhausted()
-        out[pos + (first - kmin)] = total.T
+        qrows = source(self.params.M, self.params.N, min(p, pol.i_max if imax is None else imax))
+
+        def terms(i0: int, i: int, pos: np.ndarray) -> np.ndarray:
+            # pos holds k - first of each point still running, ascending.
+            pmax = int(_blocks(r, pos[-1] + first))
+            cols = min(i - 1, pmax) + 1  # delay blocks j live at the block's last order
+            h = self._monomials(i0, i, kmax + r, (cols - 1) * r)
+            # view[x, t, j] = h[t, pad + m - 1] at m = k - (j - 1) r for
+            # the point k = first + x, pad = (cols - 1) r, through
+            # strides alone.
+            view = np.ndarray(
+                (kmax + 1 - first, i - i0, cols), buffer=h,
+                offset=(h.shape[1] - 1 - (kmax - first)) * h.itemsize,
+                strides=(h.itemsize, h.strides[0], -r * h.itemsize),
+            )
+            step = max(1, _BLOCK_CELLS // (pos.size * cols))
+            products = np.empty((i - i0, pos.size, n * n))
+            for t, q in zip(range(i - i0), qrows):
+                if t % step == 0:
+                    # A copy of the running rows, unit stride along j:
+                    # BLAS takes its slices, where the view's negative
+                    # stride would send the product to NumPy's own loop,
+                    # which rounds otherwise.
+                    weights = view[pos, t : t + step]
+                live = min(i0 + t, pmax) + 1
+                np.dot(weights[:, t % step, :live], q[:live], out=products[t])
+            # Rows last, as the stop rule reduces them (one copy a block).
+            return np.ascontiguousarray(products.transpose(0, 2, 1))
+
+        # A lone point's table has at most kmax + (p + 1) r columns.
+        out[first - kmin :] = _block_sum(pol, kmax + 1 - first, n * n, imax, terms,
+                                         kmax + (p + 1) * r)
         return _transposed(out, n)
 
 
@@ -656,31 +692,21 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
             stacklevel=3,
         )
     n = M.shape[0]
-    last = pol.i_max if imax is None else imax
-    rule = _StopRule(pol, 1)
-    total = np.zeros((n * n, 1))
-    b = _block_orders(1, n * n)
-    powers = np.empty((b + 1, n, n))  # M**i .. M**(i + b) of the block at order i
+    # M**i .. M**(i + b) of the block at order i.
+    powers = np.empty((_block_orders(1, n * n) + 1, n, n))
     powers[0] = np.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, last + 1, b):
-            # monomial(i * alpha + c, k, a) for the next block of orders.
-            orders = np.arange(i, min(i + b, last + 1))
-            h = _monomial_rows(orders * alpha + c, np.empty((orders.size, k - a)))[:, -1]
-            for t in range(orders.size):
-                np.dot(powers[t], M, out=powers[t + 1])
-            terms = (h[:, None] * powers[: orders.size].reshape(orders.size, n * n))[:, :, None]
-            powers[0] = powers[orders.size]
-            if imax is not None:
-                total = _running_totals(terms, total)[-1]
-                continue
-            stop = rule.block(i, terms, total)[0]
-            if stop >= 0:
-                return terms[stop - i, :, 0].reshape(n, n)
-            total = terms[-1]
-    if imax is None:
-        raise rule.exhausted()
-    return total.reshape(n, n)
+
+    def terms(i0: int, i: int, live: np.ndarray) -> np.ndarray:
+        # monomial(i * alpha + c, k, a) for the orders i0 .. i - 1.
+        orders = np.arange(i0, i)
+        h = _monomial_rows(orders * alpha + c, np.empty((orders.size, k - a)))[:, -1]
+        for t in range(orders.size):
+            np.dot(powers[t], M, out=powers[t + 1])
+        block = (h[:, None] * powers[: orders.size].reshape(orders.size, n * n))[:, :, None]
+        powers[0] = powers[orders.size]
+        return block
+
+    return _block_sum(pol, 1, n * n, imax, terms, k - a).reshape(n, n)
 
 
 # -- closed-form reductions ---------------------------------------------
@@ -705,25 +731,25 @@ def _piecewise_branch(n: int, r: int, k: int) -> np.ndarray | None:
     return None
 
 
-# Cells of the triangle one cumprod of _falling_binomials may hold.
-_TRIANGLE_CELLS = 1 << 20
-
-
 def _falling_binomials(x: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    # C(x_j, orders_j) with real upper arguments: the products
-    # (x_j - t) / (t + 1) for t = 0 .. orders_j - 1, multiplied in that
-    # order.  Columns past a row's order hold 1, which leaves the product
-    # exact; rows go in blocks so the triangle stays within _TRIANGLE_CELLS.
-    # The result is contiguous: tensordot takes another BLAS path on a
-    # strided view, and its sums can differ in the last bit.
+    # C(x, orders) entrywise with real upper arguments, for arrays of one
+    # shape: the products (x - t) / (t + 1) for t = 0 .. orders - 1,
+    # multiplied in that order.  Columns past an entry's order hold 1,
+    # which leaves the product exact; entries go in blocks so the triangle
+    # stays within _TRIANGLE_CELLS.  The result is contiguous: tensordot
+    # takes another BLAS path on a strided view, and its sums can differ
+    # in the last bit.
+    shape, x, orders = x.shape, x.ravel(), orders.ravel()
     t = np.arange(max(1, int(orders.max())))
     out = np.empty(x.size)
     step = max(1, _TRIANGLE_CELLS // t.size)
     for lo in range(0, x.size, step):
         rows = slice(lo, lo + step)
-        factors = np.where(t < orders[rows, None], (x[rows, None] - t) / (t + 1), 1.0)
-        out[rows] = np.cumprod(factors, axis=1)[:, -1]
-    return out
+        factors = x[rows, None] - t
+        factors /= t + 1
+        np.copyto(factors, 1.0, where=t >= orders[rows, None])
+        out[rows] = np.cumprod(factors, axis=1, out=factors)[:, -1]
+    return out.reshape(shape)
 
 
 def _delay_block_sum(N: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -771,24 +797,22 @@ def _reduce_exponential_perturbation(
     M: np.ndarray, N: np.ndarray, r: int, k: int, policy: TruncationPolicy
 ) -> np.ndarray:
     # Unit orders, general pair: word sums weighted by integer binomials.
-    # Its weights cost O(p i) per order, so a block ends at the first order
-    # where the series can stop and no order past the stop is computed.
-    rule = _StopRule(policy, 1)
-    total = np.zeros((M.size, 1))
-    qrows = _word_sum_rows(M, N, min(_blocks(r, k), policy.i_max))  # transposed
-    i = 0
-    while i <= policy.i_max:
-        terms = np.empty((min(rule.reach(), policy.i_max + 1 - i), M.size, 1))
-        for order, q in zip(range(i, i + len(terms)), qrows):
-            x = (k + order - 1.0) - (np.arange(len(q)) - 1) * r
-            weights = _falling_binomials(x, np.full(len(q), order))
-            terms[order - i] = np.tensordot(weights, q, axes=(0, 0)).reshape(-1, 1)
-        stop = rule.block(i, terms, total)[0]
-        if stop >= 0:
-            return terms[stop - i, :, 0].reshape(M.shape).T.copy()
-        total = terms[-1]
-        i += len(terms)
-    raise rule.exhausted()
+    p = _blocks(r, k)
+    qrows = _word_sum_rows(M, N, min(p, policy.i_max))  # transposed
+
+    def terms(i0: int, i: int, live: np.ndarray) -> np.ndarray:
+        # The weights of a block are one triangle of falling-binomial
+        # factors, (orders, delay blocks, factors); the block ends before
+        # the order o that would take it past _BLOCK_CELLS cells.
+        o = np.arange(i0, i)
+        fits = (o - i0 + 1) * (np.minimum(o, p) + 1) * np.maximum(o, 1) <= _BLOCK_CELLS
+        orders = o[: max(1, int(fits.sum()))][:, None]
+        x = (k + orders - 1.0) - (np.arange(min(orders[-1, 0], p) + 1) - 1) * r
+        weights = _falling_binomials(x, np.broadcast_to(orders, x.shape))
+        return np.array([np.tensordot(w[: len(q)], q, axes=(0, 0))
+                         for w, q in zip(weights, qrows)])[:, :, None]
+
+    return _block_sum(policy, 1, M.size, None, terms).reshape(M.shape).T.copy()
 
 
 def _reduce_delayed_ml(N: np.ndarray, alpha: float, r: int, k: int) -> np.ndarray:

@@ -936,6 +936,15 @@ class TestOneRowDrivers:
             want = reference_exponential_perturbation(params.M, params.N, r, k, params.policy)
             got = special_reductions(params, k, pattern="exponential_perturbation")
             assert got.tobytes() == want.tobytes()
+        # An (orders × delay blocks) argument array, as a block of the
+        # exponential-perturbation reduction passes it, with signed and
+        # non-integer upper arguments.
+        for r, k, shift in itertools.product((1, 3), (0, 7, 40), (0.0, 0.5, -0.25)):
+            orders = np.broadcast_to(np.arange(5, 17)[:, None], (12, 6))
+            x = (k + orders - 1.0) - (np.arange(6) - 1) * r + shift
+            want = np.vectorize(falling_binomial)(x, orders)
+            got = dpml._falling_binomials(x, orders)
+            assert got.shape == x.shape and got.tobytes() == want.tobytes()
 
 
 class TestSpecialReductions:
@@ -1456,19 +1465,48 @@ class TestDelayBlockSums:
             assert got.tobytes() == want.tobytes()
 
 
+def traced_peak(call):
+    """The call's result and the peak of the memory tracemalloc traced in it."""
+    tracemalloc = pytest.importorskip("tracemalloc")
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSeriesMemory:
     def test_stack_holds_no_point_by_block_table(self):
         # At r = 1 there are as many delay blocks as points; an (L × W)
         # argument table held 65 MiB here, K = 2000.
-        tracemalloc = pytest.importorskip("tracemalloc")
         rng = np.random.default_rng(0)
         A, B = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         M, N = 0.03 * A / np.linalg.norm(A, 1), 0.03 * B / np.linalg.norm(B, 1)
         fn = DpmlFunction(DpmlParams(0.6, 0.6, 1, M, N))
-        tracemalloc.start()
-        try:
-            fn.stack(0, 2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: fn.stack(0, 2000))
         assert peak < 8 * 2**20
+
+    def test_lone_series_table_stays_small(self):
+        # A lone series reads one column of its (orders × m) monomial table;
+        # 64 orders of it held 99 MiB here, at m = k - a = 2e5.
+        M = 0.05 * M2
+        got, peak = traced_peak(lambda: ml_eval(M, 0.2, -0.3, 200_000, 0))
+        assert peak < 16 * 2**20
+        want = reference_ml(M, 0.2, -0.3, 200_000, 0, TruncationPolicy())
+        assert got.tobytes() == want.tobytes()
+
+    def test_exponential_perturbation_triangle_stays_small(self):
+        # The falling-binomial factors of a block of orders form one
+        # triangle; uncut, it held 2.4 MiB here at k = 160, r = 1, against
+        # 0.4 MiB cut to _BLOCK_CELLS.
+        rng = np.random.default_rng(0)
+        A, B = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        params = DpmlParams(1.0, 1.0, 1, 0.05 * A / np.linalg.norm(A, 1),
+                            0.05 * B / np.linalg.norm(B, 1))
+        got, peak = traced_peak(
+            lambda: special_reductions(params, 160, pattern="exponential_perturbation")
+        )
+        assert peak < 2**20
+        want = reference_exponential_perturbation(params.M, params.N, 1, 160, params.policy)
+        assert got.tobytes() == want.tobytes()
