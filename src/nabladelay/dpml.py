@@ -96,13 +96,13 @@ class TruncationPolicy:
 # row that met the stop rule inside it is summed past its stop.
 _ORDER_BLOCK = 32
 
-# Cells of one block of terms, (orders, n * n, rows), and of one gather
-# of monomial weights: long stacks take fewer orders per block, so the
-# buffers stay small.
+# Cells of one block of terms, (orders, n * n, rows), of one gather of
+# monomial weights and of one chunk of falling-binomial running products:
+# long stacks take fewer orders per block, so the buffers stay small.
 _BLOCK_CELLS = 1 << 15
 
-# Cells of the triangle one cumprod of _falling_binomials may hold, and of
-# the table of a lone series' block.
+# Cells of the table of a lone series' block, and of one chunk of the
+# monomial rows of the delayed Mittag-Leffler reduction.
 _TRIANGLE_CELLS = 1 << 20
 
 # Cells of one order of a block, rows * n * n, up to which the running
@@ -202,8 +202,8 @@ def _block_sum(policy: TruncationPolicy, rows: int, cells: int, imax: int | None
     # The block loop of the adaptive series, for `rows` series of `cells`
     # entries.  terms(i0, i, live) gives the terms of the orders i0 .. i - 1
     # of the rows `live` still running (row indices, ascending), shaped
-    # (b, cells, live.size); it may end its block early, b <= i - i0.
-    # Sums orders 0 .. imax when imax is given; else stops each row under
+    # (i - i0, cells, live.size): every order the block asks for.  Sums
+    # orders 0 .. imax when imax is given; else stops each row under
     # the policy through _StopRule, picks its running total at its stop
     # order and asks no more terms of it.  Returns the values, shaped
     # (rows, cells).  Blocks take _block_orders orders, a lone row's table
@@ -216,8 +216,8 @@ def _block_sum(policy: TruncationPolicy, rows: int, cells: int, imax: int | None
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while i <= last:
-            block = terms(i, min(i + _block_orders(live.size, cells, width), last + 1), live)
-            i0, i = i, i + len(block)
+            i0, i = i, min(i + _block_orders(live.size, cells, width), last + 1)
+            block = terms(i0, i, live)
             if imax is not None:
                 total = _running_totals(block, total)[-1]
                 continue
@@ -731,25 +731,31 @@ def _piecewise_branch(n: int, r: int, k: int) -> np.ndarray | None:
     return None
 
 
-def _falling_binomials(x: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    # C(x, orders) entrywise with real upper arguments, for arrays of one
-    # shape: the products (x - t) / (t + 1) for t = 0 .. orders - 1,
-    # multiplied in that order.  Columns past an entry's order hold 1,
-    # which leaves the product exact; entries go in blocks so the triangle
-    # stays within _TRIANGLE_CELLS.  The result is contiguous: tensordot
-    # takes another BLAS path on a strided view, and its sums can differ
-    # in the last bit.
-    shape, x, orders = x.shape, x.ravel(), orders.ravel()
-    t = np.arange(max(1, int(orders.max())))
-    out = np.empty(x.size)
-    step = max(1, _TRIANGLE_CELLS // t.size)
-    for lo in range(0, x.size, step):
-        rows = slice(lo, lo + step)
-        factors = x[rows, None] - t
-        factors /= t + 1
-        np.copyto(factors, 1.0, where=t >= orders[rows, None])
-        out[rows] = np.cumprod(factors, axis=1, out=factors)[:, -1]
-    return out.reshape(shape)
+def _falling_binomials(uppers: np.ndarray, index: np.ndarray, first: int) -> np.ndarray:
+    # C(uppers[index[a, b]], first + a) for a 2-D array index, whose line a
+    # holds entries of order first + a.  The running products of the
+    # factors (u - t) / (t + 1), t = 0, 1, ..., multiplied in that order,
+    # are built once for each distinct upper argument u, and every entry is
+    # read off the products of its argument.  They form a table with one
+    # column per argument and one line per order, built in chunks of about
+    # _BLOCK_CELLS cells: each chunk starts from the last line of the one
+    # before, and the lines of index whose orders it holds are read from
+    # it as it is built.
+    top = first + len(index) - 1
+    step = max(1, _BLOCK_CELLS // uppers.size)
+    t = np.arange(top + 1.0)[:, None]  # the t and t + 1, as floats: no casts
+    table = np.empty((min(step, top) + 1, uppers.size))
+    table[-1] = 1.0  # the order-0 line, carried into the first chunk
+    out = np.empty(index.shape)
+    for t0 in range(0, max(top, 1), step):
+        chunk = table[: min(step, top - t0) + 1]
+        chunk[0] = table[-1]  # the last line of the chunk before
+        np.subtract(uppers, t[t0 : t0 + len(chunk) - 1], out=chunk[1:])
+        chunk[1:] /= t[t0 + 1 : t0 + len(chunk)]
+        np.multiply.accumulate(chunk, out=chunk)
+        lo, hi = max(t0 - first, 0), max(t0 + len(chunk) - first, 0)
+        out[lo:hi] = chunk[np.arange(first + lo - t0, first + hi - t0)[:, None], index[lo:hi]]
+    return out
 
 
 def _delay_block_sum(N: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -767,18 +773,15 @@ def _delay_block_sum(N: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _reduce_delayed_exponential(N: np.ndarray, r: int, k: int) -> np.ndarray:
-    # Classical delayed discrete exponential with lag h = r - 1.  The block
-    # cutoff i <= p is essential: beyond it the falling binomial no longer
-    # matches the vanishing grid monomial.
-    i = np.arange(_blocks(r, k) + 1)
-    if r == 1:
-        # Every block has the upper argument k, so the running products of
-        # one row of factors (k - t) / (t + 1) are every C(k, i).
-        t = i[:-1]
-        weights = np.concatenate(([1.0], np.cumprod((float(k) - t) / (t + 1))))
-    else:
-        weights = _falling_binomials((k - (i - 1) * (r - 1)).astype(float), i)
-    return _delay_block_sum(N, weights)
+    # Classical delayed discrete exponential with lag h = r - 1: block i
+    # weighs N**i by C(k - (i - 1)(r - 1), i).  The block cutoff i <= p is
+    # essential: beyond it the falling binomial no longer matches the
+    # vanishing grid monomial.  index maps each block to its upper
+    # argument: at r = 1 every block has the argument k, so one row of
+    # running products serves them all.
+    index = np.arange(_blocks(r, k) + 1)[:, None] * (r > 1)
+    uppers = (k + r - 1.0) - (r - 1) * index[: index[-1, 0] + 1, 0]
+    return _delay_block_sum(N, _falling_binomials(uppers, index, 0)[:, 0])
 
 
 def _reduce_factored_exponential(
@@ -801,16 +804,19 @@ def _reduce_exponential_perturbation(
     qrows = _word_sum_rows(M, N, min(p, policy.i_max))  # transposed
 
     def terms(i0: int, i: int, live: np.ndarray) -> np.ndarray:
-        # The weights of a block are one triangle of falling-binomial
-        # factors, (orders, delay blocks, factors); the block ends before
-        # the order o that would take it past _BLOCK_CELLS cells.
-        o = np.arange(i0, i)
-        fits = (o - i0 + 1) * (np.minimum(o, p) + 1) * np.maximum(o, 1) <= _BLOCK_CELLS
-        orders = o[: max(1, int(fits.sum()))][:, None]
-        x = (k + orders - 1.0) - (np.arange(min(orders[-1, 0], p) + 1) - 1) * r
-        weights = _falling_binomials(x, np.broadcast_to(orders, x.shape))
-        return np.array([np.tensordot(w[: len(q)], q, axes=(0, 0))
-                         for w, q in zip(weights, qrows)])[:, :, None]
+        # Order o weighs delay block j by C(X, o), X = k - 1 + r + (o - j r):
+        # the orders and delay blocks of a block read one row of running
+        # products for each d = o - j r from i0 - jmax r to i - 1, jmax the
+        # last live delay block.  index holds d - (i0 - jmax r), so its
+        # first entry is jmax r.  Each weight row is contiguous: a strided
+        # one sends the product down another BLAS path, whose sums can
+        # differ in the last bit.
+        index = np.arange(i - i0)[:, None] + r * np.arange(min(i - 1, p), -1, -1)
+        weights = _falling_binomials((k - 1.0 + r) + np.arange(i0 - index[0, 0], i), index, i0)
+        block = np.empty((i - i0, M.size))
+        for w, q, out in zip(weights, qrows, block):
+            np.dot(w[: len(q)], q, out=out)
+        return block[:, :, None]
 
     return _block_sum(policy, 1, M.size, None, terms).reshape(M.shape).T.copy()
 

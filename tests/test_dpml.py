@@ -906,12 +906,13 @@ class TestOneRowDrivers:
                 )
                 assert_same_outcome(got, want)
                 seen.update(text for text in STOP_MESSAGES if text in str(want))
-        # Long horizons at r = 1 give up to k + 1 weights per order; there a
-        # strided weight vector sends tensordot down another BLAS path.
-        for scale, k in itertools.product((0.05, 0.1, 0.3), (20, 40, 80, 120, 160)):
-            params = DpmlParams(1.0, 1.0, 1, scale * np.array(M2), scale * np.array(N2), policy)
+        # Long horizons give up to p + 1 weights per order; there a strided
+        # weight vector sends the product down another BLAS path.
+        long_horizons = [(1, 20), (1, 40), (1, 80), (1, 120), (1, 160), (3, 120), (5, 160)]
+        for scale, (r, k) in itertools.product((0.05, 0.1, 0.3), long_horizons):
+            params = DpmlParams(1.0, 1.0, r, scale * np.array(M2), scale * np.array(N2), policy)
             want = outcome(
-                lambda: reference_exponential_perturbation(params.M, params.N, 1, k, policy)
+                lambda: reference_exponential_perturbation(params.M, params.N, r, k, policy)
             )
             got = outcome(
                 lambda: special_reductions(params, k, pattern="exponential_perturbation")
@@ -922,10 +923,11 @@ class TestOneRowDrivers:
 
     @pytest.mark.parametrize("cells", [None, 1, 7, 100])
     def test_falling_binomial_weights_match_scalar_rule(self, cells, monkeypatch):
-        # The triangle of falling-binomial factors is cut into row blocks of
-        # at most `cells` cells; every cut gives the scalar rule's products.
+        # The running products of the falling binomials are built in chunks
+        # of at most `cells` cells; every cut gives the scalar rule's products.
         if cells is not None:
             monkeypatch.setattr(dpml, "_TRIANGLE_CELLS", cells)
+            monkeypatch.setattr(dpml, "_BLOCK_CELLS", cells)
         N = 0.3 * np.array(N2)
         for r, k in itertools.product((1, 2, 4), (0, 1, 5, 30, 90)):
             params = DpmlParams(1.0, 1.0, r, np.zeros((2, 2)), N)
@@ -943,8 +945,24 @@ class TestOneRowDrivers:
             orders = np.broadcast_to(np.arange(5, 17)[:, None], (12, 6))
             x = (k + orders - 1.0) - (np.arange(6) - 1) * r + shift
             want = np.vectorize(falling_binomial)(x, orders)
-            got = dpml._falling_binomials(x, orders)
+            got = dpml._falling_binomials(x.ravel(), np.arange(x.size).reshape(x.shape), 5)
             assert got.shape == x.shape and got.tobytes() == want.tobytes()
+        # Upper arguments shared across the lines and columns of the array, as
+        # in a block of the reduction, from order 0 on, negative and
+        # non-integer: a chunk can end inside the entries of one argument.
+        for r, first, shift in itertools.product((1, 2, 3), (0, 1, 6), (-30.5, -2.0, 0.25, 9.0)):
+            orders = np.arange(first, first + 12)
+            low = first - 5 * r
+            index = (orders - low)[:, None] - r * np.arange(6)
+            uppers = shift + np.arange(low, first + 12)
+            want = np.vectorize(falling_binomial)(uppers[index], orders[:, None])
+            got = dpml._falling_binomials(uppers, index, first)
+            assert got.shape == index.shape and got.tobytes() == want.tobytes()
+        for upper, first in itertools.product((-3.0, -0.75, 2.5, 7.0, 40.0), (0, 3)):
+            index = np.zeros((12, 6), dtype=int)
+            want = np.vectorize(falling_binomial)(upper, np.arange(first, first + 12)[:, None])
+            got = dpml._falling_binomials(np.array([upper]), index, first)
+            assert got.tobytes() == np.broadcast_to(want, index.shape).tobytes()
 
 
 class TestSpecialReductions:
@@ -1497,16 +1515,18 @@ class TestSeriesMemory:
         assert got.tobytes() == want.tobytes()
 
     def test_exponential_perturbation_triangle_stays_small(self):
-        # The falling-binomial factors of a block of orders form one
-        # triangle; uncut, it held 2.4 MiB here at k = 160, r = 1, against
-        # 0.4 MiB cut to _BLOCK_CELLS.
+        # The weights of a block of orders are read off running products
+        # built in chunks of _BLOCK_CELLS cells.  Unchunked, the table of one
+        # block held 1.9 and 2.6 MiB at (r, k) = (3, 600) and (5, 800) with
+        # the point-query benchmark's 1-norms 0.3.
         rng = np.random.default_rng(0)
         A, B = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        params = DpmlParams(1.0, 1.0, 1, 0.05 * A / np.linalg.norm(A, 1),
-                            0.05 * B / np.linalg.norm(B, 1))
-        got, peak = traced_peak(
-            lambda: special_reductions(params, 160, pattern="exponential_perturbation")
-        )
-        assert peak < 2**20
-        want = reference_exponential_perturbation(params.M, params.N, 1, 160, params.policy)
-        assert got.tobytes() == want.tobytes()
+        for norm, r, k in ((0.05, 1, 160), (0.3, 3, 600), (0.3, 5, 800)):
+            params = DpmlParams(1.0, 1.0, r, norm * A / np.linalg.norm(A, 1),
+                                norm * B / np.linalg.norm(B, 1))
+            got, peak = traced_peak(
+                lambda: special_reductions(params, k, pattern="exponential_perturbation")
+            )
+            assert peak < 2**20
+            want = reference_exponential_perturbation(params.M, params.N, r, k, params.policy)
+            assert got.tobytes() == want.tobytes()

@@ -516,6 +516,24 @@ class TestClosedFormSolve:
         gap = float(np.max(np.abs(closed.values.values - oracle.values.values)))
         assert gap <= 1e-8
 
+    @pytest.mark.parametrize("seed", [0, 3, 9])
+    def test_matches_oracle_pointwise_on_growing_solutions(self, seed):
+        # The cancellation probe system of ROADMAP.md on the seeds where the
+        # series is accurate: |z| grows to 1e10 .. 1e20, and every point must
+        # match the oracle to 1e-10 of its own size, not of the largest.  A
+        # whole-trajectory FFT convolution scaled by powers of two misses
+        # this at early points by 1e-6 to 2e5 relative.
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(2, 2))
+        M *= 0.3 / np.linalg.norm(M, 1)
+        N = rng.normal(size=(2, 2))
+        N *= 0.3 / np.linalg.norm(N, 1)
+        system = DelaySystem(0.6, 2, M, N, rng.normal(size=(2, 2)), horizon=400)
+        closed = closed_form_solve(system).values.values
+        oracle = step_solve(system).values.values
+        gap = np.abs(closed - oracle).max(axis=1)
+        assert np.all(gap <= 1e-10 * np.abs(oracle).max(axis=1))
+
     def test_superposition(self):
         rng = np.random.default_rng(23)
         phi = rng.normal(size=(2, 2))
