@@ -29,6 +29,7 @@ and files are written atomically (temp file then rename).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -45,9 +46,9 @@ from .dpml import (
     DpmlFunction,
     DpmlParams,
     TruncationPolicy,
-    _ml_series,
-    _piecewise_branch,
-    _word_sum_table,
+    WordSumTable,
+    ml_eval,
+    ml_partial_sum,
 )
 from .grid_calculus import GridSeries
 from .solver import DelaySystem, SingularityError, _SteppingOverflow, verify
@@ -209,12 +210,8 @@ def _parse_truncation(doc) -> TruncationPolicy:
     if not isinstance(doc, dict):
         raise ConfigError("truncation", "expected an object")
     kwargs = {}
-    fields = {
-        "tol": _as_number,
-        "window": _as_int,
-        "i_max": _as_int,
-        "divergence_growth": _as_int,
-    }
+    fields = {f.name: _as_int if isinstance(f.default, int) else _as_number
+              for f in dataclasses.fields(TruncationPolicy)}
     for key, value in doc.items():
         if key not in fields:
             raise ConfigError(f"truncation.{key}", "unknown field")
@@ -327,9 +324,10 @@ def cmd_qtable(args) -> int:
             f"shape {N.shape[0]}x{N.shape[1]} does not match {args.m} "
             f"({M.shape[0]}x{M.shape[0]})",
         )
+    table = WordSumTable(M, N)
     blocks = []
-    for i, row in enumerate(_word_sum_table(M, N, args.imax), start=1):
-        for j, entry in enumerate(row):
+    for i in range(1, args.imax + 1):
+        for j, entry in enumerate(table.row(i)):
             body = "\n".join(
                 "  [" + ", ".join(repr(float(x)) for x in row) + "]" for row in entry
             )
@@ -361,18 +359,17 @@ def cmd_figure(args) -> int:
 
     def table(imax: int | None) -> list:
         # Adaptive sums when imax is None, else fixed partial sums through
-        # imax.  Column E is the one-matrix case (m, 0).
+        # imax.  Column E is the one-matrix case (m, 0): the one-matrix
+        # series based at -r, but 1 at k = -r, the DPML identity there
+        # (the series' own base-point value is 0 for beta != 1).
         D, F = (
             fn.stack(-r, kmax)[:, 0, 0] if imax is None
             else [fn.partial_sum(k, imax)[0, 0] for k in points]
             for fn in pairs
         )
-        E = []
-        for k in points:
-            value = _piecewise_branch(1, r, k)
-            if value is None:
-                value = _ml_series([[args.m]], args.alpha, args.beta - 1.0, k, -r, imax, None)
-            E.append(value[0, 0])
+        m, c = [[args.m]], args.beta - 1.0
+        E = [1.0] + [(ml_eval(m, args.alpha, c, k, -r) if imax is None
+                      else ml_partial_sum(m, args.alpha, c, k, -r, imax))[0, 0] for k in points[1:]]
         return np.column_stack((D, E, F)).tolist()
 
     comment = None

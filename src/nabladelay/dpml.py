@@ -368,19 +368,6 @@ def _commuting_word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
             npows = np.concatenate((npows, (Nt @ npows[-1])[None]))
 
 
-def _word_sum_table(M: np.ndarray, N: np.ndarray, count: int):
-    """Yield rows i = 1 .. count of the word-sum table: the stacks of Q(i, j), j < i.
-
-    Read from :func:`_word_sum_rows` and transposed back into fresh
-    arrays.  Adding 0.0 gives +0.0 where the 1 × 1 products of n = 1 keep
-    a -0.0 that a matrix product sums to +0.0, so the table holds the
-    values of the recursion taken one matrix product at a time.
-    """
-    n = M.shape[0]
-    for _, row in zip(range(count), _word_sum_rows(M, N, count - 1)):
-        yield row.reshape(-1, n, n).transpose(0, 2, 1) + 0.0
-
-
 class WordSumTable:
     """Memoized word sums Q(i, j) for one matrix pair (M, N).
 
@@ -410,8 +397,14 @@ class WordSumTable:
             raise ValueError("word length index must be >= 0")
         rows = self._rows
         if i >= len(rows):
+            count, n = max(i, 2 * (len(rows) - 1)), self.dim
             rows = rows[:1]
-            for row in _word_sum_table(self.M, self.N, max(i, 2 * (len(self._rows) - 1))):
+            # Rows i = 1 .. count, transposed back into fresh arrays.  Adding
+            # 0.0 gives +0.0 where the 1 x 1 products of n = 1 keep a -0.0
+            # that a matrix product sums to +0.0, so the table holds the
+            # values of the recursion taken one matrix product at a time.
+            for _, q in zip(range(count), _word_sum_rows(self.M, self.N, count - 1)):
+                row = q.reshape(-1, n, n).transpose(0, 2, 1) + 0.0
                 row.setflags(write=False)
                 rows.append(row)
             self._rows = rows
@@ -429,18 +422,11 @@ class WordSumTable:
 def word_sum(M, N, i: int, j: int) -> np.ndarray:
     """Sum of all ordered length-(i-1) products of {M, N} with j factors N.
 
-    Runs the word-sum recursion up to row ``i``; build a
+    A fresh, writable copy of ``WordSumTable(M, N).value(i, j)``; build a
     :class:`WordSumTable` when many indices are needed for the same
     matrix pair.
     """
-    M, N = _as_square_pair(M, N)
-    if i < 0 or j < -1:
-        raise ValueError("word sum indices must satisfy i >= 0, j >= -1")
-    if i == 0 or j < 0 or j > i - 1:
-        return np.zeros_like(M)
-    for row in _word_sum_table(M, N, i):
-        pass
-    return row[j]
+    return WordSumTable(M, N).value(i, j).copy()
 
 
 def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
@@ -720,17 +706,6 @@ REDUCTION_PATTERNS = (
 )
 
 
-def _piecewise_branch(n: int, r: int, k: int) -> np.ndarray | None:
-    # The DPML value convention left of the series range, shared by every
-    # closed form: zero for k <= -r - 1, the identity at k = -r, and None
-    # where the series applies.
-    if k <= -r - 1:
-        return np.zeros((n, n))
-    if k == -r:
-        return np.eye(n)
-    return None
-
-
 def _falling_binomials(uppers: np.ndarray, index: np.ndarray, first: int) -> np.ndarray:
     # C(uppers[index[a, b]], first + a) for a 2-D array index, whose line a
     # holds entries of order first + a.  The running products of the
@@ -900,9 +875,11 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
             f"(alpha={params.alpha}, beta={params.beta}, M zero: {m_zero}, "
             f"N zero: {n_zero}, commuting: {commuting})"
         )
-    value = _piecewise_branch(params.dim, params.r, k)
-    if value is not None:
-        return value
+    # The DPML value convention left of the series range.
+    if k <= -params.r - 1:
+        return np.zeros((params.dim, params.dim))
+    if k == -params.r:
+        return np.eye(params.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         if pattern == "delayed_exponential":
             value = _reduce_delayed_exponential(N, params.r, k)

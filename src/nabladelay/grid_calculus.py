@@ -16,6 +16,8 @@ interval), with the single exception ``mu = 0, k = a`` where it equals 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -164,10 +166,11 @@ def nabla_sum(alpha: float, a: int, z: GridSeries, k: int) -> np.ndarray:
 
     Evaluates ``sum_{s=a+1}^{k} monomial(alpha - 1, k, s - 1) z(s)``; for
     ``k <= a`` the sum is empty and the zero vector is returned.  ``z``
-    must be stored at least on ``[a + 1, k]``.
+    must be stored at least on ``[a + 1, k]``.  ``alpha`` must be positive
+    and finite (:class:`ValueError` otherwise).
     """
-    if alpha <= 0:
-        raise ValueError(f"fractional sum order must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"fractional sum order must be positive and finite, got {alpha}")
     if k <= a:
         return np.zeros(z.dim)
     return _kernel_sum(alpha - 1.0, a, z, k)

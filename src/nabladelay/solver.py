@@ -116,11 +116,8 @@ class DelaySystem:
                 f"forcing must cover [1, {self.horizon}], got "
                 f"[{self.forcing.base}, {self.forcing.end}]"
             )
-        for name, arr in (("M", self.M), ("N", self.N)):
-            if arr.shape[0] != self.phi.dim:
-                raise ValueError(
-                    f"{name} has dimension {arr.shape[0]} but phi has {self.phi.dim}"
-                )
+        if self.M.shape[0] != self.phi.dim:  # N has M's shape
+            raise ValueError(f"M has dimension {self.M.shape[0]} but phi has {self.phi.dim}")
         if self.forcing is not None and self.forcing.dim != self.phi.dim:
             raise ValueError(
                 f"forcing has dimension {self.forcing.dim} but phi has {self.phi.dim}"
@@ -362,10 +359,13 @@ def _closed_trajectory(system: DelaySystem, kmax: int, commutative: bool = False
     return z
 
 
-def _contract(phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # sum_j phi[j] @ g[-1 - j]: DPML values from the lowest grid point up
-    # against their weights from the latest point down.
-    return np.tensordot(phi, g[::-1], axes=([0, 2], [0, 1]))
+def _dpml_sum(system: DelaySystem, k: int, s0: int, s1: int, rows) -> np.ndarray:
+    # sum_{s = s0}^{s1} Phi(k - r - s + 1) g(s), with g(s0) .. g(s1) the
+    # rows that rows() returns, read once the DPML values are in: the
+    # values from the lowest grid point up against g from the latest down.
+    r = system.delay
+    phi = _dpml(system).stack(k - r - s1 + 1, k - r - s0 + 1)
+    return np.tensordot(phi, rows()[::-1], axes=([0, 2], [0, 1]))
 
 
 def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
@@ -379,9 +379,8 @@ def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
     r = system.delay
     if k < 1 - r:
         return np.zeros(system.dim)
-    lo = max(1 - r, k + 1 - r)
-    w = _history_weights(system)[: k - lo + 1]
-    return _contract(_dpml(system).stack(lo, k), w)
+    w = _history_weights(system)[: min(k, 0) + r]
+    return _dpml_sum(system, k, 1 - r, min(k, 0), lambda: w)
 
 
 def forced_part(system: DelaySystem, k: int) -> np.ndarray:
@@ -393,8 +392,7 @@ def forced_part(system: DelaySystem, k: int) -> np.ndarray:
     """
     if k < 1:
         return np.zeros(system.dim)
-    r = system.delay
-    return _contract(_dpml(system).stack(1 - r, k - r), _forcing_rows(system, k))
+    return _dpml_sum(system, k, 1, k, lambda: _forcing_rows(system, k))
 
 
 def _closed_trace(system: DelaySystem, commutative: bool, base: int, method: str) -> SolutionTrace:

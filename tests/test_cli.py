@@ -7,6 +7,8 @@ or linear-algebra failure, 2 config or usage error, 3 series divergence or
 stepping overflow.
 """
 
+import ast
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -23,7 +25,16 @@ import numpy as np
 import pytest
 
 import nabladelay
-from nabladelay import DpmlFunction, DpmlParams, closed_form_solve, ml_eval, ml_partial_sum
+from nabladelay import (
+    DpmlFunction,
+    DpmlParams,
+    TruncationPolicy,
+    WordSumTable,
+    closed_form_solve,
+    ml_eval,
+    ml_partial_sum,
+)
+from nabladelay import cli
 from nabladelay.cli import ConfigError, load_config, main, parse_config
 from nabladelay.dpml import DivergenceError
 
@@ -214,6 +225,13 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, phi=[[1.0]])
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "phi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TruncationPolicy)])
+    def test_every_truncation_field_lands_in_the_policy(self, field):
+        value = 2 * getattr(TruncationPolicy(), field)
+        system = parse_config(base_config(truncation={field: value}))
+        assert system.policy == dataclasses.replace(TruncationPolicy(), **{field: value})
+        assert type(getattr(system.policy, field)) is type(value)
 
     def test_unknown_truncation_field_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, truncation={"max_terms": 10})
@@ -529,6 +547,20 @@ class TestQtableCommand:
         out = capsys.readouterr().out.encode()
         assert len(out) == 16035 and hashlib.sha256(out).hexdigest() == self.M3_SHA256
 
+    def test_output_is_the_repr_of_the_table_rows(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        M, N = 0.4 * rng.normal(size=(3, 3)), 0.4 * rng.normal(size=(3, 3))
+        m_path = self.write_matrix(tmp_path, "m.json", M.tolist())
+        n_path = self.write_matrix(tmp_path, "n.json", N.tolist())
+        assert main(["qtable", "--m", m_path, "--n", n_path, "--imax", "7"]) == 0
+        table = WordSumTable(M, N)
+        want = "\n\n".join(
+            f"Q({i},{j}) =\n" + "\n".join("  [" + ", ".join(map(repr, line)) + "]"
+                                         for line in entry.tolist())
+            for i in range(1, 8) for j, entry in enumerate(table.row(i))
+        )
+        assert capsys.readouterr().out == want + "\n"
+
     def test_imax_above_cap_rejected(self, tmp_path, capsys):
         m_path = self.write_matrix(tmp_path, "m.json", M2)
         n_path = self.write_matrix(tmp_path, "n.json", N2)
@@ -619,6 +651,16 @@ class TestFigureCommand:
         ]
         assert main(args) == 2
         assert "alpha" in capsys.readouterr().err
+
+
+def test_cli_imports_no_private_dpml_name():
+    # qtable and figure read the public word-sum table and one-matrix series.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("dpml")
+             for alias in node.names]
+    assert "WordSumTable" in names
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def reference_csv(rows, header, comment=None):

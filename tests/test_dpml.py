@@ -148,6 +148,15 @@ class TestWordSum:
         np.testing.assert_array_equal(word_sum(M2, N2, 2, -1), np.zeros((2, 2)))
         np.testing.assert_array_equal(word_sum(M2, N2, 0, 0), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (3, 1), (6, 0), (6, 5), (2, 5), (4, -1)])
+    def test_is_a_fresh_writable_copy_of_the_table_value(self, i, j):
+        want = WordSumTable(M2, N2).value(i, j)
+        got = word_sum(M2, N2, i, j)
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        got[...] = 99.0
+        assert word_sum(M2, N2, i, j).tobytes() == want.tobytes()
+
     def test_rejects_indices_below_domain(self):
         with pytest.raises(ValueError):
             word_sum(M2, N2, -1, 0)

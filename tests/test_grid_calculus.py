@@ -10,6 +10,7 @@ Core claims:
   difference rule for parameter-dependent sums.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -129,6 +130,13 @@ class TestNablaSum:
         z = GridSeries.constant(1, 5, [1.0])
         with pytest.raises(ValueError):
             nabla_sum(0.0, 0, z, 3)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_rejects_non_finite_order(self, alpha, k):
+        z = GridSeries.constant(1, 5, [1.0])
+        with pytest.raises(ValueError, match=rf"^fractional sum order .* got {alpha}$"):
+            nabla_sum(alpha, 0, z, k)
 
     def test_range_error_when_grid_too_short(self):
         z = GridSeries.constant(1, 3, [1.0])
