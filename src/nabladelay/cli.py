@@ -149,37 +149,27 @@ def parse_config(doc) -> DelaySystem:
     if not isinstance(doc, dict):
         raise ConfigError("", "config root must be a JSON object")
     alpha = _as_number(_require(doc, "alpha"), "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha", f"must lie in (0, 1), got {alpha}")
     delay = _as_int(_require(doc, "delay"), "delay")
-    if delay < 1:
-        raise ConfigError("delay", f"must be >= 1, got {delay}")
+    # Constant forcing is tiled to the horizon before the system checks it.
     horizon = _as_int(_require(doc, "horizon"), "horizon")
     if horizon < 1:
         raise ConfigError("horizon", f"must be >= 1, got {horizon}")
     M = _as_matrix(_require(doc, "M"), "M")
-    if M.shape[0] != M.shape[1]:
-        raise ConfigError("M", f"must be square, got shape {M.shape[0]}x{M.shape[1]}")
     N = _as_matrix(_require(doc, "N"), "N")
-    if N.shape != M.shape:
-        raise ConfigError(
-            "N", f"shape {N.shape[0]}x{N.shape[1]} does not match M ({M.shape[0]}x{M.shape[0]})"
-        )
     dim = M.shape[0]
-    phi_doc = _require(doc, "phi")
-    if not isinstance(phi_doc, list) or len(phi_doc) != delay:
-        raise ConfigError(
-            "phi", f"expected {delay} vectors ordered k = {1 - delay} .. 0"
-        )
-    phi = GridSeries(1 - delay, _as_vectors(phi_doc, dim, "phi"))
+    phi = _require(doc, "phi")
+    if not isinstance(phi, list) or not phi:
+        raise ConfigError("phi", "expected a nonempty list of vectors ordered k = 1 - delay .. 0")
+    phi = _as_vectors(phi, dim, "phi")
     forcing = _parse_forcing(doc.get("forcing"), dim, horizon)
     policy = _parse_truncation(doc.get("truncation"))
     try:
+        # The library's range and shape rules, its messages naming the field.
         return DelaySystem(
             alpha=alpha, delay=delay, M=M, N=N, phi=phi,
             forcing=forcing, horizon=horizon, policy=policy,
         )
-    except ValueError as exc:  # safety net; field checks above should catch first
+    except ValueError as exc:
         raise ConfigError("", str(exc)) from exc
 
 
@@ -238,10 +228,7 @@ def load_config(path: str) -> DelaySystem:
 
 
 def _load_matrix_file(path: str) -> np.ndarray:
-    matrix = _as_matrix(_read_json(path, "matrix", path), path)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise ConfigError(path, f"must be square, got shape {matrix.shape[0]}x{matrix.shape[1]}")
-    return matrix
+    return _as_matrix(_read_json(path, "matrix", path), path)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -318,13 +305,10 @@ def cmd_qtable(args) -> int:
         raise ConfigError("imax", f"must lie in [1, 12], got {args.imax}")
     M = _load_matrix_file(args.m)
     N = _load_matrix_file(args.n)
-    if M.shape != N.shape:
-        raise ConfigError(
-            args.n,
-            f"shape {N.shape[0]}x{N.shape[1]} does not match {args.m} "
-            f"({M.shape[0]}x{M.shape[0]})",
-        )
-    table = WordSumTable(M, N)
+    try:
+        table = WordSumTable(M, N)
+    except ValueError as exc:
+        raise ConfigError("", str(exc)) from exc
     blocks = []
     for i in range(1, args.imax + 1):
         for j, entry in enumerate(table.row(i)):
@@ -340,10 +324,6 @@ def cmd_figure(args) -> int:
     for flag in ("alpha", "beta", "m", "n"):
         _as_number(getattr(args, flag), flag)
     r, kmax = args.delay, args.kmax
-    if r < 1:
-        raise ConfigError("delay", f"must be >= 1, got {r}")
-    if kmax < -r:
-        raise ConfigError("kmax", f"must be >= {-r}, got {kmax}")
     if args.imax < 0:
         raise ConfigError("imax", f"must be >= 0, got {args.imax}")
     try:
@@ -354,7 +334,9 @@ def cmd_figure(args) -> int:
             for m in (args.m, 0.0)
         ]
     except ValueError as exc:
-        raise ConfigError("alpha", str(exc)) from exc
+        raise ConfigError("", str(exc)) from exc
+    if kmax < -r:
+        raise ConfigError("kmax", f"must be >= {-r}, got {kmax}")
     points = range(-r, kmax + 1)
 
     def table(imax: int | None) -> list:

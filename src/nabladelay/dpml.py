@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -275,7 +276,7 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
 def _as_square(A, name: str) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(A, dtype=float))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
     _require_finite(name, arr)
     return arr
 
@@ -283,8 +284,23 @@ def _as_square(A, name: str) -> np.ndarray:
 def _as_square_pair(M, N) -> tuple[np.ndarray, np.ndarray]:
     M, N = _as_square(M, "M"), _as_square(N, "N")
     if M.shape != N.shape:
-        raise ValueError(f"matrix dimensions differ: {M.shape} vs {N.shape}")
+        raise ValueError(f"N has shape {N.shape}, which does not match M's square shape {M.shape}")
     return M, N
+
+
+def _warn_convergence(norm: float) -> None:
+    # The series' convergence warning, for a coefficient 1-norm sum >= 1,
+    # blamed on the first frame outside this package: the caller's line,
+    # however deep in the package the series was reached.
+    prefix = __name__.rpartition(".")[0] + "."
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(prefix):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(
+        f"sum of coefficient 1-norms is {norm:.6g} >= 1; series convergence is not guaranteed",
+        RuntimeWarning,
+        stacklevel=level,
+    )
 
 
 def _commutation(M: np.ndarray, N: np.ndarray) -> tuple[bool, float, float]:
@@ -422,6 +438,10 @@ class WordSumTable:
 def word_sum(M, N, i: int, j: int) -> np.ndarray:
     """Sum of all ordered length-(i-1) products of {M, N} with j factors N.
 
+    This is Q(i, j), words of length i - 1: the index is one past the word
+    length, as in :class:`WordSumTable`.  :func:`word_sum_commutative`
+    counts from the word length instead, so
+    ``word_sum_commutative(M, N, i, j)`` equals ``word_sum(M, N, i + 1, j)``.
     A fresh, writable copy of ``WordSumTable(M, N).value(i, j)``; build a
     :class:`WordSumTable` when many indices are needed for the same
     matrix pair.
@@ -433,7 +453,10 @@ def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
     """Closed form of the word sum for a commuting pair.
 
     When MN = NM all words with the same factor counts coincide, so the
-    sum collapses to ``C(i, j) M**(i-j) N**j`` (value of Q(i + 1, j)).
+    sum of the words of length ``i`` with ``j`` factors N collapses to
+    ``C(i, j) M**(i-j) N**j``.  That is Q(i + 1, j): the index is the word
+    length, one less than :func:`word_sum`'s, so the value equals
+    ``word_sum(M, N, i + 1, j)``, not ``word_sum(M, N, i, j)``.
     Commutativity is checked to 1e-12 relative to the entry scale and a
     :class:`CommutativityError` is raised on failure.
     """
@@ -507,16 +530,9 @@ class DpmlFunction:
         self.commutative = commutative
         if commutative:
             _require_commuting(params.M, params.N)
-        norm_sum = float(
-            np.linalg.norm(params.M, 1) + np.linalg.norm(params.N, 1)
-        )
+        norm_sum = float(np.linalg.norm(params.M, 1) + np.linalg.norm(params.N, 1))
         if norm_sum >= 1.0:
-            warnings.warn(
-                f"sum of coefficient 1-norms is {norm_sum:.6g} >= 1; "
-                "series convergence is not guaranteed",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            _warn_convergence(norm_sum)
 
     # -- monomial table ------------------------------------------------
 
@@ -671,12 +687,8 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
             return power
         return np.zeros_like(M)
     pol = policy if policy is not None else TruncationPolicy()
-    if imax is None and float(np.linalg.norm(M, 1)) >= 1.0:
-        warnings.warn(
-            "coefficient 1-norm is >= 1; series convergence is not guaranteed",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    if imax is None and (norm := float(np.linalg.norm(M, 1))) >= 1.0:
+        _warn_convergence(norm)
     n = M.shape[0]
     # M**i .. M**(i + b) of the block at order i.
     powers = np.empty((_block_orders(1, n * n) + 1, n, n))

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
+from .dpml import (DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy,
+                   _as_square_pair, _require_finite)
 from .grid_calculus import GridSeries, monomial_run
 
 __all__ = [
@@ -94,12 +95,7 @@ class DelaySystem:
         self.alpha = float(self.alpha)
         self.delay = int(self.delay)
         self.horizon = int(self.horizon)
-        self.M = np.atleast_2d(np.asarray(self.M, dtype=float))
-        self.N = np.atleast_2d(np.asarray(self.N, dtype=float))
-        if self.M.shape != self.N.shape or self.M.shape[0] != self.M.shape[1]:
-            raise ValueError(
-                f"M and N must be square with equal shape, got {self.M.shape} and {self.N.shape}"
-            )
+        self.M, self.N = _as_square_pair(self.M, self.N)
         if not isinstance(self.phi, GridSeries):
             self.phi = GridSeries(1 - self.delay, self.phi)
         if self.phi.base != 1 - self.delay or self.phi.end != 0:
@@ -122,11 +118,9 @@ class DelaySystem:
             raise ValueError(
                 f"forcing has dimension {self.forcing.dim} but phi has {self.phi.dim}"
             )
-        data = {"M": self.M, "N": self.N, "phi": self.phi.values}
+        _require_finite("phi", self.phi.values)
         if self.forcing is not None:
-            data["forcing"] = self.forcing.values
-        for name, arr in data.items():
-            _require_finite(name, arr)
+            _require_finite("forcing", self.forcing.values)
         if not isinstance(self.policy, TruncationPolicy):
             raise TypeError("policy must be a TruncationPolicy")
 

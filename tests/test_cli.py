@@ -283,6 +283,66 @@ class TestConfigValidation:
         assert exc.value.code == 2
 
 
+SQUARE3 = [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]]
+WIDE = [[0.1, 0.2, 0.3], [0.0, 0.1, 0.2]]
+PLANAR_PHI = [[1.0, 0.0], [0.0, 1.0]]
+
+# Configs each with one range or shape fault, and the field the message
+# must begin with.  The library's DelaySystem makes most of these checks;
+# the CLI maps its ValueError to exit 2 with the library's text.
+BAD_CONFIGS = {
+    "alpha-zero": ({"alpha": 0.0}, "alpha"),
+    "alpha-one": ({"alpha": 1.0}, "alpha"),
+    "delay-zero": ({"delay": 0}, "delay"),
+    "delay-negative": ({"delay": -2}, "delay"),
+    "horizon-zero": ({"horizon": 0}, "horizon"),
+    "M-not-square": ({"M": WIDE, "N": WIDE, "phi": PLANAR_PHI}, "M"),
+    "N-shape": ({"M": M2, "N": [[0.1]], "phi": PLANAR_PHI}, "N"),
+    "phi-short": ({"phi": [[1.0]]}, "phi"),
+    "phi-long": ({"phi": [[1.0]] * 3}, "phi"),
+    "phi-empty": ({"phi": []}, "phi"),
+    "phi-not-a-list": ({"phi": 1.0}, "phi"),
+    "forcing-short": ({"forcing": {"type": "table", "values": [[0.0]] * 7}}, "forcing.values"),
+    "constant-forcing-horizon-zero": (
+        {"horizon": 0, "forcing": {"type": "constant", "value": [1.0]}}, "horizon"),
+    "phi-narrower-than-M": ({"M": SQUARE3, "N": SQUARE3, "phi": PLANAR_PHI}, "phi[0]"),
+}
+
+
+class TestRejectedInput:
+    """Each bad input exits 2, names its field or flag first and writes nothing."""
+
+    @staticmethod
+    def assert_rejected(code, capsys, field, out=None):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {field}"), err
+        assert "Traceback" not in err
+        assert out is None or not out.exists()
+
+    @pytest.mark.parametrize("overrides, field", list(BAD_CONFIGS.values()),
+                             ids=list(BAD_CONFIGS))
+    def test_solve_config(self, tmp_path, capsys, overrides, field):
+        out = tmp_path / "o.csv"
+        code = main(["solve", "--config", write_config(tmp_path, **overrides), "--out", str(out)])
+        self.assert_rejected(code, capsys, field, out)
+
+    @pytest.mark.parametrize("m, n, field", [([[1.0, 2.0]], [[1.0, 2.0]], "M"),
+                                             (M2, [[1.0]], "N")], ids=["not-square", "mismatch"])
+    def test_qtable_matrices(self, tmp_path, capsys, m, n, field):
+        m_path = TestQtableCommand.write_matrix(tmp_path, "m.json", m)
+        n_path = TestQtableCommand.write_matrix(tmp_path, "n.json", n)
+        code = main(["qtable", "--m", m_path, "--n", n_path, "--imax", "2"])
+        self.assert_rejected(code, capsys, field)
+
+    @pytest.mark.parametrize("grid", [["--delay", "0"], ["--delay", "-3", "--kmax", "3"]])
+    def test_figure_delay(self, tmp_path, capsys, grid):
+        out = tmp_path / "figure.csv"
+        code = main(["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "0.1", "--n", "0.1",
+                     *grid, "--out", str(out)])
+        self.assert_rejected(code, capsys, "delay", out)
+
+
 # The per-entry number checks, one call per entry, that the CLI ran on every
 # table before tables were checked in one pass; the reference for the
 # messages and values the one-pass checks must reproduce.

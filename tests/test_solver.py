@@ -7,17 +7,21 @@ against the oracle on homogeneous-only, forced-only, and mixed problems,
 plus the commutative and delta-grid variants and the verification report.
 """
 
+import inspect
 import json
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from _reference import reference_solve
 
 from nabladelay import grid_calculus, solver
 from nabladelay import (
     CommutativityError,
     DelaySystem,
     DivergenceError,
+    DpmlFunction,
     DpmlParams,
     GridSeries,
     SingularityError,
@@ -577,6 +581,56 @@ class TestClosedFormSolve:
         assert trace.method == "closed"
 
 
+@pytest.fixture(scope="module")
+def probe_reference():
+    """reference_solve of a probe seed's system at 60 digits, one solve per seed."""
+    solved = {}
+
+    def solve(seed):
+        if seed not in solved:
+            s = TestClosedFormSolve.probe_system(seed)
+            solved[seed] = reference_solve(s.alpha, s.M, s.N, s.phi.values, s.horizon)
+        return solved[seed]
+
+    return solve
+
+
+def pointwise_error(got, want):
+    """Max over k of max|got(k) - want(k)| / max|want(k)|, in Decimal.
+
+    Rows of floats or Decimals; Decimal(x) of a float is exact.
+    """
+    return max(
+        max(abs(Decimal(g) - w) for g, w in zip(got_row, want_row))
+        / max(abs(w) for w in want_row)
+        for got_row, want_row in zip(got, want)
+    )
+
+
+class TestReferenceSolution:
+    """The stepping oracle against the 60-digit stepper of tests/_reference.py."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_step_solve_matches_the_reference_pointwise(self, probe_reference, seed):
+        # Measured 1.7e-15 .. 3.7e-14 over the 12 probe seeds, relative to
+        # |z(k)| at each point, where |z| spans 0.6 .. 1.6e20.
+        want = probe_reference(seed)
+        got = step_solve(TestClosedFormSolve.probe_system(seed)).values.values
+        assert len(got) == len(want) == 402
+        assert pointwise_error(got, want) <= 1e-12
+
+    def test_reference_digits_suffice(self, probe_reference):
+        # 60 and 90 digits agree to 5e-58 relative on seed 0.
+        s = TestClosedFormSolve.probe_system(0)
+        finer = reference_solve(s.alpha, s.M, s.N, s.phi.values, s.horizon, digits=90)
+        assert pointwise_error(probe_reference(0), finer) <= Decimal("1e-50")
+
+    def test_reference_solves_the_hand_worked_first_step(self):
+        # alpha = 1/2, r = 2, M = 1/5, N = 1/10, phi = 1, f = 0: z(1) = 29/32.
+        z = reference_solve(0.5, [[0.2]], [[0.1]], [[1.0], [1.0]], 1)
+        assert abs(z[2][0] - Decimal(29) / 32) < Decimal("1e-16")
+
+
 class TestCommutativeSolve:
     def test_matches_general_route_on_commuting_pair(self):
         rng = np.random.default_rng(29)
@@ -760,3 +814,42 @@ class TestCallStructure:
         np.testing.assert_array_equal(closed_form_solve(system).values.values, expected)
         assert differences == []
         assert runs == [(-1.5, 4)]
+
+
+def warning_call(entry, tmp_path):
+    """One entry point and its arguments on a pair whose 1-norms sum to 1.1."""
+    M, N = [[0.6]], [[0.5]]
+    params = DpmlParams(0.5, 0.5, 2, M, N)
+    system = DelaySystem(0.5, 2, M, N, [[1.0], [1.0]], horizon=3)
+    figure = ["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "0.6", "--n", "0.5",
+              "--delay", "2", "--kmax", "3", "--out", str(tmp_path / "figure.csv")]
+    return {
+        "DpmlFunction": (DpmlFunction, params),
+        "dpml_eval": (dpml_eval, params, 3),
+        "ml_eval": (ml_eval, [[0.0, 1.1], [0.0, 0.0]], 0.5, -0.5, 3, 0),
+        "closed_form_solve": (closed_form_solve, system),
+        "commutative_solve": (commutative_solve, system),
+        "delta_solve": (delta_solve, system),
+        "homogeneous_part": (homogeneous_part, system, 2),
+        "forced_part": (forced_part, system, 2),
+        "verify": (verify, system),
+        "figure": (main, figure),
+    }[entry]
+
+
+@pytest.mark.parametrize("entry", [
+    "DpmlFunction", "dpml_eval", "ml_eval", "closed_form_solve", "commutative_solve",
+    "delta_solve", "homogeneous_part", "forced_part", "verify", "figure",
+])
+def test_convergence_warning_points_at_the_callers_line(tmp_path, entry):
+    # However deep in the package the series is reached, the warning names
+    # the line that called into it, so a filter on the caller's module
+    # selects it.
+    call, *args = warning_call(entry, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        call(*args)
+    assert [(w.category, w.filename, w.lineno) for w in caught] == [
+        (RuntimeWarning, __file__, line)]
+    assert "sum of coefficient 1-norms is 1.1 >= 1" in str(caught[0].message)
