@@ -158,8 +158,8 @@ def parse_config(doc) -> DelaySystem:
     N = _as_matrix(_require(doc, "N"), "N")
     dim = M.shape[0]
     phi = _require(doc, "phi")
-    if not isinstance(phi, list) or not phi:
-        raise ConfigError("phi", "expected a nonempty list of vectors ordered k = 1 - delay .. 0")
+    if not isinstance(phi, list):
+        raise ConfigError("phi", "expected a list of vectors ordered k = 1 - delay .. 0")
     phi = _as_vectors(phi, dim, "phi")
     forcing = _parse_forcing(doc.get("forcing"), dim, horizon)
     policy = _parse_truncation(doc.get("truncation"))

@@ -87,8 +87,10 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if self.window < 1 or self.i_max < 1 or self.divergence_growth < 1:
-            raise ValueError("window, i_max and divergence_growth must be >= 1")
+        for name in ("window", "i_max", "divergence_growth"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
 # Orders per block of the series drivers.  Most series stop after a few
@@ -385,7 +387,7 @@ def _commuting_word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
 
 
 class WordSumTable:
-    """Memoized word sums Q(i, j) for one matrix pair (M, N).
+    """Word sums Q(i, j) for one matrix pair (M, N).
 
     ``Q(i + 1, j)`` is the sum of all ordered products of ``i`` factors
     from ``{M, N}`` containing exactly ``j`` factors ``N``.  Rows follow
@@ -393,38 +395,28 @@ class WordSumTable:
 
         Q(i + 1, j) = M Q(i, j) + N Q(i, j - 1),
 
-    seeded by Q(1, 0) = I, with Q(0, j) and Q(i, -1) zero.  A thin memo
-    over the row source the DPML series reads: rows are read from it
-    afresh, to at least twice the memo's length, into a new memo that
-    replaces the old one in one assignment.  A table may so be shared
-    across threads: racing readers may compute the same rows twice but
-    never see a wrong or missing row.
+    seeded by Q(1, 0) = I, with Q(0, j) and Q(i, -1) zero.  Each row is
+    read afresh from the row source the DPML series reads, so a table
+    holds only its matrix pair and every row is a new array.
     """
 
     def __init__(self, M, N) -> None:
         self.M, self.N = _as_square_pair(M, N)
         self.dim = self.M.shape[0]
-        # _rows[i] stacks Q(i, j) for j = 0 .. i-1; row 0 is empty.
-        self._rows = [np.zeros((0, self.dim, self.dim))]
 
     def row(self, i: int) -> np.ndarray:
-        """Read-only stack of Q(i, j) for j = 0 .. i - 1."""
+        """A fresh stack of Q(i, j) for j = 0 .. i - 1: i orders of the recursion."""
         if i < 0:
             raise ValueError("word length index must be >= 0")
-        rows = self._rows
-        if i >= len(rows):
-            count, n = max(i, 2 * (len(rows) - 1)), self.dim
-            rows = rows[:1]
-            # Rows i = 1 .. count, transposed back into fresh arrays.  Adding
-            # 0.0 gives +0.0 where the 1 x 1 products of n = 1 keep a -0.0
-            # that a matrix product sums to +0.0, so the table holds the
-            # values of the recursion taken one matrix product at a time.
-            for _, q in zip(range(count), _word_sum_rows(self.M, self.N, count - 1)):
-                row = q.reshape(-1, n, n).transpose(0, 2, 1) + 0.0
-                row.setflags(write=False)
-                rows.append(row)
-            self._rows = rows
-        return rows[i]
+        n = self.dim
+        if i == 0:
+            return np.zeros((0, n, n))
+        # Order i - 1 of the source, transposed back into a fresh array.
+        # Adding 0.0 gives +0.0 where the 1 x 1 products of n = 1 keep a
+        # -0.0 that a matrix product sums to +0.0, so the row holds the
+        # values of the recursion taken one matrix product at a time.
+        q = next(itertools.islice(_word_sum_rows(self.M, self.N, i - 1), i - 1, None))
+        return q.reshape(-1, n, n).transpose(0, 2, 1) + 0.0
 
     def value(self, i: int, j: int) -> np.ndarray:
         """Q(i, j), the zero matrix outside 0 <= j <= i - 1."""
@@ -442,9 +434,7 @@ def word_sum(M, N, i: int, j: int) -> np.ndarray:
     length, as in :class:`WordSumTable`.  :func:`word_sum_commutative`
     counts from the word length instead, so
     ``word_sum_commutative(M, N, i, j)`` equals ``word_sum(M, N, i + 1, j)``.
-    A fresh, writable copy of ``WordSumTable(M, N).value(i, j)``; build a
-    :class:`WordSumTable` when many indices are needed for the same
-    matrix pair.
+    A fresh, writable copy of ``WordSumTable(M, N).value(i, j)``.
     """
     return WordSumTable(M, N).value(i, j).copy()
 

@@ -62,6 +62,14 @@ class _SteppingOverflow(DivergenceError):
     """Raised when the stepping trajectory overflows float64; no series is involved."""
 
 
+def _on_grid(name: str, base: int, values) -> GridSeries:
+    # A plain table placed on the grid from ``base``, its error naming the field.
+    try:
+        return GridSeries(base, values)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 @dataclass
 class DelaySystem:
     """One delayed fractional difference problem instance.
@@ -97,14 +105,14 @@ class DelaySystem:
         self.horizon = int(self.horizon)
         self.M, self.N = _as_square_pair(self.M, self.N)
         if not isinstance(self.phi, GridSeries):
-            self.phi = GridSeries(1 - self.delay, self.phi)
+            self.phi = _on_grid("phi", 1 - self.delay, self.phi)
         if self.phi.base != 1 - self.delay or self.phi.end != 0:
             raise ValueError(
                 f"phi must cover exactly [{1 - self.delay}, 0], got "
                 f"[{self.phi.base}, {self.phi.end}]"
             )
         if self.forcing is not None and not isinstance(self.forcing, GridSeries):
-            self.forcing = GridSeries(1, self.forcing)
+            self.forcing = _on_grid("forcing", 1, self.forcing)
         if self.forcing is not None and (
             self.forcing.base > 1 or self.forcing.end < self.horizon
         ):

@@ -28,7 +28,6 @@ import itertools
 import math
 import pickle
 import sys
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -192,12 +191,6 @@ class TestWordSum:
                 table.value(i + 1, i), np.linalg.matrix_power(N2, i), atol=1e-14
             )
 
-    def test_memo_rows_are_read_only(self):
-        table = WordSumTable(M2, N2)
-        row = table.row(3)
-        with pytest.raises(ValueError):
-            row[0, 0, 0] = 99.0
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             WordSumTable(np.eye(2), np.eye(3))
@@ -342,13 +335,14 @@ class TestWordSumSources:
         M, N = 0.3 * rng.normal(size=(n, n)), 0.3 * rng.normal(size=(n, n))
         M[0, 0] = N[-1, 0] = -0.0
         table = WordSumTable(M, N)
+        rows = [table.row(i + 1) for i in range(self.ORDERS)]
         # Widths below, equal to and above the order i.
         for width in (0, 1, 5, 13, self.ORDERS - 1, 80):
             want = reference_word_sum_rows(M, N, width)
-            for i, got, expected in zip(range(self.ORDERS), dpml._word_sum_rows(M, N, width), want):
+            for row, got, expected in zip(rows, dpml._word_sum_rows(M, N, width), want):
                 assert got.shape == (len(expected), n * n)
                 assert untransposed(got).tobytes() == expected.tobytes()
-                assert table.row(i + 1)[: width + 1].tobytes() == expected.tobytes()
+                assert row[: width + 1].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_commutative_source_equals_sequential_powers(self, n):
@@ -367,51 +361,20 @@ class TestWordSumSources:
             for got, expected in zip(reference_commuting_rows(M, N, width), want):
                 assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("commutative", [False, True])
+    @pytest.mark.parametrize("commutative", [False, True, "table"])
     def test_evaluator_keeps_no_state_across_calls(self, commutative):
         M, N = np.diag([0.3, -0.2]), np.diag([0.2, 0.1])
-        fn = DpmlFunction(DpmlParams(0.6, 0.7, 2, M, N), commutative=commutative)
-        before, state = dict(vars(fn)), pickle.dumps(vars(fn))
-        fn.stack(-3, 30)
-        fn.value(17)
-        fn.partial_sum(9, 12)
-        assert vars(fn).keys() == before.keys() and pickle.dumps(vars(fn)) == state
-        assert all(vars(fn)[key] is value for key, value in before.items())
-
-    def test_shared_table_matches_sequential_rows(self):
-        # Rounds of eight threads growing one fresh table each, every thread
-        # reading rows 1 .. 60 in its own order.
-        M, N = 0.4 * np.array(M2), 0.4 * np.array(N2)
-        sequential = WordSumTable(M, N)
-        want = {i: sequential.row(i).tobytes() for i in range(1, 61)}
-        orders = [np.random.default_rng(w).permutation(60) + 1 for w in range(8)]
-
-        def read(table, start, order, out):
-            start.wait(timeout=30)
-            out.append({int(i): table.row(int(i)) for i in order})
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(200):
-                shared, start, results = WordSumTable(M, N), threading.Barrier(8), []
-                threads = [
-                    threading.Thread(target=read, args=(shared, start, order, results))
-                    for order in orders
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert len(results) == 8
-                for rows in results + [{i: shared.row(i) for i in want}]:
-                    assert rows.keys() == want.keys()
-                    for i, row in rows.items():
-                        assert row.tobytes() == want[i]
-                        assert not row.flags.writeable
-        finally:
-            sys.setswitchinterval(interval)
+        if commutative == "table":
+            obj = WordSumTable(M, N)
+            calls = [lambda: obj.row(30), lambda: obj.value(17, 4), lambda: obj.row(9)]
+        else:
+            obj = DpmlFunction(DpmlParams(0.6, 0.7, 2, M, N), commutative=commutative)
+            calls = [lambda: obj.stack(-3, 30), lambda: obj.value(17), lambda: obj.partial_sum(9, 12)]
+        before, state = dict(vars(obj)), pickle.dumps(vars(obj))
+        for call in calls:
+            call()
+        assert vars(obj).keys() == before.keys() and pickle.dumps(vars(obj)) == state
+        assert all(vars(obj)[key] is value for key, value in before.items())
 
 
 class TestTruncationPolicy:
@@ -429,6 +392,20 @@ class TestTruncationPolicy:
             TruncationPolicy(window=0)
         with pytest.raises(ValueError):
             TruncationPolicy(i_max=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("window", 2.5), ("i_max", 10.5), ("i_max", "12"), ("divergence_growth", 3.0)],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        # A float i_max once passed here and raised a raw TypeError in the series.
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1"):
+            TruncationPolicy(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        policy = TruncationPolicy(window=np.int64(2), i_max=np.int32(40))
+        params = DpmlParams(0.5, 0.5, 1, [[0.1]], [[0.1]], policy)
+        assert np.isfinite(DpmlFunction(params).value(5)).all()
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_rejects_non_finite_tol(self, tol):
@@ -653,9 +630,15 @@ def reference_stack(params, kmin, kmax, qrow):
     return np.array(out)
 
 
-def table_rows(M, N):
-    table = WordSumTable(M, N)
-    return lambda i, jmax: table.row(i + 1)[: jmax + 1]
+def recursion_rows(M, N):
+    """Q(i + 1, j), j = 0 .. jmax, each order drawn once from the reference recursion."""
+    source, rows = reference_word_sum_rows(M, N, sys.maxsize), []
+
+    def qrow(i, jmax):
+        rows.extend(itertools.islice(source, max(0, i + 1 - len(rows))))
+        return rows[i][: jmax + 1]
+
+    return qrow
 
 
 def commutative_rows(M, N):
@@ -693,7 +676,7 @@ def rounding_scale(params, kmin, kmax):
     """
     M, N = np.abs(params.M), np.abs(params.N)
     absolute = DpmlParams(params.alpha, params.beta, params.r, M, N, params.policy)
-    values = reference_stack(absolute, kmin, kmax, table_rows(M, N))
+    values = reference_stack(absolute, kmin, kmax, recursion_rows(M, N))
     return 1.0 + np.abs(values).max(axis=(1, 2))
 
 
@@ -720,7 +703,7 @@ class TestBatchedStack:
     @pytest.mark.parametrize("n", [1, 3])
     def test_stack_matches_per_point_reference(self, n, r, commutative):
         params = stack_case(n, r, commutative)
-        rows = (commutative_rows if commutative else table_rows)(params.M, params.N)
+        rows = (commutative_rows if commutative else recursion_rows)(params.M, params.N)
         got = DpmlFunction(params, commutative=commutative).stack(-r - 2, self.K)
         want = reference_stack(params, -r - 2, self.K, rows)
         gap = np.abs(got - want).max(axis=(1, 2))
@@ -848,14 +831,11 @@ def falling_binomial(x, i):
 def reference_exponential_perturbation(M, N, r, k, policy):
     """Unit-order word-sum series for k >= 1 - r, order by order."""
     p = max(0, -(-k // r))
-    table = WordSumTable(M, N)
-    acc = _SeriesAccumulator(policy, table.dim)
+    acc = _SeriesAccumulator(policy, M.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(policy.i_max + 1):
-            weights = [
-                falling_binomial(float(k - (j - 1) * r + i - 1), i) for j in range(min(i, p) + 1)
-            ]
-            if acc.add(np.tensordot(weights, table.row(i + 1)[: len(weights)], axes=(0, 0))):
+        for i, q in zip(range(policy.i_max + 1), reference_word_sum_rows(M, N, p)):
+            weights = [falling_binomial(float(k - (j - 1) * r + i - 1), i) for j in range(len(q))]
+            if acc.add(np.tensordot(weights, q, axes=(0, 0))):
                 return acc.total
     raise acc.exhausted()
 
@@ -1253,7 +1233,7 @@ class TestBlockStopRule:
     @staticmethod
     def check(params, kmin, kmax):
         with np.errstate(over="ignore", invalid="ignore"):
-            want = reference_outcome(params, kmin, kmax, table_rows(params.M, params.N))
+            want = reference_outcome(params, kmin, kmax, recursion_rows(params.M, params.N))
         got = outcome(lambda: DpmlFunction(params).stack(kmin, kmax))
         if isinstance(want, str):
             assert got == want
