@@ -15,9 +15,10 @@ figure
 
 Exit codes: 0 success (verify: PASS), 1 verification failure, 2 schema or
 usage violation (messages name the offending config field or flag, e.g. a
-negative or non-finite ``verify --tol``, or an ``--out`` path that cannot be
-written), 3 series divergence (messages name the truncation policy) or a
-stepping trajectory that overflowed float64.
+negative or non-finite ``verify --tol``, an ``--out`` path that cannot be
+written, or a ``horizon`` or ``--kmax`` too large for memory), 3 series
+divergence (messages name the truncation policy) or a stepping trajectory
+that overflowed float64.
 
 File formats
 ------------
@@ -423,6 +424,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A grid too long to hold: its length is the horizon or --kmax.
+        field = "kmax" if args.command == "figure" else "horizon"
+        print(f"config error: {field}: the grid does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except CommutativityError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

@@ -104,8 +104,8 @@ _ORDER_BLOCK = 32
 # long stacks take fewer orders per block, so the buffers stay small.
 _BLOCK_CELLS = 1 << 15
 
-# Cells of the table of a lone series' block, and of one chunk of the
-# monomial rows of the delayed Mittag-Leffler reduction.
+# Cells of the monomial table of a lone series' block: a one-point DPML
+# value, ml_eval or the delayed Mittag-Leffler reduction.
 _TRIANGLE_CELLS = 1 << 20
 
 # Cells of one order of a block, rows * n * n, up to which the running
@@ -200,22 +200,22 @@ class _StopRule:
         )
 
 
-def _block_sum(policy: TruncationPolicy, rows: int, cells: int, imax: int | None,
+def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int | None,
                terms, width: int = 1) -> np.ndarray:
     # The block loop of the adaptive series, for `rows` series of `cells`
     # entries.  terms(i0, i, live) gives the terms of the orders i0 .. i - 1
     # of the rows `live` still running (row indices, ascending), shaped
     # (i - i0, cells, live.size): every order the block asks for.  Sums
-    # orders 0 .. imax when imax is given; else stops each row under
-    # the policy through _StopRule, picks its running total at its stop
-    # order and asks no more terms of it.  Returns the values, shaped
-    # (rows, cells).  Blocks take _block_orders orders, a lone row's table
-    # holding `width` cells an order.
+    # orders 0 .. imax when imax is given, the policy unused (it may be
+    # None); else stops each row under the policy through _StopRule, picks
+    # its running total at its stop order and asks no more terms of it.
+    # Returns the values, shaped (rows, cells).  Blocks take _block_orders
+    # orders, a lone row's table holding `width` cells an order.
     last = policy.i_max if imax is None else imax
     out = np.empty((rows, cells))
     live = np.arange(rows)
     total = np.zeros((cells, rows))
-    rule = _StopRule(policy, rows)
+    rule = _StopRule(policy, rows) if imax is None else None
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while i <= last:
@@ -290,10 +290,15 @@ def _as_square_pair(M, N) -> tuple[np.ndarray, np.ndarray]:
     return M, N
 
 
-def _warn_convergence(norm: float) -> None:
-    # The series' convergence warning, for a coefficient 1-norm sum >= 1,
-    # blamed on the first frame outside this package: the caller's line,
-    # however deep in the package the series was reached.
+def _warn_convergence(*coefficients: np.ndarray) -> None:
+    # The series' convergence warning, when the coefficients' 1-norms sum
+    # to >= 1 (inf where the sum overflows), blamed on the first frame
+    # outside this package: the caller's line, however deep in the package
+    # the series was reached.
+    with np.errstate(over="ignore"):
+        norm = float(sum(np.linalg.norm(A, 1) for A in coefficients))
+    if norm < 1.0:
+        return
     prefix = __name__.rpartition(".")[0] + "."
     frame, level = sys._getframe(1), 2
     while frame is not None and frame.f_globals.get("__name__", "").startswith(prefix):
@@ -415,8 +420,10 @@ class WordSumTable:
         # Adding 0.0 gives +0.0 where the 1 x 1 products of n = 1 keep a
         # -0.0 that a matrix product sums to +0.0, so the row holds the
         # values of the recursion taken one matrix product at a time.
-        q = next(itertools.islice(_word_sum_rows(self.M, self.N, i - 1), i - 1, None))
-        return q.reshape(-1, n, n).transpose(0, 2, 1) + 0.0
+        # Products that overflow give inf and nan, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = next(itertools.islice(_word_sum_rows(self.M, self.N, i - 1), i - 1, None))
+            return q.reshape(-1, n, n).transpose(0, 2, 1) + 0.0
 
     def value(self, i: int, j: int) -> np.ndarray:
         """Q(i, j), the zero matrix outside 0 <= j <= i - 1."""
@@ -456,9 +463,10 @@ def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
         raise ValueError("word sum indices must satisfy i >= 0, j >= -1")
     if j < 0 or j > i:
         return np.zeros_like(M)
-    return float(math.comb(i, j)) * (
-        np.linalg.matrix_power(M, i - j) @ np.linalg.matrix_power(N, j)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
+        return float(math.comb(i, j)) * (
+            np.linalg.matrix_power(M, i - j) @ np.linalg.matrix_power(N, j)
+        )
 
 
 @dataclass
@@ -520,9 +528,7 @@ class DpmlFunction:
         self.commutative = commutative
         if commutative:
             _require_commuting(params.M, params.N)
-        norm_sum = float(np.linalg.norm(params.M, 1) + np.linalg.norm(params.N, 1))
-        if norm_sum >= 1.0:
-            _warn_convergence(norm_sum)
+        _warn_convergence(params.M, params.N)
 
     # -- monomial table ------------------------------------------------
 
@@ -642,7 +648,7 @@ def ml_eval(M, alpha: float, c: float, k: int, a: int,
     ``i * alpha + c == 0`` survive.  ``alpha`` must lie in (0, 1], with 1
     admitted for the classical-exponential corner.
     """
-    return _ml_series(M, alpha, c, k, a, None, policy)
+    return _ml_series(M, alpha, c, k, a, None, TruncationPolicy() if policy is None else policy)
 
 
 def ml_partial_sum(M, alpha: float, c: float, k: int, a: int, imax: int) -> np.ndarray:
@@ -676,25 +682,41 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
                 )
             return power
         return np.zeros_like(M)
-    pol = policy if policy is not None else TruncationPolicy()
-    if imax is None and (norm := float(np.linalg.norm(M, 1))) >= 1.0:
-        _warn_convergence(norm)
-    n = M.shape[0]
-    # M**i .. M**(i + b) of the block at order i.
-    powers = np.empty((_block_orders(1, n * n) + 1, n, n))
+    if imax is None:
+        _warn_convergence(M)
+
+    def weights(i0: int, i: int) -> np.ndarray:
+        # monomial(i * alpha + c, k, a) for the orders i0 .. i - 1.
+        return _monomials_at(np.arange(i0, i) * alpha + c, np.full(i - i0, k - a))
+
+    return _power_sum(M, weights, imax, policy, k - a)
+
+
+def _monomials_at(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # monomial(mu[i], k, a) at m = k - a = m[i] >= 1, off rows of the
+    # product recurrence m[0] long: m[0] is the largest m.
+    return _monomial_rows(mu, np.empty((mu.size, m[0])))[np.arange(mu.size), m - 1]
+
+
+def _power_sum(A: np.ndarray, weights, imax: int | None,
+               policy: TruncationPolicy | None = None, width: int = 1) -> np.ndarray:
+    # Sum of w_i A**i, a lone series on _block_sum: orders 0 .. imax when
+    # imax is given, else stopped under the policy.  weights(i0, i) gives
+    # the w_i of orders i0 .. i - 1, from a table of `width` cells an order.
+    n = A.shape[0]
+    # A**i .. A**(i + b) of the block at order i.
+    powers = np.empty((_block_orders(1, n * n, width) + 1, n, n))
     powers[0] = np.eye(n)
 
     def terms(i0: int, i: int, live: np.ndarray) -> np.ndarray:
-        # monomial(i * alpha + c, k, a) for the orders i0 .. i - 1.
-        orders = np.arange(i0, i)
-        h = _monomial_rows(orders * alpha + c, np.empty((orders.size, k - a)))[:, -1]
-        for t in range(orders.size):
-            np.dot(powers[t], M, out=powers[t + 1])
-        block = (h[:, None] * powers[: orders.size].reshape(orders.size, n * n))[:, :, None]
-        powers[0] = powers[orders.size]
+        b = i - i0
+        for t in range(b):
+            np.dot(powers[t], A, out=powers[t + 1])
+        block = (weights(i0, i)[:, None] * powers[:b].reshape(b, n * n))[:, :, None]
+        powers[0] = powers[b]
         return block
 
-    return _block_sum(pol, 1, n * n, imax, terms, k - a).reshape(n, n)
+    return _block_sum(policy, 1, n * n, imax, terms, width).reshape(n, n)
 
 
 # -- closed-form reductions ---------------------------------------------
@@ -735,20 +757,6 @@ def _falling_binomials(uppers: np.ndarray, index: np.ndarray, first: int) -> np.
     return out
 
 
-def _delay_block_sum(N: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # Finite sum of weights[i] * N**i over the delay blocks i = 0 .. p(k):
-    # the powers scaled in place, then summed in order from a zero row by
-    # one cumsum, the adds of `total += weight * power`.
-    n = N.shape[0]
-    terms = np.empty((len(weights) + 1, n, n))
-    terms[0] = 0.0
-    terms[1] = np.eye(n)
-    for i in range(1, len(weights)):
-        np.dot(terms[i], N, out=terms[i + 1])
-    terms[1:] *= weights[:, None, None]
-    return np.cumsum(terms, axis=0)[-1]
-
-
 def _reduce_delayed_exponential(N: np.ndarray, r: int, k: int) -> np.ndarray:
     # Classical delayed discrete exponential with lag h = r - 1: block i
     # weighs N**i by C(k - (i - 1)(r - 1), i).  The block cutoff i <= p is
@@ -758,7 +766,8 @@ def _reduce_delayed_exponential(N: np.ndarray, r: int, k: int) -> np.ndarray:
     # running products serves them all.
     index = np.arange(_blocks(r, k) + 1)[:, None] * (r > 1)
     uppers = (k + r - 1.0) - (r - 1) * index[: index[-1, 0] + 1, 0]
-    return _delay_block_sum(N, _falling_binomials(uppers, index, 0)[:, 0])
+    weights = _falling_binomials(uppers, index, 0)[:, 0]
+    return _power_sum(N, lambda i0, i: weights[i0:i], len(weights) - 1)
 
 
 def _reduce_factored_exponential(
@@ -801,18 +810,14 @@ def _reduce_exponential_perturbation(
 def _reduce_delayed_ml(N: np.ndarray, alpha: float, r: int, k: int) -> np.ndarray:
     # Pure delay term: the series is a finite sum because each order lives
     # on its own delay block.  Block i weighs N**i by
-    # monomial(i * alpha + alpha - 1, k, (i - 1) r), m = k - (i - 1) r >= 1,
-    # read from rows of the product recurrence cut to at most
-    # _TRIANGLE_CELLS cells.
-    i = np.arange(_blocks(r, k) + 1)
-    m = k - (i - 1) * r
-    weights = np.empty(i.size)
-    step = max(1, _TRIANGLE_CELLS // int(m[0]))
-    for lo in range(0, i.size, step):
-        rows = slice(lo, lo + step)
-        table = _monomial_rows(i[rows] * alpha + alpha - 1.0, np.empty((len(m[rows]), m[lo])))
-        weights[rows] = table[np.arange(len(m[rows])), m[rows] - 1]
-    return _delay_block_sum(N, weights)
+    # monomial(i * alpha + alpha - 1, k, (i - 1) r), m = k - (i - 1) r >= 1:
+    # the order-0 row is the longest, k + r cells.
+
+    def weights(i0: int, i: int) -> np.ndarray:
+        orders = np.arange(i0, i)
+        return _monomials_at(orders * alpha + alpha - 1.0, k - (orders - 1) * r)
+
+    return _power_sum(N, weights, int(_blocks(r, k)), width=k + r)
 
 
 def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -> np.ndarray:

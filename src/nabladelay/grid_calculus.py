@@ -158,7 +158,8 @@ def _kernel_sum(order: float, a: int, z: GridSeries, k: int) -> np.ndarray:
     # The weight of z(s) is the monomial at m = k - s + 1, so the run is
     # read backwards against z(a + 1) .. z(k).
     weights = monomial_run(order, k - a)[::-1]
-    return weights @ z.values[a + 1 - z.base : k + 1 - z.base]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
+        return weights @ z.values[a + 1 - z.base : k + 1 - z.base]
 
 
 def nabla_sum(alpha: float, a: int, z: GridSeries, k: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dpml import (DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy,
                    _as_square_pair, _require_finite)
-from .grid_calculus import GridSeries, monomial_run
+from .grid_calculus import GridSeries, monomial_run, rl_difference
 
 __all__ = [
     "DelaySystem",
@@ -327,12 +327,13 @@ def _equation_residuals(system: DelaySystem, values: GridSeries) -> np.ndarray:
 def _history_weights(system: DelaySystem) -> np.ndarray:
     """Rows w(1 - r) .. w(0) of the history weights w(s) = (RL difference of phi)(s) - M phi(s).
 
-    The RL difference based at -r is the reversed prefix of one kernel run
-    against phi, so w(1 - r) reduces to (I - M) phi(1 - r).
+    The RL difference is based at -r, so w(1 - r) reduces to
+    (I - M) phi(1 - r).
     """
-    r, M, phi = system.delay, system.M, system.phi.values
-    kernel = monomial_run(-system.alpha - 1.0, r)
-    return np.array([kernel[j::-1] @ phi[: j + 1] - M @ phi[j] for j in range(r)])
+    r, M, phi = system.delay, system.M, system.phi
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
+        return np.array([rl_difference(system.alpha, -r, phi, s) - M @ phi.at(s)
+                         for s in range(1 - r, 1)])
 
 
 def _dpml(system: DelaySystem, commutative: bool = False) -> DpmlFunction:
@@ -356,8 +357,9 @@ def _closed_trajectory(system: DelaySystem, kmax: int, commutative: bool = False
     # Psi(t) = Phi(t + 1 - r) weighs g(q - t) in z at position q.
     psi = _dpml(system, commutative).stack(1 - r, kmax)
     z = np.zeros_like(g)
-    for t in range(length):
-        z[t:] += g[: length - t] @ psi[t].T
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
+        for t in range(length):
+            z[t:] += g[: length - t] @ psi[t].T
     return z
 
 
@@ -367,7 +369,8 @@ def _dpml_sum(system: DelaySystem, k: int, s0: int, s1: int, rows) -> np.ndarray
     # values from the lowest grid point up against g from the latest down.
     r = system.delay
     phi = _dpml(system).stack(k - r - s1 + 1, k - r - s0 + 1)
-    return np.tensordot(phi, rows()[::-1], axes=([0, 2], [0, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
+        return np.tensordot(phi, rows()[::-1], axes=([0, 2], [0, 1]))
 
 
 def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:

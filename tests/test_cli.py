@@ -342,6 +342,24 @@ class TestRejectedInput:
                      *grid, "--out", str(out)])
         self.assert_rejected(code, capsys, "delay", out)
 
+    # 10**13 points of one float each are 73 TiB, which numpy refuses at
+    # once; a size that could be allocated must not be tried here.
+    @pytest.mark.parametrize("command", [["solve"], ["solve", "--method", "step"], ["verify"]])
+    @pytest.mark.parametrize("forcing", [None, {"type": "constant", "value": [1.0]}],
+                             ids=["zero", "constant"])
+    def test_horizon_past_memory(self, tmp_path, capsys, command, forcing):
+        out = tmp_path / "o.csv"
+        config = write_config(tmp_path, horizon=10**13,
+                              **({} if forcing is None else {"forcing": forcing}))
+        args = [*command, "--config", config] + (["--out", str(out)] if command[0] == "solve" else [])
+        self.assert_rejected(main(args), capsys, "horizon", out)
+
+    def test_figure_kmax_past_memory(self, tmp_path, capsys):
+        out = tmp_path / "figure.csv"
+        code = main(["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "0.1", "--n", "0.1",
+                     "--delay", "2", "--kmax", str(10**13), "--out", str(out)])
+        self.assert_rejected(code, capsys, "kmax", out)
+
 
 # The per-entry number checks, one call per entry, that the CLI ran on every
 # table before tables were checked in one pass; the reference for the

@@ -1442,34 +1442,45 @@ def reference_delay_block_sum(N, weights):
 
 
 class TestDelayBlockSums:
+    """The finite sums of the delay-block reductions run on _power_sum, the
+    lone-series driver of ml_eval, stopped at the last delay block."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_delay_block_sum_matches_power_loop(self, n):
         rng = np.random.default_rng(70 + n)
-        for count in (1, 2, 5, 40):
+        # 65 and 130 weights cross the 64-order blocks of a lone series.
+        for count in (1, 2, 5, 40, 65, 130):
             for N in (0.5 * rng.normal(size=(n, n)), -0.0 * np.ones((n, n)),
                       np.where(rng.random((n, n)) < 0.5, -0.0, -0.3)):
                 # Signed and zero weights give -0.0 products.
                 weights = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=count)
-                got = dpml._delay_block_sum(N, weights)
+                got = dpml._power_sum(N, lambda i0, i: weights[i0:i], count - 1)
                 assert got.tobytes() == reference_delay_block_sum(N, weights).tobytes()
 
     @pytest.mark.parametrize("cells", [None, 1, 7, 100])
     def test_delayed_ml_weights_match_scalar_monomial(self, cells, monkeypatch):
-        # The rows of monomial products are cut to at most `cells` cells;
-        # every cut gives the scalar rule's products.
+        # A block's table of monomial products holds at most `cells` cells,
+        # and the blocks take at most 2 * _ORDER_BLOCK orders; every cut
+        # gives the scalar rule's products and the sum's bytes.  At r = 1,
+        # k = 200 the sum runs over 201 orders, past three block edges.
         if cells is not None:
             monkeypatch.setattr(dpml, "_TRIANGLE_CELLS", cells)
         N = 0.3 * np.array(N2)
-        for alpha, r, k in itertools.product((0.3, 0.75, 1.0), (1, 2, 5), (-1, 0, 1, 7, 60)):
+        cases = itertools.chain(
+            itertools.product((0.3, 0.75, 1.0), (1, 2, 5), (-1, 0, 1, 7, 60)),
+            itertools.product((0.3, 0.75, 1.0), (1,), (199, 200)),
+        )
+        for alpha, r, k in cases:
             if k <= -r:
                 continue
             weights = [
                 monomial(i * alpha + alpha - 1.0, k, (i - 1) * r)
                 for i in range(max(0, -(-k // r)) + 1)
             ]
-            want = reference_delay_block_sum(N, weights)
-            got = dpml._reduce_delayed_ml(N, alpha, r, k)
-            assert got.tobytes() == want.tobytes()
+            want = reference_delay_block_sum(N, weights).tobytes()
+            for block in (32, 5, 1):
+                monkeypatch.setattr(dpml, "_ORDER_BLOCK", block)
+                assert dpml._reduce_delayed_ml(N, alpha, r, k).tobytes() == want
 
 
 def traced_peak(call):

@@ -26,6 +26,7 @@ from nabladelay import (
     GridSeries,
     SingularityError,
     TruncationPolicy,
+    WordSumTable,
     closed_form_solve,
     commutative_solve,
     delta_solve,
@@ -34,9 +35,11 @@ from nabladelay import (
     homogeneous_part,
     ml_eval,
     monomial_run,
+    nabla_sum,
     rl_difference,
     step_solve,
     verify,
+    word_sum_commutative,
 )
 from nabladelay.cli import main
 from nabladelay.solver import _closed_trajectory, _equation_residuals
@@ -831,14 +834,17 @@ class TestCallStructure:
         assert report.oracle.residuals is None
         assert report.closed.residuals.shape == (12,)
 
-    def test_closed_form_history_weights_come_from_one_run(self, monkeypatch):
+    def test_closed_form_history_weights_come_from_rl_difference(self, monkeypatch):
+        # The RL difference of phi is grid_calculus's, one call per history
+        # point; the closed form runs no kernel of its own.
         system = scalar_system(delay=4, horizon=10)
         expected = closed_form_solve(system).values.values
         differences = count_calls(monkeypatch, "rl_difference", grid_calculus, solver)
         runs = count_calls(monkeypatch, "monomial_run", solver)
         np.testing.assert_array_equal(closed_form_solve(system).values.values, expected)
-        assert differences == []
-        assert runs == [(-1.5, 4)]
+        assert [(alpha, a, k) for alpha, a, _, k in differences] == [
+            (0.5, -4, k) for k in range(-3, 1)]
+        assert runs == []
 
 
 def warning_call(entry, tmp_path):
@@ -878,3 +884,55 @@ def test_convergence_warning_points_at_the_callers_line(tmp_path, entry):
     assert [(w.category, w.filename, w.lineno) for w in caught] == [
         (RuntimeWarning, __file__, line)]
     assert "sum of coefficient 1-norms is 1.1 >= 1" in str(caught[0].message)
+
+
+def overflow_call(entry, tmp_path):
+    """One entry point on finite input whose products overflow float64, with
+    its outcome: the DivergenceError the series raises, or the inf or nan
+    the products give."""
+    big = [[1e308, 1e308], [1e308, -1e308]]
+    system = DelaySystem(0.5, 2, big, big, np.ones((2, 2)), horizon=4)
+    forced = DelaySystem(0.5, 2, 0.1 * M2, 0.1 * N2, np.ones((2, 2)),
+                         np.full((4, 2), 1e308), horizon=4)
+    for name in ("m", "n"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(big))
+    qtable = ["qtable", "--m", str(tmp_path / "m.json"), "--n", str(tmp_path / "n.json"),
+              "--imax", "4"]
+    return {
+        "dpml_eval": (DivergenceError, dpml_eval, DpmlParams(0.5, 0.5, 2, big, big), 3),
+        "ml_eval": (DivergenceError, ml_eval, big, 0.5, 0.2, 5, 0),
+        "closed_form_solve": (DivergenceError, closed_form_solve, system),
+        "commutative_solve": (DivergenceError, commutative_solve, system),
+        "homogeneous_part": (DivergenceError, homogeneous_part, system, 2),
+        "forced_part": (np.inf, forced_part, forced, 3),
+        "closed_form_solve-forcing": (np.inf, lambda s: closed_form_solve(s).values.values, forced),
+        "nabla_sum": (np.inf, nabla_sum, 0.5, 0, GridSeries(1, np.full((5, 2), 1e308)), 5),
+        "WordSumTable.row": (np.nan, WordSumTable(big, big).row, 4),
+        "word_sum_commutative": (np.inf, word_sum_commutative, big, big, 3, 1),
+        "qtable": (0, main, qtable),
+    }[entry]
+
+
+@pytest.mark.parametrize("entry", [
+    "dpml_eval", "ml_eval", "closed_form_solve", "commutative_solve", "homogeneous_part",
+    "forced_part", "closed_form_solve-forcing", "nabla_sum", "WordSumTable.row",
+    "word_sum_commutative", "qtable",
+])
+def test_overflow_raises_no_numpy_warning(tmp_path, capsys, entry):
+    # Products past the float range give inf and nan, or the series'
+    # DivergenceError, and no RuntimeWarning of numpy's: the package's own
+    # convergence warning is the only one that may reach the caller.
+    want, call, *args = overflow_call(entry, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if want is DivergenceError:
+            with pytest.raises(DivergenceError):
+                call(*args)
+        else:
+            got = call(*args)
+    assert [str(w.message) for w in caught
+            if "sum of coefficient 1-norms" not in str(w.message)] == []
+    if entry == "qtable":
+        assert got == 0 and "nan" in capsys.readouterr().out
+    elif want is not DivergenceError:
+        assert (np.isnan(got) if np.isnan(want) else np.isinf(got)).any()
