@@ -17,8 +17,9 @@ Exit codes: 0 success (verify: PASS), 1 verification failure, 2 schema or
 usage violation (messages name the offending config field or flag, e.g. a
 negative or non-finite ``verify --tol``, an ``--out`` path that cannot be
 written, or a ``horizon`` or ``--kmax`` too large for memory), 3 series
-divergence (messages name the truncation policy) or a stepping trajectory
-that overflowed float64.
+divergence (messages name the truncation policy), a stepping trajectory
+that overflowed float64, or a closed-form trajectory whose defining-equation
+residual is over budget (messages name the first such k).
 
 File formats
 ------------
@@ -52,7 +53,7 @@ from .dpml import (
     ml_partial_sum,
 )
 from .grid_calculus import GridSeries
-from .solver import DelaySystem, SingularityError, _SteppingOverflow, verify
+from .solver import DelaySystem, SingularityError, _ResidualOverBudget, _SteppingOverflow, verify
 
 __all__ = ["ConfigError", "load_config", "parse_config", "main", "run"]
 
@@ -278,10 +279,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if _as_number(args.tol, "tol") < 0:
-        raise ConfigError("tol", f"must be >= 0, got {args.tol}")
     system = load_config(args.config)
-    report = verify(system, tol=args.tol)
+    try:
+        report = verify(system, tol=args.tol)
+    except ValueError as exc:  # verify's --tol rule, checked before it solves
+        raise ConfigError("tol", str(exc)) from exc
     if not report.closed_form_available:
         print(report.message, file=sys.stderr)
         print(f"oracle trace computed for k in [{1 - system.delay}, {system.horizon}]")
@@ -433,7 +435,7 @@ def main(argv=None) -> int:
     except CommutativityError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
-    except _SteppingOverflow as exc:
+    except (_SteppingOverflow, _ResidualOverBudget) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:

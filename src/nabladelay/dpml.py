@@ -356,7 +356,7 @@ def _word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
     n = M.shape[0]
     Mt, Nt = np.ascontiguousarray(M.T), np.ascontiguousarray(N.T)
     cap = (width + 1) * n
-    buffers = np.empty((2, cap, n))
+    buffers = np.zeros((2, cap, n))  # past its row, a buffer has never been written
     lower = np.empty((cap, n))  # the N products
     row = buffers[0, :n]
     row[...] = np.eye(n)
@@ -365,8 +365,6 @@ def _word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
         size = len(row)
         nxt = buffers[i % 2, : min(size + n, cap)]
         np.dot(row, Mt, out=nxt[:size])
-        if size < cap:
-            nxt[size:] = 0.0
         np.dot(row[: len(nxt) - n], Nt, out=lower[: len(nxt) - n])
         nxt[n:] += lower[: len(nxt) - n]
         row = nxt
@@ -455,7 +453,9 @@ def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
     length, one less than :func:`word_sum`'s, so the value equals
     ``word_sum(M, N, i + 1, j)``, not ``word_sum(M, N, i, j)``.
     Commutativity is checked to 1e-12 relative to the entry scale and a
-    :class:`CommutativityError` is raised on failure.
+    :class:`CommutativityError` is raised on failure.  A fresh copy of
+    entry j of order i of the row source the commutative route sums,
+    transposed back.
     """
     M, N = _as_square_pair(M, N)
     _require_commuting(M, N)
@@ -464,9 +464,8 @@ def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
     if j < 0 or j > i:
         return np.zeros_like(M)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
-        return float(math.comb(i, j)) * (
-            np.linalg.matrix_power(M, i - j) @ np.linalg.matrix_power(N, j)
-        )
+        q = next(itertools.islice(_commuting_word_sum_rows(M, N, j), i, None))
+    return q[j].reshape(M.shape).T.copy()
 
 
 @dataclass

@@ -23,8 +23,11 @@ separate so each can check the other:
   difference at the first point after the base reduces to the value
   itself.
 
-:func:`verify` runs both routes on one system and reports deviations and
-defining-equation residuals; a failing closed form is reported, not raised.
+:func:`closed_form_solve` and its variants check the trajectory they build
+against the defining equation and raise rather than return one whose
+residual is over budget; the trace carries the residuals.  :func:`verify`
+runs both routes on one system and reports deviations and residuals; a
+failing closed form is reported, not raised.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dpml import (DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy,
-                   _as_square_pair, _require_finite)
+from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
 from .grid_calculus import GridSeries, monomial_run, rl_difference
 
 __all__ = [
@@ -60,6 +62,18 @@ class SingularityError(ArithmeticError):
 
 class _SteppingOverflow(DivergenceError):
     """Raised when the stepping trajectory overflows float64; no series is involved."""
+
+
+class _ResidualOverBudget(DivergenceError):
+    """Raised when a closed-form trajectory misses its defining equation beyond budget."""
+
+
+# Largest defining-equation residual at k that a closed route returns,
+# relative to max(1, max|z(k)|).  The residual estimates the series'
+# rounding; it does not bound it.  At 1e-8 the gate also rejected
+# trajectories within 1e-8 of the stepping oracle (5 of the 360 seed-1
+# closed-sweep ops); at 1e-7 it rejected none of them.
+_RESIDUAL_BUDGET = 1e-7
 
 
 def _on_grid(name: str, base: int, values) -> GridSeries:
@@ -96,14 +110,12 @@ class DelaySystem:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not isinstance(self.delay, (int, np.integer)) or self.delay < 1:
-            raise ValueError(f"delay must be an integer >= 1, got {self.delay}")
+        # The delay, M/N pair and policy rules are the DPML layer's.
+        params = self.params
+        self.alpha, self.delay, self.M, self.N = params.alpha, params.r, params.M, params.N
         if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon}")
-        self.alpha = float(self.alpha)
-        self.delay = int(self.delay)
         self.horizon = int(self.horizon)
-        self.M, self.N = _as_square_pair(self.M, self.N)
         if not isinstance(self.phi, GridSeries):
             self.phi = _on_grid("phi", 1 - self.delay, self.phi)
         if self.phi.base != 1 - self.delay or self.phi.end != 0:
@@ -129,8 +141,11 @@ class DelaySystem:
         _require_finite("phi", self.phi.values)
         if self.forcing is not None:
             _require_finite("forcing", self.forcing.values)
-        if not isinstance(self.policy, TruncationPolicy):
-            raise TypeError("policy must be a TruncationPolicy")
+
+    @property
+    def params(self) -> DpmlParams:
+        """DpmlParams(alpha, alpha, delay, M, N, policy), built from the fields on each read."""
+        return DpmlParams(self.alpha, self.alpha, self.delay, self.M, self.N, self.policy)
 
     @property
     def dim(self) -> int:
@@ -146,9 +161,11 @@ class DelaySystem:
 class SolutionTrace:
     """A computed trajectory plus optional diagnostics.
 
-    ``residuals`` is ``None`` as a route returns the trace; :func:`verify`
-    fills it on the closed-form trace it checked with the max-norm
-    defining-equation residual at k = 1 .. horizon, index k - 1.
+    ``residuals`` holds the max-norm defining-equation residual at
+    k = 1 .. horizon, index k - 1, on a trace of the closed form or its
+    variants.  Each of them raises instead of returning a trajectory
+    whose residual at some k exceeds 1e-7 * max(1, max|z(k)|) or is not
+    finite.  It is ``None`` on the stepping oracle's trace.
     ``condition`` is the 1-norm condition number of I - M when the
     producing route factored it.
     """
@@ -243,8 +260,8 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
     the one a point-by-point loop names by one or two steps, where a
     partial sum overflows in one scheme and not in the other while |z|
     is still finite.  The returned trace copies phi
-    verbatim on the initial interval; like every route it carries no
-    residuals (:func:`verify` computes them for the closed form).
+    verbatim on the initial interval and carries no residuals: the
+    oracle does not check itself.
     """
     r, K, n = system.delay, system.horizon, system.dim
     ImM, cond = _factor_implicit(system)
@@ -324,38 +341,30 @@ def _equation_residuals(system: DelaySystem, values: GridSeries) -> np.ndarray:
     return np.abs(defect).max(axis=1)
 
 
-def _history_weights(system: DelaySystem) -> np.ndarray:
-    """Rows w(1 - r) .. w(0) of the history weights w(s) = (RL difference of phi)(s) - M phi(s).
+def _g_rows(system: DelaySystem, s0: int, s1: int) -> np.ndarray:
+    """Rows g(s0) .. g(s1) of g = [w; f], s0 >= 1 - r.
 
-    The RL difference is based at -r, so w(1 - r) reduces to
-    (I - M) phi(1 - r).
+    w(s) = (RL difference of phi)(s) - M phi(s) for s <= 0, the difference
+    based at -r, so w(1 - r) = (I - M) phi(1 - r); f(s) for s >= 1.
     """
     r, M, phi = system.delay, system.M, system.phi
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
-        return np.array([rl_difference(system.alpha, -r, phi, s) - M @ phi.at(s)
-                         for s in range(1 - r, 1)])
-
-
-def _dpml(system: DelaySystem, commutative: bool = False) -> DpmlFunction:
-    alpha = system.alpha
-    params = DpmlParams(alpha, alpha, system.delay, system.M, system.N, system.policy)
-    return DpmlFunction(params, commutative=commutative)
+        w = [rl_difference(system.alpha, -r, phi, s) - M @ phi.at(s)
+             for s in range(s0, min(s1, 0) + 1)]
+    return np.vstack(w + [_forcing_rows(system, s1)[max(s0, 1) - 1 :]])
 
 
 def _closed_trajectory(system: DelaySystem, kmax: int, commutative: bool = False) -> np.ndarray:
     """Rows z(1 - r) .. z(kmax) of the explicit representation, kmax >= 1 - r.
 
     One causal convolution z(k) = sum_{s = 1 - r}^{k} Phi(k - r - s + 1) g(s)
-    with g = [w; f]: the history weights w(s) on [1 - r, 0] and the forcing
-    f(s) from 1 on.
+    with g = [w; f] (:func:`_g_rows`).
     """
     r = system.delay
     length = kmax + r
-    g = np.zeros((length, system.dim))
-    g[:r] = _history_weights(system)[:length]
-    g[r:] = _forcing_rows(system, kmax)
+    g = _g_rows(system, 1 - r, kmax)
     # Psi(t) = Phi(t + 1 - r) weighs g(q - t) in z at position q.
-    psi = _dpml(system, commutative).stack(1 - r, kmax)
+    psi = DpmlFunction(system.params, commutative).stack(1 - r, kmax)
     z = np.zeros_like(g)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
         for t in range(length):
@@ -363,14 +372,17 @@ def _closed_trajectory(system: DelaySystem, kmax: int, commutative: bool = False
     return z
 
 
-def _dpml_sum(system: DelaySystem, k: int, s0: int, s1: int, rows) -> np.ndarray:
-    # sum_{s = s0}^{s1} Phi(k - r - s + 1) g(s), with g(s0) .. g(s1) the
-    # rows that rows() returns, read once the DPML values are in: the
-    # values from the lowest grid point up against g from the latest down.
+def _dpml_sum(system: DelaySystem, k: int, s0: int, s1: int) -> np.ndarray:
+    # sum_{s = s0}^{s1} Phi(k - r - s + 1) g(s), g read once the DPML values
+    # are in: the values from the lowest grid point up against g from the
+    # latest down.  A sum that overflows raises.
     r = system.delay
-    phi = _dpml(system).stack(k - r - s1 + 1, k - r - s0 + 1)
+    phi = DpmlFunction(system.params).stack(k - r - s1 + 1, k - r - s0 + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
-        return np.tensordot(phi, rows()[::-1], axes=([0, 2], [0, 1]))
+        value = np.tensordot(phi, _g_rows(system, s0, s1)[::-1], axes=([0, 2], [0, 1]))
+    if not np.isfinite(value).all():
+        raise DivergenceError(f"explicit representation is non-finite at k = {k}")
+    return value
 
 
 def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
@@ -379,13 +391,14 @@ def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
     Sums DPML values against the history weights w(s) over
     s in [1 - delay, min(k, 0)]: Phi on [max(1 - delay, k + 1 - delay), k],
     at most ``delay`` points.  On the initial interval this reproduces
-    phi(k) to rounding; forcing is ignored.
+    phi(k) to rounding; forcing is ignored.  Raises
+    :class:`~nabladelay.dpml.DivergenceError` when the series fails its
+    truncation rule or the value is not finite.
     """
     r = system.delay
     if k < 1 - r:
         return np.zeros(system.dim)
-    w = _history_weights(system)[: min(k, 0) + r]
-    return _dpml_sum(system, k, 1 - r, min(k, 0), lambda: w)
+    return _dpml_sum(system, k, 1 - r, min(k, 0))
 
 
 def forced_part(system: DelaySystem, k: int) -> np.ndarray:
@@ -393,16 +406,30 @@ def forced_part(system: DelaySystem, k: int) -> np.ndarray:
 
     Discrete convolution of DPML values on [1 - delay, k - delay] with the
     forcing over s in [1, k]; zero on the initial interval and for zero
-    forcing.
+    forcing.  Raises :class:`~nabladelay.dpml.DivergenceError` as
+    :func:`homogeneous_part` does.
     """
     if k < 1:
         return np.zeros(system.dim)
-    return _dpml_sum(system, k, 1, k, lambda: _forcing_rows(system, k))
+    return _dpml_sum(system, k, 1, k)
 
 
 def _closed_trace(system: DelaySystem, commutative: bool, base: int, method: str) -> SolutionTrace:
+    # The trajectory and its residuals, checked against _RESIDUAL_BUDGET.
+    r = system.delay
     z = _closed_trajectory(system, system.horizon, commutative)
-    return SolutionTrace(values=GridSeries(base, z), method=method)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the test
+        residuals = _equation_residuals(system, GridSeries(1 - r, z))
+        ratio = residuals / np.maximum(1.0, np.abs(z[r:]).max(axis=1))
+    bad = np.flatnonzero(~(ratio <= _RESIDUAL_BUDGET))
+    if bad.size:
+        i = bad[0]
+        raise _ResidualOverBudget(
+            f"closed-form trajectory misses its defining equation at k = {i + 1}: "
+            f"residual {float(residuals[i])!r} is {float(ratio[i]):.3g} of max(1, max|z(k)|), "
+            f"over the budget {_RESIDUAL_BUDGET:g}"
+        )
+    return SolutionTrace(values=GridSeries(base, z), residuals=residuals, method=method)
 
 
 def closed_form_solve(system: DelaySystem) -> SolutionTrace:
@@ -411,7 +438,9 @@ def closed_form_solve(system: DelaySystem) -> SolutionTrace:
     The trace stores the representation's own values everywhere, including
     the initial interval, so agreement with phi there is a genuine check
     rather than a copy.  Raises :class:`~nabladelay.dpml.DivergenceError`
-    when the series truncation rule fails.
+    when the series truncation rule fails, or when the trajectory's
+    defining-equation residual is over budget (:class:`SolutionTrace`),
+    naming the first k where it is.
     """
     return _closed_trace(system, False, 1 - system.delay, "closed")
 
@@ -456,9 +485,11 @@ def verify(system: DelaySystem, tol: float = 1e-8) -> VerifyReport:
     """Run both routes on ``system`` and compare them point by point.
 
     Passing requires both the max deviation between the traces and the max
-    defining-equation residual of the closed form to stay within ``tol``.
-    When the DPML series diverges the report flags the closed form as
-    unavailable (nothing is raised) and still carries the oracle trace.
+    defining-equation residual of the closed form (its trace's own
+    ``residuals``) to stay within ``tol``.  When the DPML series diverges
+    or the closed form's residual is over its budget, the report flags the
+    closed form as unavailable (nothing is raised) and still carries the
+    oracle trace.
     An overflowing oracle raises, as in :func:`step_solve`.  ``tol`` must
     be finite and >= 0 (:class:`ValueError` otherwise).
     """
@@ -473,7 +504,7 @@ def verify(system: DelaySystem, tol: float = 1e-8) -> VerifyReport:
         message = f"closed form unavailable: {exc}"
     else:
         deviations = np.max(np.abs(closed.values.values - oracle.values.values), axis=1)
-        residuals = closed.residuals = _equation_residuals(system, closed.values)
+        residuals = closed.residuals
         i, j = int(np.argmax(deviations)), int(np.argmax(residuals))
         max_deviation, worst_deviation_k = float(deviations[i]), i + 1 - system.delay
         max_residual, worst_residual_k = float(residuals[j]), j + 1

@@ -228,6 +228,26 @@ class TestWordSumCommutative:
             word_sum_commutative(np.eye(2), np.eye(2), 2, 3), np.zeros((2, 2))
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reads_the_source_the_commutative_route_sums(self, n):
+        # Bit for bit entry j of order i of the commuting row source, at the
+        # width a long commutative stack draws it, transposed back; the
+        # -0.0 entries stay as the source leaves them.
+        rng = np.random.default_rng(61 + n)
+        A = rng.normal(size=(n, n))
+        M = 0.4 * A / np.linalg.norm(A, 1)
+        M[np.abs(M) < 0.1] = -0.0
+        # A pair built from M, and a diagonal one with -0.0 off the diagonal.
+        pairs = [(M, 0.1 * np.eye(n) - M @ M),
+                 (-np.diag(np.arange(n) / (n + 1.0)), -np.diag(0.3 + np.arange(n) / 10))]
+        for M, N in pairs:
+            rows = list(itertools.islice(dpml._commuting_word_sum_rows(M, N, 40), 41))
+            for i, row in enumerate(rows):
+                for j in range(i + 1):
+                    got = word_sum_commutative(M, N, i, j)
+                    assert got.flags.c_contiguous and got.flags.writeable
+                    assert got.tobytes() == row[j].reshape(n, n).T.tobytes()
+
     def test_non_commuting_pair_rejected(self):
         with pytest.raises(CommutativityError):
             word_sum_commutative(M2, N2, 3, 1)
@@ -343,6 +363,19 @@ class TestWordSumSources:
                 assert got.shape == (len(expected), n * n)
                 assert untransposed(got).tobytes() == expected.tobytes()
                 assert row[: width + 1].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_general_source_past_the_cap(self, n):
+        # Past order width a row stops growing, and its two buffers are
+        # reused from then on without being cleared.
+        rng = np.random.default_rng(51 + n)
+        M, N = 0.4 * rng.normal(size=(n, n)), 0.4 * rng.normal(size=(n, n))
+        M[-1, 0] = N[0, -1] = -0.0
+        for width in (0, 1, 3):
+            want = reference_word_sum_rows(M, N, width)
+            got = dpml._word_sum_rows(M, N, width)
+            for _, row, expected in zip(range(width + 8), got, want):
+                assert untransposed(row).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_commutative_source_equals_sequential_powers(self, n):

@@ -199,6 +199,28 @@ class TestDelaySystem:
         system = DelaySystem(alpha=0.5, delay=1, M=[[0.5]], N=[[0.0]], phi=[[2.0]], horizon=4)
         assert system.phi.base == 0 and system.phi.end == 0
 
+    @pytest.mark.parametrize("fault", [
+        {"delay": 0}, {"delay": 1.5}, {"N": np.eye(2)}, {"policy": {"tol": 1e-9}},
+    ], ids=["delay-zero", "delay-float", "pair-shapes", "policy-type"])
+    def test_shared_rules_raise_the_dpml_parameters_text(self, fault):
+        # The delay, M/N pair and policy rules are DpmlParams', so a system
+        # that breaks one raises its error and text.
+        fields = {"delay": 1, "M": [[0.1]], "N": [[0.1]], "policy": TruncationPolicy(), **fault}
+        with pytest.raises((ValueError, TypeError)) as want:
+            DpmlParams(0.5, 0.5, fields["delay"], fields["M"], fields["N"], fields["policy"])
+        with pytest.raises(type(want.value)) as got:
+            DelaySystem(0.5, phi=[[1.0]], horizon=3, **fields)
+        assert str(got.value) == str(want.value)
+
+    def test_params_follow_the_fields(self):
+        system = planar_system(horizon=5)
+        params = system.params
+        assert (params.alpha, params.beta, params.r) == (0.5, 0.5, 2)
+        assert params.M is system.M and params.N is system.N
+        assert params.policy is system.policy
+        system.N = 0.5 * N2
+        np.testing.assert_array_equal(system.params.N, 0.5 * N2)
+
 
 class TestStepSolve:
     def test_first_step_frozen_value(self):
@@ -442,8 +464,7 @@ class TestPartsReadOnlyWhatTheyUse:
         r = system.delay
         params = DpmlParams(0.6, 0.6, r, np.abs(system.M), np.abs(system.N))
         phi = np.abs(solver.DpmlFunction(params).stack(1 - r, k))
-        g = np.abs(np.vstack((solver._history_weights(system),
-                              solver._forcing_rows(system, k))))[: k + r]
+        g = np.abs(solver._g_rows(system, 1 - r, k))
         return 1.0 + np.tensordot(phi, g[::-1], axes=([0, 2], [0, 1])).max()
 
     @staticmethod
@@ -554,12 +575,7 @@ class TestClosedFormSolve:
         gap = np.abs(closed - oracle).max(axis=1)
         assert np.all(gap <= 1e-10 * np.abs(oracle).max(axis=1))
 
-    @pytest.mark.parametrize("seed", [
-        pytest.param(seed, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 1: the series cancels and the closed form "
-                                "returns a wrong trajectory without an error"))
-        for seed in (1, 2, 4, 5, 6, 7, 8, 10, 11)
-    ])
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5, 6, 7, 8, 10, 11])
     def test_raises_or_matches_oracle_on_cancelling_seeds(self, seed):
         # The probe seeds where float64 cannot vouch for the series: the
         # closed form must raise DivergenceError or stay within 1e-8 of the
@@ -571,6 +587,40 @@ class TestClosedFormSolve:
             return
         oracle = step_solve(system).values.values
         assert np.abs(closed - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_trace_carries_the_residuals_it_was_checked_by(self, seed):
+        # Seed 0's series is accurate, seed 7's cancels: its relative
+        # residual first passes the budget at k = 147.
+        system = self.probe_system(seed)
+        for route in (closed_form_solve, delta_solve):
+            if seed == 7:
+                with pytest.raises(DivergenceError, match=r"at k = 147\b"):
+                    route(system)
+                continue
+            trace = route(system)
+            z = trace.values.values
+            want = _equation_residuals(system, GridSeries(1 - system.delay, z))
+            assert trace.residuals.tobytes() == want.tobytes()
+            assert np.all(trace.residuals <= 1e-7 * np.maximum(1.0, np.abs(z[2:]).max(axis=1)))
+
+    def test_cli_exits_3_naming_k_on_a_cancelling_seed(self, tmp_path, capsys):
+        system = self.probe_system(7)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "alpha": system.alpha, "delay": system.delay, "horizon": system.horizon,
+            "M": system.M.tolist(), "N": system.N.tolist(), "phi": system.phi.values.tolist(),
+        }))
+        out = tmp_path / "trace.csv"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and "at k = 147:" in err
+        assert not out.exists()
+        assert main(["verify", "--config", str(config)]) == 3
+        captured = capsys.readouterr()
+        assert "closed form unavailable: " in captured.err
+        assert "at k = 147:" in captured.err
+        assert captured.out.rstrip().endswith("FAIL")
 
     def test_superposition(self):
         rng = np.random.default_rng(23)
@@ -812,14 +862,23 @@ def count_calls(monkeypatch, name, *modules):
 
 
 class TestCallStructure:
-    """Each route computes only the trajectory it returns; verify checks it."""
+    """Each closed route computes its trajectory and checks it once; verify
+    reads that check, and the stepping oracle computes no residuals."""
 
-    def test_only_verify_computes_residuals(self, monkeypatch, tmp_path):
+    def test_closed_routes_compute_the_residuals_once(self, monkeypatch, tmp_path):
         calls = count_calls(monkeypatch, "_equation_residuals", solver)
         system = planar_system(horizon=12)
         trace = step_solve(system)
         assert calls == []
         assert trace.residuals is None
+        commuting = DelaySystem(0.5, 2, np.diag([0.2, 0.1]), np.diag([0.1, 0.3]),
+                                np.ones((2, 2)), horizon=12)
+        for route, routed in ((closed_form_solve, system), (commutative_solve, commuting),
+                              (delta_solve, system)):
+            calls.clear()
+            assert route(routed).residuals.shape == (12,)
+            assert len(calls) == 1
+        calls.clear()
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "alpha": 0.5, "delay": 2, "horizon": 12, "M": M2.tolist(), "N": N2.tolist(),
@@ -836,7 +895,8 @@ class TestCallStructure:
 
     def test_closed_form_history_weights_come_from_rl_difference(self, monkeypatch):
         # The RL difference of phi is grid_calculus's, one call per history
-        # point; the closed form runs no kernel of its own.
+        # point; the closed form runs no kernel of its own but the one
+        # kernel run of its residual check, over k = 1 - r .. horizon.
         system = scalar_system(delay=4, horizon=10)
         expected = closed_form_solve(system).values.values
         differences = count_calls(monkeypatch, "rl_difference", grid_calculus, solver)
@@ -844,7 +904,7 @@ class TestCallStructure:
         np.testing.assert_array_equal(closed_form_solve(system).values.values, expected)
         assert [(alpha, a, k) for alpha, a, _, k in differences] == [
             (0.5, -4, k) for k in range(-3, 1)]
-        assert runs == []
+        assert runs == [(-1.5, 14)]
 
 
 def warning_call(entry, tmp_path):
@@ -888,8 +948,8 @@ def test_convergence_warning_points_at_the_callers_line(tmp_path, entry):
 
 def overflow_call(entry, tmp_path):
     """One entry point on finite input whose products overflow float64, with
-    its outcome: the DivergenceError the series raises, or the inf or nan
-    the products give."""
+    its outcome: the DivergenceError the series or a closed-form route
+    raises, or the inf or nan the products give."""
     big = [[1e308, 1e308], [1e308, -1e308]]
     system = DelaySystem(0.5, 2, big, big, np.ones((2, 2)), horizon=4)
     forced = DelaySystem(0.5, 2, 0.1 * M2, 0.1 * N2, np.ones((2, 2)),
@@ -904,8 +964,8 @@ def overflow_call(entry, tmp_path):
         "closed_form_solve": (DivergenceError, closed_form_solve, system),
         "commutative_solve": (DivergenceError, commutative_solve, system),
         "homogeneous_part": (DivergenceError, homogeneous_part, system, 2),
-        "forced_part": (np.inf, forced_part, forced, 3),
-        "closed_form_solve-forcing": (np.inf, lambda s: closed_form_solve(s).values.values, forced),
+        "forced_part": (DivergenceError, forced_part, forced, 3),
+        "closed_form_solve-forcing": (DivergenceError, closed_form_solve, forced),
         "nabla_sum": (np.inf, nabla_sum, 0.5, 0, GridSeries(1, np.full((5, 2), 1e308)), 5),
         "WordSumTable.row": (np.nan, WordSumTable(big, big).row, 4),
         "word_sum_commutative": (np.inf, word_sum_commutative, big, big, 3, 1),
