@@ -225,12 +225,6 @@ def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int
                 total = _running_totals(block, total)[-1]
                 continue
             stop = rule.block(i0, block, total)
-            if live.size == 1:  # plain indexing saves a lone series some µs a block
-                if stop[0] >= 0:
-                    out[live[0]] = block[stop[0] - i0, :, 0]
-                    return out
-                total = block[-1]
-                continue
             done = stop >= 0
             out[live[done]] = block[stop[done] - i0, :, done]
             keep = ~done

@@ -162,6 +162,20 @@ def _kernel_sum(order: float, a: int, z: GridSeries, k: int) -> np.ndarray:
         return weights @ z.values[a + 1 - z.base : k + 1 - z.base]
 
 
+def _kernel_run(order: float, values: np.ndarray) -> np.ndarray:
+    # _kernel_sum at every point of a run stored from a + 1: row j of the
+    # (L, n) result is the sum at k = a + 1 + j against rows 0 .. j of
+    # `values`.  One direct causal convolution per component, O(L^2), as
+    # an FFT would round each early point against the whole run's scale.
+    # np.convolve sets no floating-point flags: overflow gives inf and nan.
+    length = len(values)
+    weights = monomial_run(order, length)
+    out = np.empty_like(values)
+    for c in range(values.shape[1]):
+        out[:, c] = np.convolve(weights, values[:, c])[:length]
+    return out
+
+
 def nabla_sum(alpha: float, a: int, z: GridSeries, k: int) -> np.ndarray:
     """Nabla fractional sum of order ``alpha`` based at ``a``.
 

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
-from .grid_calculus import GridSeries, monomial_run, rl_difference
+from .grid_calculus import GridSeries, _kernel_run, monomial_run
 
 __all__ = [
     "DelaySystem",
@@ -150,11 +150,6 @@ class DelaySystem:
     @property
     def dim(self) -> int:
         return self.M.shape[0]
-
-    def forcing_at(self, k: int) -> np.ndarray:
-        if self.forcing is None:
-            return np.zeros(self.dim)
-        return self.forcing.at(k)
 
 
 @dataclass
@@ -328,15 +323,14 @@ def _forcing_rows(system: DelaySystem, kmax: int) -> np.ndarray:
 def _equation_residuals(system: DelaySystem, values: GridSeries) -> np.ndarray:
     """Max-norm residual of the defining equation at k = 1 .. horizon.
 
-    The RL difference of the whole trajectory is one causal convolution
-    with the weights monomial(-alpha - 1) per component.
+    The RL difference of the whole trajectory, based at -r, is one kernel
+    run of its rows z(1 - r) .. z(horizon), read from k = 1 on.
     """
     r, K = system.delay, system.horizon
     if values.base != 1 - r or values.end < K:
         raise ValueError("trace does not cover the solution grid [1 - delay, horizon]")
     z = values.values[: K + r]
-    weights = monomial_run(-system.alpha - 1.0, K + r)
-    lhs = np.stack([np.convolve(weights, column)[r : K + r] for column in z.T], axis=1)
+    lhs = _kernel_run(-system.alpha - 1.0, z)[r:]
     defect = lhs - z[r:] @ system.M.T - z[:K] @ system.N.T - _forcing_rows(system, K)
     return np.abs(defect).max(axis=1)
 
@@ -345,13 +339,20 @@ def _g_rows(system: DelaySystem, s0: int, s1: int) -> np.ndarray:
     """Rows g(s0) .. g(s1) of g = [w; f], s0 >= 1 - r.
 
     w(s) = (RL difference of phi)(s) - M phi(s) for s <= 0, the difference
-    based at -r, so w(1 - r) = (I - M) phi(1 - r); f(s) for s >= 1.
+    based at -r, so w(1 - r) = (I - M) phi(1 - r); f(s) for s >= 1.  The
+    differences at the history rows read one kernel run of phi.
     """
-    r, M, phi = system.delay, system.M, system.phi
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
-        w = [rl_difference(system.alpha, -r, phi, s) - M @ phi.at(s)
-             for s in range(s0, min(s1, 0) + 1)]
-    return np.vstack(w + [_forcing_rows(system, s1)[max(s0, 1) - 1 :]])
+    r = system.delay
+    first, end = s0 + r - 1, min(s1, 0) + r  # the history rows are phi[first:end]
+    h = max(0, end - first)
+    g = np.empty((s1 + 1 - s0, system.dim))
+    if h:
+        phi = system.phi.values[:end]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
+            run = _kernel_run(-system.alpha - 1.0, phi)
+            np.subtract(run[first:], phi[first:] @ system.M.T, out=g[:h])
+    g[h:] = _forcing_rows(system, s1)[max(s0, 1) - 1 :]
+    return g
 
 
 def _closed_trajectory(system: DelaySystem, kmax: int, commutative: bool = False) -> np.ndarray:

@@ -4,7 +4,8 @@ Core claims:
 - the product recurrence reproduces the gamma-ratio value of the monomial
   wherever the latter is finite, and pins the empty-interval conventions;
 - nabla_sum and rl_difference are the stated finite weighted sums, with
-  unit leading weight for the difference;
+  unit leading weight for the difference, and the kernel run of a stored
+  run is the one-point kernel sum at each of its points;
 - the classical identities hold numerically: sum composition, the
   Chu-Vandermonde monomial sum, sum-after-difference recovery, and the
   difference rule for parameter-dependent sums.
@@ -25,6 +26,7 @@ from nabladelay import (
     nabla_sum,
     rl_difference,
 )
+from nabladelay.grid_calculus import _kernel_run, _kernel_sum
 
 
 def gamma_ratio(mu: float, m: int) -> float:
@@ -177,6 +179,25 @@ def test_operators_match_pointwise_kernel_sum_on_long_spans(operator, order):
     terms = np.array([monomial(order, k, s - 1) * z.at(s) for s in range(a + 1, k + 1)])
     got = operator(0.4, a, z, k)
     assert np.max(np.abs(got - terms.sum(axis=0))) <= 1e-13 * np.abs(terms).sum()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kind", ["difference", "sum"])
+def test_kernel_run_is_the_kernel_sum_at_every_point(kind, n):
+    # Orders -alpha - 1 (difference) and alpha - 1 (sum); each point of the
+    # run within 1e-14 of the sum of its terms' sizes.
+    rng = np.random.default_rng(31 * n + len(kind))
+    for length in range(1, 41):
+        alpha, a = rng.uniform(0.05, 0.95), int(rng.integers(-6, 6))
+        order = -alpha - 1.0 if kind == "difference" else alpha - 1.0
+        values = rng.normal(size=(length, n))
+        got = _kernel_run(order, values)
+        assert got.shape == values.shape
+        z = GridSeries(a + 1, values)
+        for j in range(length):
+            want = _kernel_sum(order, a, z, a + 1 + j)
+            size = np.abs(monomial_run(order, j + 1))[::-1] @ np.abs(values[: j + 1])
+            assert np.all(np.abs(got[j] - want) <= 1e-14 * size), (length, j)
 
 
 class TestIdentities:

@@ -77,6 +77,13 @@ def planar_system(horizon=20, scale=1.0, forcing=None, seed=7):
     )
 
 
+def forcing_at(system, k):
+    """f(k), the zero vector when the system has no forcing."""
+    if system.forcing is None:
+        return np.zeros(system.dim)
+    return system.forcing.at(k)
+
+
 def _direct_step(system):
     """Rows z(1 - r) .. z(horizon) stepped point by point: the O(K^2 n) loop.
 
@@ -94,7 +101,7 @@ def _direct_step(system):
         for k in range(1, K + 1):
             pos = k + r - 1
             history = weights[pos:0:-1] @ V[:pos]
-            rhs = system.N @ V[k - 1] + system.forcing_at(k) - history
+            rhs = system.N @ V[k - 1] + forcing_at(system, k) - history
             V[pos] = np.linalg.solve(ImM, rhs)
             if not np.isfinite(V[pos]).all():
                 break
@@ -178,9 +185,11 @@ class TestDelaySystem:
         with pytest.raises(ValueError, match=rf"^{field}\b"):
             DelaySystem(0.5, 2, [[0.1]], [[0.1]], horizon=3, **tables)
 
-    def test_forcing_defaults_to_zero(self):
-        system = scalar_system()
-        np.testing.assert_array_equal(system.forcing_at(3), np.zeros(1))
+    def test_no_forcing_steps_as_a_zero_table(self):
+        unforced = planar_system(horizon=20)
+        zero = planar_system(horizon=20, forcing=np.zeros((20, 2)))
+        assert step_solve(unforced).values.values.tobytes() == (
+            step_solve(zero).values.values.tobytes())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["M", "N", "phi", "forcing"])
@@ -386,7 +395,7 @@ class TestEquationResiduals:
         got = _equation_residuals(system, z)
         assert got.shape == (K,)
         for k in range(1, K + 1):
-            zk, zd, f = z.at(k), z.at(k - delay), system.forcing_at(k)
+            zk, zd, f = z.at(k), z.at(k - delay), forcing_at(system, k)
             defect = rl_difference(alpha, -delay, z, k) - M @ zk - N @ zd - f
             weights = np.abs(monomial_run(-alpha - 1.0, k + delay))[::-1]
             size = (
@@ -444,6 +453,39 @@ class TestForcedPart:
         for k in range(1, 21):
             got = forced_part(system, k)[0]
             assert got == pytest.approx(oracle.values.at(k)[0], rel=1e-8)
+
+
+class TestGRows:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("r", [1, 2, 5, 10])
+    def test_history_rows_are_the_pointwise_weights(self, r, n):
+        # w(s) = rl_difference(alpha, -r, phi, s) - M phi(s), within 1e-14
+        # of the sum of its terms' sizes, at every history point.
+        rng = np.random.default_rng(10 * r + n)
+        M, N = 0.3 * rng.normal(size=(2, n, n))
+        system = DelaySystem(0.6, r, M, N, rng.normal(size=(r, n)), horizon=5)
+        got = solver._g_rows(system, 1 - r, 0)
+        assert got.shape == (r, n)
+        phi = system.phi
+        for s in range(1 - r, 1):
+            want = rl_difference(0.6, -r, phi, s) - M @ phi.at(s)
+            weights = np.abs(monomial_run(-1.6, s + r))[::-1]
+            size = weights @ np.abs(phi.values[: s + r]) + np.abs(M) @ np.abs(phi.at(s))
+            assert np.all(np.abs(got[s + r - 1] - want) <= 1e-14 * size), s
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_windows_read_the_history_then_the_forcing(self, r):
+        rng = np.random.default_rng(r)
+        M, N = 0.3 * rng.normal(size=(2, 2, 2))
+        system = DelaySystem(0.6, r, M, N, rng.normal(size=(r, 2)),
+                             forcing=rng.normal(size=(6, 2)), horizon=6)
+        full = solver._g_rows(system, 1 - r, 6)
+        assert full.shape == (6 + r, 2)
+        assert full[r:].tobytes() == system.forcing.values.tobytes()
+        assert solver._g_rows(system, 1, 4).tobytes() == full[r : r + 4].tobytes()
+        for s1 in range(1 - r, 1):
+            np.testing.assert_allclose(solver._g_rows(system, 1 - r, s1), full[: s1 + r],
+                                       rtol=1e-14, atol=0)
 
 
 class TestPartsReadOnlyWhatTheyUse:
@@ -893,18 +935,23 @@ class TestCallStructure:
         assert report.oracle.residuals is None
         assert report.closed.residuals.shape == (12,)
 
-    def test_closed_form_history_weights_come_from_rl_difference(self, monkeypatch):
-        # The RL difference of phi is grid_calculus's, one call per history
-        # point; the closed form runs no kernel of its own but the one
-        # kernel run of its residual check, over k = 1 - r .. horizon.
+    def test_closed_form_takes_its_rl_differences_from_two_kernel_runs(self, monkeypatch):
+        # The RL differences of phi (the history weights) and of the whole
+        # trajectory (the residual) are each one grid_calculus kernel run,
+        # over phi's r rows and then over k = 1 - r .. horizon; no per-point
+        # rl_difference.  homogeneous_part takes one run, of the weights.
         system = scalar_system(delay=4, horizon=10)
         expected = closed_form_solve(system).values.values
+        runs = count_calls(monkeypatch, "_kernel_run", grid_calculus, solver)
         differences = count_calls(monkeypatch, "rl_difference", grid_calculus, solver)
-        runs = count_calls(monkeypatch, "monomial_run", solver)
         np.testing.assert_array_equal(closed_form_solve(system).values.values, expected)
-        assert [(alpha, a, k) for alpha, a, _, k in differences] == [
-            (0.5, -4, k) for k in range(-3, 1)]
-        assert runs == [(-1.5, 14)]
+        assert [(order, values.shape) for order, values in runs] == [
+            (-1.5, (4, 1)), (-1.5, (14, 1))]
+        assert differences == []
+        runs.clear()
+        homogeneous_part(system, 3)
+        assert [(order, values.shape) for order, values in runs] == [(-1.5, (4, 1))]
+        assert differences == []
 
 
 def warning_call(entry, tmp_path):
