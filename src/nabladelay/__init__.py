@@ -11,80 +11,20 @@ The package has three layers:
   linear fractional difference systems with one constant delay, plus a
   cross-checking verifier.
 
+The package namespace re-exports the public names of all three layers,
+each layer's ``__all__``.
+
 A command-line interface (``nabladelay``) exposes solving, verification,
 word-sum tables and diagnostic figures; see :mod:`nabladelay.cli`.
 """
 
-from .dpml import (
-    CommutativityError,
-    DivergenceError,
-    DpmlFunction,
-    DpmlParams,
-    REDUCTION_PATTERNS,
-    ReductionPatternError,
-    TruncationPolicy,
-    WordSumTable,
-    dpml_eval,
-    ml_eval,
-    ml_partial_sum,
-    special_reductions,
-    word_sum,
-    word_sum_commutative,
-)
-from .grid_calculus import (
-    GridRangeError,
-    GridSeries,
-    monomial,
-    monomial_run,
-    nabla_sum,
-    rl_difference,
-)
-from .solver import (
-    DelaySystem,
-    SingularityError,
-    SolutionTrace,
-    VerifyReport,
-    closed_form_solve,
-    commutative_solve,
-    delta_solve,
-    forced_part,
-    homogeneous_part,
-    step_solve,
-    verify,
-)
+from . import dpml, grid_calculus, solver
+from .dpml import *
+from .grid_calculus import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CommutativityError",
-    "DelaySystem",
-    "DivergenceError",
-    "DpmlFunction",
-    "DpmlParams",
-    "GridRangeError",
-    "GridSeries",
-    "REDUCTION_PATTERNS",
-    "ReductionPatternError",
-    "SingularityError",
-    "SolutionTrace",
-    "TruncationPolicy",
-    "VerifyReport",
-    "WordSumTable",
-    "closed_form_solve",
-    "commutative_solve",
-    "delta_solve",
-    "dpml_eval",
-    "forced_part",
-    "homogeneous_part",
-    "ml_eval",
-    "ml_partial_sum",
-    "monomial",
-    "monomial_run",
-    "nabla_sum",
-    "rl_difference",
-    "special_reductions",
-    "step_solve",
-    "verify",
-    "word_sum",
-    "word_sum_commutative",
-]
+__all__ = list(dpml.__all__)
+__all__ += grid_calculus.__all__
+__all__ += solver.__all__

@@ -93,6 +93,13 @@ class TruncationPolicy:
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
 
 
+def _checked_policy(policy: TruncationPolicy) -> TruncationPolicy:
+    # The one type check of a series policy, made before any series work.
+    if not isinstance(policy, TruncationPolicy):
+        raise TypeError("policy must be a TruncationPolicy")
+    return policy
+
+
 # Orders per block of the series drivers.  Most series stop after a few
 # dozen orders, so a monomial table filled for all i_max orders up front
 # would cost more than the sum; the block also bounds how many orders a
@@ -491,8 +498,7 @@ class DpmlParams:
             raise ValueError(f"beta must be finite, got {self.beta}")
         self.r = int(self.r)
         self.M, self.N = _as_square_pair(self.M, self.N)
-        if not isinstance(self.policy, TruncationPolicy):
-            raise TypeError("policy must be a TruncationPolicy")
+        _checked_policy(self.policy)
 
     @property
     def dim(self) -> int:
@@ -639,9 +645,12 @@ def ml_eval(M, alpha: float, c: float, k: int, a: int,
     adaptive truncation rule.  For ``k < a`` every monomial vanishes and
     the zero matrix is returned; at ``k = a`` only orders with
     ``i * alpha + c == 0`` survive.  ``alpha`` must lie in (0, 1], with 1
-    admitted for the classical-exponential corner.
+    admitted for the classical-exponential corner.  ``policy=None`` means
+    the default :class:`TruncationPolicy`; any other value that is not a
+    :class:`TruncationPolicy` raises :class:`TypeError`.
     """
-    return _ml_series(M, alpha, c, k, a, None, TruncationPolicy() if policy is None else policy)
+    policy = TruncationPolicy() if policy is None else _checked_policy(policy)
+    return _ml_series(M, alpha, c, k, a, None, policy)
 
 
 def ml_partial_sum(M, alpha: float, c: float, k: int, a: int, imax: int) -> np.ndarray:
@@ -831,16 +840,16 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
       delay blocks.
     - ``ml``: N = 0; one-matrix Mittag-Leffler series.
 
-    With ``pattern=None`` the most specific applicable pattern is chosen
-    in the order above; :class:`ReductionPatternError` is raised when no
-    pattern applies, or when an explicitly requested pattern does not
-    match the parameters.  A value that overflows raises
+    With ``pattern=None`` detection follows :data:`REDUCTION_PATTERNS`,
+    the order above, and picks the first, most specific, pattern that
+    applies; :class:`ReductionPatternError` is raised when no pattern
+    applies, or when an explicitly requested pattern does not match the
+    parameters.  A value that overflows raises
     :class:`DivergenceError` naming the pattern and ``k``.
     """
-    M, N = params.M, params.N
-    unit_orders = params.alpha == 1.0 and params.beta == 1.0
-    m_zero = not M.any()
-    n_zero = not N.any()
+    M, N, r, alpha, policy = params.M, params.N, params.r, params.alpha, params.policy
+    unit_orders = alpha == 1.0 and params.beta == 1.0
+    m_zero, n_zero = not M.any(), not N.any()
     commuting = _commutation(M, N)[0]
     resolvent = None
     if unit_orders and commuting:
@@ -848,19 +857,21 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
             resolvent = np.linalg.inv(np.eye(params.dim) - M)
         except np.linalg.LinAlgError:
             pass  # I - M is singular: the factored form does not apply.
-    applicable = {
-        "delayed_exponential": unit_orders and m_zero,
-        "factored_exponential": resolvent is not None,
-        "exponential_perturbation": unit_orders,
-        "delayed_ml": m_zero and params.alpha == params.beta,
-        "ml": n_zero,
+    # Each pattern's applicability and formula, keyed by name.
+    reductions = {
+        "delayed_exponential": (unit_orders and m_zero,
+                                lambda: _reduce_delayed_exponential(N, r, k)),
+        "factored_exponential": (resolvent is not None,
+                                 lambda: _reduce_factored_exponential(resolvent, M, N, r, k)),
+        "exponential_perturbation": (unit_orders,
+                                     lambda: _reduce_exponential_perturbation(M, N, r, k, policy)),
+        "delayed_ml": (m_zero and alpha == params.beta, lambda: _reduce_delayed_ml(N, alpha, r, k)),
+        # No delay term: the one-matrix series based at -r.
+        "ml": (n_zero, lambda: ml_eval(M, alpha, params.beta - 1.0, k, -r, policy)),
     }
     if pattern is None:
-        for name in REDUCTION_PATTERNS:
-            if applicable[name]:
-                pattern = name
-                break
-        else:
+        pattern = next((name for name in REDUCTION_PATTERNS if reductions[name][0]), None)
+        if pattern is None:
             raise ReductionPatternError(
                 "no closed-form reduction applies: need alpha = beta = 1, "
                 "or M = 0 with alpha = beta, or N = 0"
@@ -869,29 +880,19 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
         raise ValueError(f"unknown pattern {pattern!r}; choose from {REDUCTION_PATTERNS}")
     elif pattern == "factored_exponential" and unit_orders and commuting and resolvent is None:
         raise ReductionPatternError(f"pattern {pattern!r} needs I - M invertible; it is singular")
-    elif not applicable[pattern]:
+    elif not reductions[pattern][0]:
         raise ReductionPatternError(
             f"pattern {pattern!r} does not match the parameters "
-            f"(alpha={params.alpha}, beta={params.beta}, M zero: {m_zero}, "
+            f"(alpha={alpha}, beta={params.beta}, M zero: {m_zero}, "
             f"N zero: {n_zero}, commuting: {commuting})"
         )
     # The DPML value convention left of the series range.
-    if k <= -params.r - 1:
+    if k <= -r - 1:
         return np.zeros((params.dim, params.dim))
-    if k == -params.r:
+    if k == -r:
         return np.eye(params.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        if pattern == "delayed_exponential":
-            value = _reduce_delayed_exponential(N, params.r, k)
-        elif pattern == "factored_exponential":
-            value = _reduce_factored_exponential(resolvent, M, N, params.r, k)
-        elif pattern == "exponential_perturbation":
-            value = _reduce_exponential_perturbation(M, N, params.r, k, params.policy)
-        elif pattern == "delayed_ml":
-            value = _reduce_delayed_ml(N, params.alpha, params.r, k)
-        else:
-            # No delay term: the one-matrix series based at -r.
-            value = ml_eval(M, params.alpha, params.beta - 1.0, k, -params.r, params.policy)
+        value = reductions[pattern][1]()
     if not np.isfinite(value).all():
         raise DivergenceError(f"reduction {pattern!r} is non-finite at k = {k}")
     return value

@@ -440,6 +440,22 @@ class TestTruncationPolicy:
         params = DpmlParams(0.5, 0.5, 1, [[0.1]], [[0.1]], policy)
         assert np.isfinite(DpmlFunction(params).value(5)).all()
 
+    @pytest.mark.parametrize("policy", ["tight", {"i_max": 20}], ids=["str", "dict"])
+    @pytest.mark.parametrize("call", [
+        lambda policy: ml_eval([[0.1]], 0.5, -0.5, 5, 0, policy=policy),
+        lambda policy: ml_eval([[0.1]], 0.5, -0.5, -1, 0, policy=policy),
+        lambda policy: DpmlParams(0.5, 0.5, 1, [[0.1]], [[0.1]], policy),
+    ], ids=["ml_eval", "ml_eval-below-base", "DpmlParams"])
+    def test_rejects_a_policy_of_another_type(self, call, policy):
+        # ml_eval once passed a str policy on to the series, which raised a
+        # raw AttributeError; below its base point it was never read.
+        with pytest.raises(TypeError, match="^policy must be a TruncationPolicy$"):
+            call(policy)
+
+    def test_ml_eval_reads_none_as_the_default_policy(self):
+        want = ml_eval(M2, 0.5, -0.5, 9, 0, TruncationPolicy())
+        assert ml_eval(M2, 0.5, -0.5, 9, 0, policy=None).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_rejects_non_finite_tol(self, tol):
         # An infinite tol once stopped every series after `window` terms.
@@ -1030,14 +1046,40 @@ class TestSpecialReductions:
                 atol=1e-10,
             )
 
-    def test_detection_prefers_most_specific_pattern(self):
-        zero = np.zeros((2, 2))
+    @pytest.mark.parametrize("orders", [(1.0, 1.0), (1.0, 0.6), (0.6, 0.6), (0.6, 0.8)])
+    @pytest.mark.parametrize("n_kind", ["zero", "nonzero"])
+    @pytest.mark.parametrize("m_kind", ["zero", "commuting", "non-commuting", "singular"])
+    def test_detection_prefers_most_specific_pattern(self, m_kind, n_kind, orders):
         # alpha = beta = 1 with M = 0 satisfies three patterns; the delayed
-        # exponential is the most specific and must win.
-        params = DpmlParams(1.0, 1.0, 2, zero, N2)
-        got = special_reductions(params, 5)
-        want = special_reductions(params, 5, pattern="delayed_exponential")
-        np.testing.assert_array_equal(got, want)
+        # exponential is the most specific and must win.  Every parameter
+        # set gets the first pattern of REDUCTION_PATTERNS whose rule, as
+        # the docstring states it, admits it.
+        N = {"zero": np.zeros((2, 2)), "nonzero": N2}[n_kind]
+        M = {
+            "zero": np.zeros((2, 2)),
+            "commuting": 0.5 * N + 0.1 * np.eye(2),
+            "non-commuting": M2,
+            "singular": np.eye(2),  # I - M = 0
+        }[m_kind]
+        params = DpmlParams(*orders, 2, M, N, TIGHT)
+        unit = orders == (1.0, 1.0)
+        m_zero, n_zero = m_kind == "zero", n_kind == "zero"
+        commuting = m_kind != "non-commuting" or n_zero
+        rules = {
+            "delayed_exponential": unit and m_zero,
+            "factored_exponential": unit and commuting and m_kind != "singular",
+            "exponential_perturbation": unit,
+            "delayed_ml": m_zero and orders[0] == orders[1],
+            "ml": n_zero,
+        }
+        admitted = [name for name in REDUCTION_PATTERNS if rules[name]]
+        if not admitted:
+            with pytest.raises(ReductionPatternError, match="no closed-form reduction applies"):
+                special_reductions(params, 5)
+            return
+        for k in (-2, 5):
+            want = outcome(lambda: special_reductions(params, k, pattern=admitted[0]))
+            assert_same_outcome(outcome(lambda: special_reductions(params, k)), want)
 
     def test_requested_pattern_mismatch_raises(self):
         params = DpmlParams(0.5, 0.5, 2, M2, N2)
