@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_calculus import _monomial_rows
+from .grid_calculus import _monomial_rows, _require_points
 
 __all__ = [
     "CommutativityError",
@@ -69,6 +69,13 @@ class ReductionPatternError(ValueError):
     """Raised when a requested closed-form reduction does not match the parameters."""
 
 
+def _require_count(name: str, count) -> int:
+    # The one check of a count field: an int or np.integer >= 1, not a bool.
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    return int(count)
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Adaptive stop and divergence rules for the matrix series.
@@ -88,9 +95,7 @@ class TruncationPolicy:
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         for name in ("window", "i_max", "divergence_growth"):
-            count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)) or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+            _require_count(name, getattr(self, name))
 
 
 def _checked_policy(policy: TruncationPolicy) -> TruncationPolicy:
@@ -490,13 +495,11 @@ class DpmlParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
-            raise ValueError(f"delay must be an integer >= 1, got {self.r}")
+        self.r = _require_count("delay", self.r)
         self.alpha = float(self.alpha)
         self.beta = float(self.beta)
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
-        self.r = int(self.r)
         self.M, self.N = _as_square_pair(self.M, self.N)
         _checked_policy(self.policy)
 
@@ -561,10 +564,12 @@ class DpmlFunction:
         ``k`` in a longer stack may differ in the last bits, or by a whole
         term where a term near the tolerance moves the stop order.
         """
+        _require_points(kmin=kmin, kmax=kmax)
         return self._series(kmin, kmax, None)
 
     def value(self, k: int) -> np.ndarray:
         """DPML value at grid point ``k`` under the adaptive truncation rule."""
+        _require_points(k=k)
         return self._series(k, k, None)[0]
 
     def partial_sum(self, k: int, imax: int) -> np.ndarray:
@@ -573,6 +578,7 @@ class DpmlFunction:
         Intended for diagnostic output on divergent parameter sets; the
         piecewise zero/identity branches still apply.
         """
+        _require_points(k=k)
         if imax < 0:
             raise ValueError("imax must be >= 0")
         return self._series(k, k, imax)[0]
@@ -661,6 +667,7 @@ def ml_partial_sum(M, alpha: float, c: float, k: int, a: int, imax: int) -> np.n
 def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
                policy: TruncationPolicy | None) -> np.ndarray:
     # Sums orders 0 .. imax when imax is given, else stops under the policy.
+    _require_points(k=k, a=a)
     M = _as_square(M, "M")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
@@ -847,6 +854,7 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
     parameters.  A value that overflows raises
     :class:`DivergenceError` naming the pattern and ``k``.
     """
+    _require_points(k=k)
     M, N, r, alpha, policy = params.M, params.N, params.r, params.alpha, params.policy
     unit_orders = alpha == 1.0 and params.beta == 1.0
     m_zero, n_zero = not M.any(), not N.any()

@@ -34,6 +34,14 @@ class GridRangeError(IndexError):
     """Raised when a grid function is read outside its stored range."""
 
 
+def _require_points(**points) -> None:
+    # The one type check of the grid point arguments of the public point
+    # entries, each named in the error: an int or np.integer, not a bool.
+    for name, value in points.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer grid point, got {value!r}")
+
+
 def monomial(mu: float, k: int, a: int) -> float:
     """Fractional Taylor monomial of order ``mu`` based at ``a``.
 
@@ -138,7 +146,12 @@ class GridSeries:
         return range(self.base, self.end + 1)
 
     def at(self, k: int) -> np.ndarray:
-        """Value at grid point ``k`` (shape ``(n,)``)."""
+        """Value at grid point ``k`` (shape ``(n,)``).
+
+        Raises :class:`TypeError` when ``k`` is not an integer and
+        :class:`GridRangeError` outside the stored range.
+        """
+        _require_points(k=k)
         if k < self.base or k > self.end:
             raise GridRangeError(
                 f"grid point {k} outside stored range [{self.base}, {self.end}]"
@@ -162,15 +175,16 @@ def _kernel_sum(order: float, a: int, z: GridSeries, k: int) -> np.ndarray:
         return weights @ z.values[a + 1 - z.base : k + 1 - z.base]
 
 
-def _kernel_run(order: float, values: np.ndarray) -> np.ndarray:
-    # _kernel_sum at every point of a run stored from a + 1: row j of the
-    # (L, n) result is the sum at k = a + 1 + j against rows 0 .. j of
-    # `values`.  One direct causal convolution per component, O(L^2), as
-    # an FFT would round each early point against the whole run's scale.
+def _kernel_run(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # The package's one direct causal convolution: row j of the (L, n)
+    # result is sum_{t <= j} weights[t] values[j - t], one np.convolve per
+    # column.  With monomial_run(order, L) as weights it is _kernel_sum at
+    # every point of a run stored from a + 1: row j is the sum at
+    # k = a + 1 + j against rows 0 .. j of `values`.  Direct, O(L^2), as an
+    # FFT would round each early point against the whole run's scale.
     # np.convolve sets no floating-point flags: overflow gives inf and nan.
     length = len(values)
-    weights = monomial_run(order, length)
-    out = np.empty_like(values)
+    out = np.empty((length, values.shape[1]))
     for c in range(values.shape[1]):
         out[:, c] = np.convolve(weights, values[:, c])[:length]
     return out
@@ -184,6 +198,7 @@ def nabla_sum(alpha: float, a: int, z: GridSeries, k: int) -> np.ndarray:
     must be stored at least on ``[a + 1, k]``.  ``alpha`` must be positive
     and finite (:class:`ValueError` otherwise).
     """
+    _require_points(a=a, k=k)
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"fractional sum order must be positive and finite, got {alpha}")
     if k <= a:
@@ -199,6 +214,7 @@ def rl_difference(alpha: float, a: int, z: GridSeries, k: int) -> np.ndarray:
     sequential solvers for implicit fractional difference equations
     possible.
     """
+    _require_points(a=a, k=k)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"difference order must lie in (0, 1), got {alpha}")
     if k < a + 1:

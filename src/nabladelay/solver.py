@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
-from .grid_calculus import GridSeries, _kernel_run, monomial_run
+from .dpml import (DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_count,
+                   _require_finite)
+from .grid_calculus import GridSeries, _kernel_run, _require_points, monomial_run
 
 __all__ = [
     "DelaySystem",
@@ -113,9 +114,7 @@ class DelaySystem:
         # The delay, M/N pair and policy rules are the DPML layer's.
         params = self.params
         self.alpha, self.delay, self.M, self.N = params.alpha, params.r, params.M, params.N
-        if not isinstance(self.horizon, (int, np.integer)) or self.horizon < 1:
-            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon}")
-        self.horizon = int(self.horizon)
+        self.horizon = _require_count("horizon", self.horizon)
         if not isinstance(self.phi, GridSeries):
             self.phi = _on_grid("phi", 1 - self.delay, self.phi)
         if self.phi.base != 1 - self.delay or self.phi.end != 0:
@@ -320,17 +319,15 @@ def _forcing_rows(system: DelaySystem, kmax: int) -> np.ndarray:
     return f.values[1 - f.base : kmax + 1 - f.base]
 
 
-def _equation_residuals(system: DelaySystem, values: GridSeries) -> np.ndarray:
+def _equation_residuals(system: DelaySystem, z: np.ndarray) -> np.ndarray:
     """Max-norm residual of the defining equation at k = 1 .. horizon.
 
-    The RL difference of the whole trajectory, based at -r, is one kernel
-    run of its rows z(1 - r) .. z(horizon), read from k = 1 on.
+    ``z`` holds the trajectory's rows z(1 - r) .. z(horizon).  The RL
+    difference of the whole trajectory, based at -r, is one kernel run of
+    those rows, read from k = 1 on.
     """
     r, K = system.delay, system.horizon
-    if values.base != 1 - r or values.end < K:
-        raise ValueError("trace does not cover the solution grid [1 - delay, horizon]")
-    z = values.values[: K + r]
-    lhs = _kernel_run(-system.alpha - 1.0, z)[r:]
+    lhs = _kernel_run(monomial_run(-system.alpha - 1.0, K + r), z)[r:]
     defect = lhs - z[r:] @ system.M.T - z[:K] @ system.N.T - _forcing_rows(system, K)
     return np.abs(defect).max(axis=1)
 
@@ -349,7 +346,7 @@ def _g_rows(system: DelaySystem, s0: int, s1: int) -> np.ndarray:
     if h:
         phi = system.phi.values[:end]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
-            run = _kernel_run(-system.alpha - 1.0, phi)
+            run = _kernel_run(monomial_run(-system.alpha - 1.0, end), phi)
             np.subtract(run[first:], phi[first:] @ system.M.T, out=g[:h])
     g[h:] = _forcing_rows(system, s1)[max(s0, 1) - 1 :]
     return g
@@ -359,18 +356,17 @@ def _closed_trajectory(system: DelaySystem, kmax: int, commutative: bool = False
     """Rows z(1 - r) .. z(kmax) of the explicit representation, kmax >= 1 - r.
 
     One causal convolution z(k) = sum_{s = 1 - r}^{k} Phi(k - r - s + 1) g(s)
-    with g = [w; f] (:func:`_g_rows`).
+    with g = [w; f] (:func:`_g_rows`): row q of z is
+    sum_t Psi(t) g(q - t) with Psi(t) = Phi(t + 1 - r).  Its column a is
+    sum_b Psi[:, a, b] convolved with g[:, b], and convolution commutes, so
+    each b is one kernel run with weights g[:, b] over the n columns
+    Psi[:, :, b].  It agrees with the per-lag sum to rounding.
     """
     r = system.delay
-    length = kmax + r
     g = _g_rows(system, 1 - r, kmax)
-    # Psi(t) = Phi(t + 1 - r) weighs g(q - t) in z at position q.
     psi = DpmlFunction(system.params, commutative).stack(1 - r, kmax)
-    z = np.zeros_like(g)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
-        for t in range(length):
-            z[t:] += g[: length - t] @ psi[t].T
-    return z
+        return sum(_kernel_run(g[:, b], psi[:, :, b]) for b in range(system.dim))
 
 
 def _dpml_sum(system: DelaySystem, k: int, s0: int, s1: int) -> np.ndarray:
@@ -396,6 +392,7 @@ def homogeneous_part(system: DelaySystem, k: int) -> np.ndarray:
     :class:`~nabladelay.dpml.DivergenceError` when the series fails its
     truncation rule or the value is not finite.
     """
+    _require_points(k=k)
     r = system.delay
     if k < 1 - r:
         return np.zeros(system.dim)
@@ -408,8 +405,12 @@ def forced_part(system: DelaySystem, k: int) -> np.ndarray:
     Discrete convolution of DPML values on [1 - delay, k - delay] with the
     forcing over s in [1, k]; zero on the initial interval and for zero
     forcing.  Raises :class:`~nabladelay.dpml.DivergenceError` as
-    :func:`homogeneous_part` does.
+    :func:`homogeneous_part` does, and
+    :class:`~nabladelay.grid_calculus.GridRangeError` for k past the end
+    of the stored forcing, which need only cover [1, horizon].
+    :func:`homogeneous_part` and an unforced system accept any k.
     """
+    _require_points(k=k)
     if k < 1:
         return np.zeros(system.dim)
     return _dpml_sum(system, k, 1, k)
@@ -417,11 +418,10 @@ def forced_part(system: DelaySystem, k: int) -> np.ndarray:
 
 def _closed_trace(system: DelaySystem, commutative: bool, base: int, method: str) -> SolutionTrace:
     # The trajectory and its residuals, checked against _RESIDUAL_BUDGET.
-    r = system.delay
     z = _closed_trajectory(system, system.horizon, commutative)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the test
-        residuals = _equation_residuals(system, GridSeries(1 - r, z))
-        ratio = residuals / np.maximum(1.0, np.abs(z[r:]).max(axis=1))
+        residuals = _equation_residuals(system, z)
+        ratio = residuals / np.maximum(1.0, np.abs(z[system.delay :]).max(axis=1))
     bad = np.flatnonzero(~(ratio <= _RESIDUAL_BUDGET))
     if bad.size:
         i = bad[0]

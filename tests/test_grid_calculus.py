@@ -191,13 +191,28 @@ def test_kernel_run_is_the_kernel_sum_at_every_point(kind, n):
         alpha, a = rng.uniform(0.05, 0.95), int(rng.integers(-6, 6))
         order = -alpha - 1.0 if kind == "difference" else alpha - 1.0
         values = rng.normal(size=(length, n))
-        got = _kernel_run(order, values)
+        got = _kernel_run(monomial_run(order, length), values)
         assert got.shape == values.shape
         z = GridSeries(a + 1, values)
         for j in range(length):
             want = _kernel_sum(order, a, z, a + 1 + j)
             size = np.abs(monomial_run(order, j + 1))[::-1] @ np.abs(values[: j + 1])
             assert np.all(np.abs(got[j] - want) <= 1e-14 * size), (length, j)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_kernel_run_is_a_causal_convolution(n):
+    # Row j is sum_{t <= j} weights[t] values[j - t] for any weights, as
+    # the closed trajectory uses it; within 1e-14 of the terms' sizes.
+    rng = np.random.default_rng(47 + n)
+    for length in range(1, 41):
+        weights = rng.normal(size=length)
+        values = rng.normal(size=(length, n))
+        got = _kernel_run(weights, values)
+        assert got.shape == values.shape
+        for j in range(length):
+            terms = weights[: j + 1, None] * values[j::-1]
+            assert np.all(np.abs(got[j] - terms.sum(axis=0)) <= 1e-14 * np.abs(terms).sum(axis=0))
 
 
 class TestIdentities:

@@ -23,6 +23,7 @@ from nabladelay import (
     DivergenceError,
     DpmlFunction,
     DpmlParams,
+    GridRangeError,
     GridSeries,
     SingularityError,
     TruncationPolicy,
@@ -34,9 +35,11 @@ from nabladelay import (
     forced_part,
     homogeneous_part,
     ml_eval,
+    ml_partial_sum,
     monomial_run,
     nabla_sum,
     rl_difference,
+    special_reductions,
     step_solve,
     verify,
     word_sum_commutative,
@@ -253,7 +256,7 @@ class TestStepSolve:
         system = planar_system(horizon=25)
         trace = step_solve(system)
         assert trace.residuals is None
-        residuals = _equation_residuals(system, trace.values)
+        residuals = _equation_residuals(system, trace.values.values)
         assert residuals.shape == (25,)
         assert float(np.max(residuals)) <= 1e-12
 
@@ -392,7 +395,7 @@ class TestEquationResiduals:
             forcing=rng.normal(size=(K, dim)) if forced else None, horizon=K,
         )
         z = GridSeries(1 - delay, rng.normal(size=(K + delay, dim)))
-        got = _equation_residuals(system, z)
+        got = _equation_residuals(system, z.values)
         assert got.shape == (K,)
         for k in range(1, K + 1):
             zk, zd, f = z.at(k), z.at(k - delay), forcing_at(system, k)
@@ -453,6 +456,17 @@ class TestForcedPart:
         for k in range(1, 21):
             got = forced_part(system, k)[0]
             assert got == pytest.approx(oracle.values.at(k)[0], rel=1e-8)
+
+
+    def test_raises_past_the_stored_forcing(self):
+        # The forcing need only cover [1, horizon]; past its end forced_part
+        # raises, while homogeneous_part and an unforced system take any k.
+        forced = scalar_system(forcing=np.ones((14, 1)), horizon=12)
+        forced_part(forced, 14)
+        with pytest.raises(GridRangeError, match=r"grid point 15 outside stored range \[1, 14\]"):
+            forced_part(forced, 15)
+        assert np.isfinite(homogeneous_part(forced, 40)).all()
+        np.testing.assert_array_equal(forced_part(scalar_system(horizon=12), 40), np.zeros(1))
 
 
 class TestGRows:
@@ -553,6 +567,52 @@ class TestPartsReadOnlyWhatTheyUse:
                 np.testing.assert_array_equal(forced_part(system, k), np.zeros(2))
 
 
+def per_lag_trajectory(system, kmax, commutative=False):
+    """Rows z(1 - r) .. z(kmax) summed lag by lag, with the sizes of their terms.
+
+    z(q) = sum_t Psi(t) g(q - t), Psi(t) = Phi(t + 1 - r), one matrix
+    product per lag t: the reference the convolution in
+    :func:`_closed_trajectory` must reproduce to rounding.
+    """
+    r = system.delay
+    length = kmax + r
+    g = solver._g_rows(system, 1 - r, kmax)
+    psi = DpmlFunction(system.params, commutative).stack(1 - r, kmax)
+    z, size = np.zeros_like(g), np.zeros_like(g)
+    for t in range(length):
+        z[t:] += g[: length - t] @ psi[t].T
+        size[t:] += np.abs(g[: length - t]) @ np.abs(psi[t]).T
+    return z, size
+
+
+class TestClosedTrajectory:
+    @staticmethod
+    def system(n, r, K, commuting):
+        rng = np.random.default_rng(100 * n + 10 * r + K)
+        if commuting:
+            # One orthogonal basis diagonalises both, so MN = NM to rounding.
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            M, N = (Q * rng.uniform(-0.2, 0.2, size=(2, 1, n))) @ Q.T
+        else:
+            M, N = rng.normal(size=(2, n, n))
+            M *= 0.2 / np.linalg.norm(M, 1)
+            N *= 0.2 / np.linalg.norm(N, 1)
+        return DelaySystem(0.6, r, M, N, rng.normal(size=(r, n)),
+                           forcing=rng.normal(size=(K, n)), horizon=K)
+
+    @pytest.mark.parametrize("commutative", [False, True], ids=["plain", "commutative"])
+    @pytest.mark.parametrize("K", [1, 40, 160])
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_the_per_lag_sum(self, n, r, K, commutative):
+        # Within 1e-14 of the sum of the terms' sizes at every entry.
+        system = self.system(n, r, K, commutative)
+        got = _closed_trajectory(system, K, commutative)
+        want, size = per_lag_trajectory(system, K, commutative)
+        assert got.shape == (K + r, n)
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
+
+
 class TestClosedFormSolve:
     def test_equals_homogeneous_part_without_forcing(self):
         system = planar_system(horizon=12)
@@ -642,7 +702,7 @@ class TestClosedFormSolve:
                 continue
             trace = route(system)
             z = trace.values.values
-            want = _equation_residuals(system, GridSeries(1 - system.delay, z))
+            want = _equation_residuals(system, z)
             assert trace.residuals.tobytes() == want.tobytes()
             assert np.all(trace.residuals <= 1e-7 * np.maximum(1.0, np.abs(z[2:]).max(axis=1)))
 
@@ -938,20 +998,36 @@ class TestCallStructure:
     def test_closed_form_takes_its_rl_differences_from_two_kernel_runs(self, monkeypatch):
         # The RL differences of phi (the history weights) and of the whole
         # trajectory (the residual) are each one grid_calculus kernel run,
-        # over phi's r rows and then over k = 1 - r .. horizon; no per-point
-        # rl_difference.  homogeneous_part takes one run, of the weights.
+        # told apart from the trajectory's convolution by their
+        # monomial_run(-alpha - 1, .) weights, over phi's r rows and then
+        # over k = 1 - r .. horizon; no per-point rl_difference.
+        # homogeneous_part takes one run, of the weights.
         system = scalar_system(delay=4, horizon=10)
         expected = closed_form_solve(system).values.values
         runs = count_calls(monkeypatch, "_kernel_run", grid_calculus, solver)
         differences = count_calls(monkeypatch, "rl_difference", grid_calculus, solver)
+
+        def rl_runs():
+            return [values.shape for weights, values in runs
+                    if weights.tobytes() == monomial_run(-1.5, len(weights)).tobytes()]
+
         np.testing.assert_array_equal(closed_form_solve(system).values.values, expected)
-        assert [(order, values.shape) for order, values in runs] == [
-            (-1.5, (4, 1)), (-1.5, (14, 1))]
+        assert rl_runs() == [(4, 1), (14, 1)]
         assert differences == []
         runs.clear()
         homogeneous_part(system, 3)
-        assert [(order, values.shape) for order, values in runs] == [(-1.5, (4, 1))]
+        assert rl_runs() == [(4, 1)]
         assert differences == []
+
+    def test_closed_trajectory_is_one_kernel_run_per_column_of_phi(self, monkeypatch):
+        # The trajectory sums Phi * g as n kernel runs, one per column b of
+        # the DPML values, weighted by g[:, b]; no per-lag loop.
+        system = planar_system(horizon=10)
+        g = solver._g_rows(system, -1, 10)
+        runs = count_calls(monkeypatch, "_kernel_run", grid_calculus, solver)
+        _closed_trajectory(system, 10)
+        trajectory = [(weights.tobytes(), values.shape) for weights, values in runs[1:]]
+        assert trajectory == [(g[:, b].tobytes(), (12, 2)) for b in range(2)]
 
 
 def warning_call(entry, tmp_path):
@@ -1043,3 +1119,58 @@ def test_overflow_raises_no_numpy_warning(tmp_path, capsys, entry):
         assert got == 0 and "nan" in capsys.readouterr().out
     elif want is not DivergenceError:
         assert (np.isnan(got) if np.isnan(want) else np.isinf(got)).any()
+
+
+@pytest.mark.parametrize("field", ["delay", "window", "i_max", "divergence_growth", "horizon"])
+def test_counts_reject_a_bool(field):
+    # True is an int to Python, but not a count: each count field raises
+    # the text it raises for 0.
+    build = {
+        "delay": lambda v: DpmlParams(0.5, 0.5, v, [[0.1]], [[0.1]]),
+        "horizon": lambda v: DelaySystem(0.5, 1, [[0.1]], [[0.1]], [[1.0]], horizon=v),
+    }.get(field, lambda v: TruncationPolicy(**{field: v}))
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1, got True$"):
+        build(True)
+    if field == "delay":
+        with pytest.raises(ValueError, match=r"^delay must be an integer >= 1, got True$"):
+            DelaySystem(0.5, True, [[0.1]], [[0.1]], [[1.0]], horizon=3)
+
+
+def point_calls():
+    """Each public point entry, as a call of its grid point arguments by name."""
+    params = DpmlParams(0.5, 0.5, 2, [[0.2]], [[0.1]])
+    unit = DpmlParams(1.0, 1.0, 2, [[0.0]], [[0.1]])
+    system = scalar_system(forcing=1.0)
+    z = GridSeries(-2, np.ones((12, 1)))
+    return {
+        "DpmlFunction.value": (lambda k: DpmlFunction(params).value(k), "k"),
+        "DpmlFunction.stack-kmin": (lambda kmin: DpmlFunction(params).stack(kmin, 4), "kmin"),
+        "DpmlFunction.stack-kmax": (lambda kmax: DpmlFunction(params).stack(1, kmax), "kmax"),
+        "DpmlFunction.partial_sum": (lambda k: DpmlFunction(params).partial_sum(k, 5), "k"),
+        "dpml_eval": (lambda k: dpml_eval(params, k), "k"),
+        "ml_eval-k": (lambda k: ml_eval([[0.2]], 0.5, -0.5, k, 0), "k"),
+        "ml_eval-a": (lambda a: ml_eval([[0.2]], 0.5, -0.5, 4, a), "a"),
+        "ml_partial_sum-k": (lambda k: ml_partial_sum([[0.2]], 0.5, -0.5, k, 0, 5), "k"),
+        "ml_partial_sum-a": (lambda a: ml_partial_sum([[0.2]], 0.5, -0.5, 4, a, 5), "a"),
+        "special_reductions": (lambda k: special_reductions(unit, k), "k"),
+        "homogeneous_part": (lambda k: homogeneous_part(system, k), "k"),
+        "forced_part": (lambda k: forced_part(system, k), "k"),
+        "GridSeries.at": (lambda k: z.at(k), "k"),
+        "rl_difference-a": (lambda a: rl_difference(0.5, a, z, 8), "a"),
+        "rl_difference-k": (lambda k: rl_difference(0.5, -3, z, k), "k"),
+        "nabla_sum-a": (lambda a: nabla_sum(0.5, a, z, 8), "a"),
+        "nabla_sum-k": (lambda k: nabla_sum(0.5, -3, z, k), "k"),
+    }
+
+
+@pytest.mark.parametrize("point", [3.0, 3.5, np.float64(3.0), "3", True],
+                         ids=["float", "fraction", "numpy-float", "str", "bool"])
+@pytest.mark.parametrize("entry", list(point_calls()))
+def test_point_entries_reject_a_non_integer_point(entry, point):
+    # One TypeError naming the argument, not a raw numpy error or an
+    # IndexError that reads as a range fault.
+    call, name = point_calls()[entry]
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer grid point, got "):
+        call(point)
+    want = call(3)
+    assert call(np.int64(3)).tobytes() == want.tobytes()
