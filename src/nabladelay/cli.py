@@ -52,7 +52,7 @@ from .dpml import (
     ml_eval,
     ml_partial_sum,
 )
-from .grid_calculus import GridSeries
+from .grid_calculus import GridSeries, _require_count
 from .solver import DelaySystem, SingularityError, _ResidualOverBudget, _SteppingOverflow, verify
 
 __all__ = ["ConfigError", "load_config", "parse_config", "main", "run"]
@@ -327,9 +327,8 @@ def cmd_figure(args) -> int:
     for flag in ("alpha", "beta", "m", "n"):
         _as_number(getattr(args, flag), flag)
     r, kmax = args.delay, args.kmax
-    if args.imax < 0:
-        raise ConfigError("imax", f"must be >= 0, got {args.imax}")
     try:
+        _require_count("imax", args.imax, 0)
         # Column D is the DPML function of the pair (m, n), column F its
         # pure-delay case (0, n).
         pairs = [

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_calculus import _monomial_rows, _require_points
+from .grid_calculus import _monomial_rows, _require_count, _require_points
 
 __all__ = [
     "CommutativityError",
@@ -67,13 +67,6 @@ class CommutativityError(ValueError):
 
 class ReductionPatternError(ValueError):
     """Raised when a requested closed-form reduction does not match the parameters."""
-
-
-def _require_count(name: str, count) -> int:
-    # The one check of a count field: an int or np.integer >= 1, not a bool.
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-    return int(count)
 
 
 @dataclass(frozen=True)
@@ -415,8 +408,7 @@ class WordSumTable:
 
     def row(self, i: int) -> np.ndarray:
         """A fresh stack of Q(i, j) for j = 0 .. i - 1: i orders of the recursion."""
-        if i < 0:
-            raise ValueError("word length index must be >= 0")
+        i = _require_count("i", i, 0)
         n = self.dim
         if i == 0:
             return np.zeros((0, n, n))
@@ -431,8 +423,7 @@ class WordSumTable:
 
     def value(self, i: int, j: int) -> np.ndarray:
         """Q(i, j), the zero matrix outside 0 <= j <= i - 1."""
-        if i < 0 or j < -1:
-            raise ValueError("word sum indices must satisfy i >= 0, j >= -1")
+        i, j = _require_count("i", i, 0), _require_count("j", j, -1)
         if i == 0 or j < 0 or j > i - 1:
             return np.zeros((self.dim, self.dim))
         return self.row(i)[j]
@@ -465,8 +456,7 @@ def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
     """
     M, N = _as_square_pair(M, N)
     _require_commuting(M, N)
-    if i < 0 or j < -1:
-        raise ValueError("word sum indices must satisfy i >= 0, j >= -1")
+    i, j = _require_count("i", i, 0), _require_count("j", j, -1)
     if j < 0 or j > i:
         return np.zeros_like(M)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
@@ -579,9 +569,7 @@ class DpmlFunction:
         piecewise zero/identity branches still apply.
         """
         _require_points(k=k)
-        if imax < 0:
-            raise ValueError("imax must be >= 0")
-        return self._series(k, k, imax)[0]
+        return self._series(k, k, _require_count("imax", imax, 0))[0]
 
     def _series(self, kmin: int, kmax: int, imax: int | None) -> np.ndarray:
         # Sums orders 0 .. imax when imax is given, else stops each point on
@@ -673,8 +661,8 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
-    if imax is not None and imax < 0:
-        raise ValueError("imax must be >= 0")
+    if imax is not None:
+        imax = _require_count("imax", imax, 0)
     if k < a:
         return np.zeros_like(M)
     if k == a:

@@ -42,6 +42,14 @@ def _require_points(**points) -> None:
             raise TypeError(f"{name} must be an integer grid point, got {value!r}")
 
 
+def _require_count(name: str, count, lowest: int = 1) -> int:
+    # The one check of a count or index argument, named in the error: an int
+    # or np.integer >= lowest, not a bool.
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < lowest:
+        raise ValueError(f"{name} must be an integer >= {lowest}, got {count!r}")
+    return int(count)
+
+
 def monomial(mu: float, k: int, a: int) -> float:
     """Fractional Taylor monomial of order ``mu`` based at ``a``.
 
@@ -62,6 +70,7 @@ def monomial(mu: float, k: int, a: int) -> float:
     k, a : int
         Evaluation point and base point.
     """
+    _require_points(k=k, a=a)
     m = k - a
     if m < 1:
         return 1.0 if (m == 0 and mu == 0.0) else 0.0
@@ -79,8 +88,7 @@ def monomial_run(mu: float, count: int) -> np.ndarray:
     multiplication per step, so it agrees with the pointwise routine to
     the last bit.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    count = _require_count("count", count, 0)
     return _monomial_rows(np.array([mu], dtype=float), np.empty((1, count)))[0]
 
 
@@ -107,6 +115,7 @@ class GridSeries:
     """
 
     def __init__(self, base: int, values) -> None:
+        _require_points(base=base)
         arr = np.array(values, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -118,6 +127,7 @@ class GridSeries:
     @classmethod
     def constant(cls, base: int, end: int, vector) -> "GridSeries":
         """Series holding the same vector at every point of ``[base, end]``."""
+        _require_points(base=base, end=end)
         vec = np.atleast_1d(np.asarray(vector, dtype=float))
         if end < base:
             raise ValueError("end must be >= base")
@@ -126,6 +136,7 @@ class GridSeries:
     @classmethod
     def from_function(cls, base: int, end: int, fn) -> "GridSeries":
         """Sample ``fn(k)`` (scalar or vector valued) on ``[base, end]``."""
+        _require_points(base=base, end=end)
         if end < base:
             raise ValueError("end must be >= base")
         rows = [np.atleast_1d(np.asarray(fn(k), dtype=float)) for k in range(base, end + 1)]

@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dpml import (DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_count,
-                   _require_finite)
-from .grid_calculus import GridSeries, _kernel_run, _require_points, monomial_run
+from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
+from .grid_calculus import GridSeries, _kernel_run, _require_count, _require_points, monomial_run
 
 __all__ = [
     "DelaySystem",
@@ -180,10 +179,8 @@ def _eigenvalue_nearest_one(M: np.ndarray) -> str:
 
 def _factor_implicit(system: DelaySystem) -> tuple[np.ndarray, float]:
     ImM = np.eye(system.dim) - system.M
-    try:
-        cond = float(np.linalg.cond(ImM, 1))
-    except np.linalg.LinAlgError:
-        cond = float("inf")
+    # inf when I - M is singular: cond raises only on empty or non-square input.
+    cond = float(np.linalg.cond(ImM, 1))
     if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
         raise SingularityError(
             f"I - M is numerically singular (condition {cond:.3e}): "

@@ -92,6 +92,14 @@ class TestSolveCommand:
         assert ks == list(range(-1, 9))
         assert np.array_equal(values, np.zeros((10, 1)))
 
+    def test_zero_forcing_writes_the_unforced_csv(self, tmp_path):
+        unforced, zero = tmp_path / "unforced.csv", tmp_path / "zero.csv"
+        for out, extra in ((unforced, {}), (zero, {"forcing": {"type": "zero"}})):
+            cfg = write_config(tmp_path, name=f"{out.stem}.json", M=M2, N=N2,
+                               phi=[[0.5, -0.2], [1.0, 0.3]], **extra)
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert zero.read_bytes() == unforced.read_bytes()
+
     def test_planar_header_names_each_component(self, tmp_path):
         cfg = write_config(
             tmp_path, M=M2, N=N2, phi=[[1.0, 0.0], [0.0, 1.0]], horizon=5
@@ -306,6 +314,12 @@ BAD_CONFIGS = {
     "constant-forcing-horizon-zero": (
         {"horizon": 0, "forcing": {"type": "constant", "value": [1.0]}}, "horizon"),
     "phi-narrower-than-M": ({"M": SQUARE3, "N": SQUARE3, "phi": PLANAR_PHI}, "phi[0]"),
+    "delay-not-int": ({"delay": 2.0}, "delay"),
+    "M-empty": ({"M": []}, "M"),
+    "forcing-a-number": ({"forcing": 1.0}, "forcing"),
+    "forcing-type-unknown": ({"forcing": {"type": "sine"}}, "forcing.type"),
+    "truncation-a-list": ({"truncation": [3]}, "truncation"),
+    "truncation-window-zero": ({"truncation": {"window": 0}}, "truncation"),
 }
 
 
@@ -327,6 +341,12 @@ class TestRejectedInput:
         code = main(["solve", "--config", write_config(tmp_path, **overrides), "--out", str(out)])
         self.assert_rejected(code, capsys, field, out)
 
+    def test_config_root_not_an_object(self, tmp_path, capsys):
+        config, out = tmp_path / "config.json", tmp_path / "o.csv"
+        config.write_text(json.dumps([base_config()]))
+        code = main(["solve", "--config", str(config), "--out", str(out)])
+        self.assert_rejected(code, capsys, "config root must be a JSON object", out)
+
     @pytest.mark.parametrize("m, n, field", [([[1.0, 2.0]], [[1.0, 2.0]], "M"),
                                              (M2, [[1.0]], "N")], ids=["not-square", "mismatch"])
     def test_qtable_matrices(self, tmp_path, capsys, m, n, field):
@@ -341,6 +361,12 @@ class TestRejectedInput:
         code = main(["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "0.1", "--n", "0.1",
                      *grid, "--out", str(out)])
         self.assert_rejected(code, capsys, "delay", out)
+
+    def test_figure_negative_imax(self, tmp_path, capsys):
+        out = tmp_path / "figure.csv"
+        code = main(["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "0.1", "--n", "0.1",
+                     "--delay", "2", "--imax", "-1", "--out", str(out)])
+        self.assert_rejected(code, capsys, "imax", out)
 
     # 10**13 points of one float each are 73 TiB, which numpy refuses at
     # once; a size that could be allocated must not be tried here.

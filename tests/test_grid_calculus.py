@@ -110,6 +110,13 @@ class TestGridSeries:
         f = GridSeries.from_function(1, 4, lambda k: [k, k * k])
         assert f.at(3) == pytest.approx([3.0, 9.0])
 
+    @pytest.mark.parametrize("build", [lambda: GridSeries.constant(3, 2, [1.0]),
+                                       lambda: GridSeries.from_function(3, 2, float)],
+                             ids=["constant", "from_function"])
+    def test_rejects_end_before_base(self, build):
+        with pytest.raises(ValueError, match=r"^end must be >= base$"):
+            build()
+
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
             GridSeries(0, np.zeros((0, 2)))

@@ -9,6 +9,7 @@ plus the commutative and delta-grid variants and the verification report.
 
 import inspect
 import json
+import re
 import warnings
 from decimal import Decimal
 
@@ -36,12 +37,14 @@ from nabladelay import (
     homogeneous_part,
     ml_eval,
     ml_partial_sum,
+    monomial,
     monomial_run,
     nabla_sum,
     rl_difference,
     special_reductions,
     step_solve,
     verify,
+    word_sum,
     word_sum_commutative,
 )
 from nabladelay.cli import main
@@ -177,6 +180,10 @@ class TestDelaySystem:
         with pytest.raises(ValueError, match="dimension"):
             DelaySystem(alpha=0.5, delay=2, M=np.eye(2), N=np.eye(2), phi=np.zeros((2, 3)))
 
+    def test_forcing_dimension_must_match_phi(self):
+        with pytest.raises(ValueError, match=r"^forcing has dimension 1 but phi has 2$"):
+            DelaySystem(0.5, 2, M2, N2, np.zeros((2, 2)), forcing=np.ones((3, 1)), horizon=3)
+
     def test_forcing_must_cover_horizon(self):
         with pytest.raises(ValueError, match="forcing"):
             scalar_system(forcing=np.ones((3, 1)), horizon=5)
@@ -279,6 +286,23 @@ class TestStepSolve:
     def test_singular_implicit_matrix_raises(self):
         with pytest.raises(SingularityError, match="eigenvalue"):
             step_solve(scalar_system(m=1.0))
+
+    @pytest.mark.parametrize("M, eigenvalue", [
+        ([[1.0]], "1"), ([[1.0, 1.0], [-1e-16, 1.0]], "1+1e-08j"),
+    ], ids=["exactly-singular", "complex-eigenvalue"])
+    def test_singular_implicit_matrix_names_the_nearest_eigenvalue(self, tmp_path, M, eigenvalue):
+        # I - M is exactly singular, or has condition 1e16 with the complex
+        # pair 1 +- 1e-8j nearest 1: the library raises, the CLI exits 1.
+        n = len(M)
+        system = DelaySystem(0.5, 1, M, np.zeros((n, n)), np.ones((1, n)), horizon=3)
+        with pytest.raises(SingularityError, match=rf"M has eigenvalue {re.escape(eigenvalue)}$"):
+            step_solve(system)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0.5, "delay": 1, "horizon": 3, "M": M,
+                                      "N": np.zeros((n, n)).tolist(), "phi": [[1.0] * n]}))
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--method", "step", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_overflow_raises_naming_the_first_point(self):
         # Undamped growth overflows float64 at k = 262; nothing may leak as
@@ -415,6 +439,11 @@ class TestHomogeneousPart:
         system = planar_system(horizon=6)
         for k in (-1, 0):
             np.testing.assert_allclose(homogeneous_part(system, k), system.phi.at(k), atol=1e-12)
+
+    def test_zero_before_the_initial_interval(self):
+        system = planar_system(horizon=6)
+        for k in (-2, -7):
+            assert homogeneous_part(system, k).tobytes() == np.zeros(2).tobytes()
 
     def test_zero_history_gives_zero(self):
         system = scalar_system(phi=0.0)
@@ -1174,3 +1203,62 @@ def test_point_entries_reject_a_non_integer_point(entry, point):
         call(point)
     want = call(3)
     assert call(np.int64(3)).tobytes() == want.tobytes()
+
+
+def _placed(series):
+    # Where a series sits and what it holds, as one array.
+    return np.append([series.base, series.end], series.values)
+
+
+def integer_calls():
+    """Each public integer argument outside point_calls(), as (call, name, lowest).
+
+    A grid point (lowest None) follows the grid point rule, a TypeError; a
+    count or index follows the count rule from ``lowest``, a ValueError.
+    """
+    params = DpmlParams(0.5, 0.5, 2, [[0.2]], [[0.1]])
+    table = WordSumTable(M2, N2)
+    D = np.diag([0.2, 0.3])
+    return {
+        "monomial-k": (lambda k: np.float64(monomial(0.5, k, 0)), "k", None),
+        "monomial-a": (lambda a: np.float64(monomial(0.5, 6, a)), "a", None),
+        "GridSeries-base": (lambda base: _placed(GridSeries(base, [1.0, 2.0])), "base", None),
+        "GridSeries.constant-base": (
+            lambda base: _placed(GridSeries.constant(base, 5, [1.0])), "base", None),
+        "GridSeries.constant-end": (
+            lambda end: _placed(GridSeries.constant(1, end, [1.0])), "end", None),
+        "GridSeries.from_function-base": (
+            lambda base: _placed(GridSeries.from_function(base, 5, float)), "base", None),
+        "GridSeries.from_function-end": (
+            lambda end: _placed(GridSeries.from_function(1, end, float)), "end", None),
+        "monomial_run": (lambda count: monomial_run(0.5, count), "count", 0),
+        "WordSumTable.row": (lambda i: table.row(i), "i", 0),
+        "WordSumTable.value-i": (lambda i: table.value(i, 1), "i", 0),
+        "WordSumTable.value-j": (lambda j: table.value(4, j), "j", -1),
+        "word_sum-i": (lambda i: word_sum(M2, N2, i, 1), "i", 0),
+        "word_sum-j": (lambda j: word_sum(M2, N2, 4, j), "j", -1),
+        "word_sum_commutative-i": (lambda i: word_sum_commutative(D, D, i, 1), "i", 0),
+        "word_sum_commutative-j": (lambda j: word_sum_commutative(D, D, 4, j), "j", -1),
+        "DpmlFunction.partial_sum": (
+            lambda imax: DpmlFunction(params).partial_sum(4, imax), "imax", 0),
+        "ml_partial_sum": (
+            lambda imax: ml_partial_sum([[0.2]], 0.5, -0.5, 4, 0, imax), "imax", 0),
+    }
+
+
+@pytest.mark.parametrize("entry", list(integer_calls()))
+def test_integer_arguments_follow_one_rule(entry):
+    # A fraction, a bool and the first integer below the floor each raise
+    # the rule's own exception and text, not a raw error or a silently
+    # truncated value; an np.integer reads as the int it holds.
+    call, name, lowest = integer_calls()[entry]
+    if lowest is None:
+        cases = [(TypeError, v, f"{name} must be an integer grid point, got {v!r}")
+                 for v in (3.5, True)]
+    else:
+        cases = [(ValueError, v, f"{name} must be an integer >= {lowest}, got {v!r}")
+                 for v in (3.5, True, lowest - 1)]
+    for error, value, text in cases:
+        with pytest.raises(error, match=rf"^{re.escape(text)}$"):
+            call(value)
+    assert call(np.int64(3)).tobytes() == call(3).tobytes()
