@@ -49,8 +49,6 @@ from .dpml import (
     DpmlParams,
     TruncationPolicy,
     WordSumTable,
-    ml_eval,
-    ml_partial_sum,
 )
 from .grid_calculus import GridSeries, _require_count
 from .solver import DelaySystem, SingularityError, _ResidualOverBudget, _SteppingOverflow, verify
@@ -129,15 +127,12 @@ def _as_matrix(value, path: str) -> np.ndarray:
         table = _finite_table(value, len(value[0]))
         if table is not None:
             return table
-    width = None
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or not row:
             raise ConfigError(f"{path}[{i}]", "expected a nonempty list of numbers")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ConfigError(f"{path}[{i}]", f"expected {width} entries, got {len(row)}")
+        if len(row) != len(value[0]):  # row 0 is a nonempty list by now
+            raise ConfigError(f"{path}[{i}]", f"expected {len(value[0])} entries, got {len(row)}")
         rows.append([_as_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
     return np.array(rows)
 
@@ -329,11 +324,12 @@ def cmd_figure(args) -> int:
     r, kmax = args.delay, args.kmax
     try:
         _require_count("imax", args.imax, 0)
-        # Column D is the DPML function of the pair (m, n), column F its
-        # pure-delay case (0, n).
-        pairs = [
-            DpmlFunction(DpmlParams(args.alpha, args.beta, r, [[m]], [[args.n]]))
-            for m in (args.m, 0.0)
+        # Columns D, E and F are the DPML function of the pairs (m, n),
+        # (m, 0) and (0, n): the general series, its one-matrix case and
+        # its pure-delay case.
+        columns = [
+            DpmlFunction(DpmlParams(args.alpha, args.beta, r, [[m]], [[n]]))
+            for m, n in ((args.m, args.n), (args.m, 0.0), (0.0, args.n))
         ]
     except ValueError as exc:
         raise ConfigError("", str(exc)) from exc
@@ -343,18 +339,12 @@ def cmd_figure(args) -> int:
 
     def table(imax: int | None) -> list:
         # Adaptive sums when imax is None, else fixed partial sums through
-        # imax.  Column E is the one-matrix case (m, 0): the one-matrix
-        # series based at -r, but 1 at k = -r, the DPML identity there
-        # (the series' own base-point value is 0 for beta != 1).
-        D, F = (
+        # imax.
+        return np.column_stack([
             fn.stack(-r, kmax)[:, 0, 0] if imax is None
             else [fn.partial_sum(k, imax)[0, 0] for k in points]
-            for fn in pairs
-        )
-        m, c = [[args.m]], args.beta - 1.0
-        E = [1.0] + [(ml_eval(m, args.alpha, c, k, -r) if imax is None
-                      else ml_partial_sum(m, args.alpha, c, k, -r, imax))[0, 0] for k in points[1:]]
-        return np.column_stack((D, E, F)).tolist()
+            for fn in columns
+        ]).tolist()
 
     comment = None
     try:
@@ -368,8 +358,22 @@ def cmd_figure(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse reads a token such as -1e-3 or -inf as an option, so
+    # "--m -1e-3" would fail with "expected one argument".  No option of
+    # this CLI looks like a number: a token float() reads is a value, in
+    # the subcommands' parsers too, which are built from this class.
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nabladelay",
         description=(
             "Closed-form and stepping solvers for linear nabla fractional "

@@ -580,7 +580,8 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg]) == 1
         assert "solver failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    # -1e-9 and -inf as separate tokens, which argparse alone reads as options.
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-9", "-inf"])
     def test_rejects_bad_tolerance(self, tmp_path, capsys, tol):
         cfg = write_config(tmp_path)
         assert main(["verify", "--config", cfg, "--tol", tol]) == 2
@@ -747,6 +748,40 @@ class TestFigureCommand:
         assert f"{flag}: expected a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("m", "-1e-3"), ("beta", "-2.5E1"), ("n", "-1E-2")])
+    def test_float_flag_takes_negative_exponent_notation(self, tmp_path, flag, value):
+        # argparse alone reads -1e-3 as an option, not as --m's value.
+        flags = {"alpha": "0.5", "beta": "0.5", "m": "0.1", "n": "0.1", flag: value}
+        joined, separate = tmp_path / "joined.csv", tmp_path / "separate.csv"
+        tail = ["--delay", "2", "--kmax", "6"]
+        assert main(["figure", *(f"--{name}={v}" for name, v in flags.items()), *tail,
+                     "--out", str(joined)]) == 0
+        assert main(["figure", *itertools.chain.from_iterable(
+            (f"--{name}", v) for name, v in flags.items()), *tail, "--out", str(separate)]) == 0
+        assert separate.read_bytes() == joined.read_bytes()
+
+    def test_rejects_negative_infinity_as_separate_token(self, tmp_path, capsys):
+        out = tmp_path / "figure.csv"
+        args = ["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "-inf", "--n", "0.1",
+                "--delay", "2", "--out", str(out)]
+        assert main(args) == 2
+        assert "config error: m: expected a finite number, got -inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_column_warns_from_its_own_function(self, tmp_path):
+        # D, E and F are DPML functions of (m, n), (m, 0) and (0, n), each
+        # warning when built, so E warns even where no point needs a series.
+        out = tmp_path / "figure.csv"
+        args = ["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "1.25", "--n", "1.5",
+                "--delay", "3", "--kmax", "-3", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 0
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            f"sum of coefficient 1-norms is {norm} >= 1" for norm in (2.75, 1.25, 1.5)
+        ]
+        assert read_csv(out)[2] == [["-3", "1.0", "1.0", "1.0"]]
+
     def test_rejects_alpha_outside_series_domain(self, tmp_path, capsys):
         out = tmp_path / "figure.csv"
         args = [
@@ -758,12 +793,14 @@ class TestFigureCommand:
 
 
 def test_cli_imports_no_private_dpml_name():
-    # qtable and figure read the public word-sum table and one-matrix series.
+    # qtable reads the public word-sum table; figure tabulates three DPML
+    # functions, not the one-matrix series.
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     names = [alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("dpml")
              for alias in node.names]
     assert "WordSumTable" in names
+    assert not {"ml_eval", "ml_partial_sum"} & set(names)
     assert [name for name in names if name.startswith("_")] == []
 
 
@@ -806,12 +843,18 @@ class TestCsvByteParity:
             assert out.read_text().splitlines()[1].split(",")[1:] == ["-0.0", "5e-324"]
 
     @pytest.mark.parametrize(
-        "alpha, beta, m, n, delay, kmax",
-        [(0.9, 0.6, 5.0, 3.0, 2, 20), (0.5, 0.5, 0.3, 0.0, 2, 20), (0.5, 0.5, 0.0, 0.3, 2, 20),
-         (0.7, 1.2, 0.2, 0.3, 3, 40), (0.4, 0.9, -0.3, 0.2, 1, -1)],
+        "alpha, beta, m, n, delay, kmax, truncated",
+        [(0.9, 0.6, 5.0, 3.0, 2, 20, True), (0.5, 0.5, 0.3, 0.0, 2, 20, False),
+         (0.5, 0.5, 0.0, 0.3, 2, 20, False), (0.7, 1.2, 0.2, 0.3, 3, 40, False),
+         (0.4, 0.9, -0.3, 0.2, 1, -1, False),
+         # beta > 1 apart from alpha; m <= -1, which warns and diverges;
+         # delay 5; kmax = -delay with |m| >= 1; a second truncated table.
+         (0.6, 1.7, 0.4, 0.2, 2, 20, False), (0.6, 1.7, -1.3, 0.2, 2, 20, True),
+         (0.5, 1.0, 0.3, 0.2, 5, 30, False), (0.5, 0.5, 1.3, 0.1, 3, -3, False),
+         (0.6, 1.7, 1.3, 0.2, 5, 60, True)],
     )
     def test_figure_output_matches_per_cell_writer(self, tmp_path, alpha, beta, m, n, delay,
-                                                   kmax):
+                                                   kmax, truncated):
         out = tmp_path / "figure.csv"
         argv = ["figure", "--alpha", str(alpha), "--beta", str(beta), "--m", str(m),
                 "--n", str(n), "--delay", str(delay), "--kmax", str(kmax), "--out", str(out)]
@@ -836,7 +879,7 @@ class TestCsvByteParity:
                 comment, rows = None, table(None)
             except DivergenceError:
                 comment, rows = "# truncated at i=60, convergence not guaranteed", table(60)
-        assert (comment is not None) == (m == 5.0)
+        assert (comment is not None) == truncated
         assert out.read_bytes() == reference_csv(rows, "k,D,E,F", comment)
 
 
