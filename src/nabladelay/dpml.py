@@ -20,9 +20,10 @@ Truncation
 ----------
 The series index ``i`` is infinite; summation is adaptive under a
 :class:`TruncationPolicy` and raises :class:`DivergenceError` when the
-stop rule cannot be met.  ``partial_sum`` bypasses the policy and returns
-a fixed truncation, which is what diagnostic table output uses for
-divergent parameter sets.
+stop rule cannot be met.  ``DpmlFunction.stack(kmin, kmax, imax)``
+bypasses the policy and returns the fixed truncation through order
+``imax`` at every point of the range, which is what diagnostic table
+output uses for divergent parameter sets.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "ml_eval",
     "ml_partial_sum",
     "special_reductions",
-    "word_sum",
     "word_sum_commutative",
 ]
 
@@ -429,26 +429,14 @@ class WordSumTable:
         return self.row(i)[j]
 
 
-def word_sum(M, N, i: int, j: int) -> np.ndarray:
-    """Sum of all ordered length-(i-1) products of {M, N} with j factors N.
-
-    This is Q(i, j), words of length i - 1: the index is one past the word
-    length, as in :class:`WordSumTable`.  :func:`word_sum_commutative`
-    counts from the word length instead, so
-    ``word_sum_commutative(M, N, i, j)`` equals ``word_sum(M, N, i + 1, j)``.
-    A fresh, writable copy of ``WordSumTable(M, N).value(i, j)``.
-    """
-    return WordSumTable(M, N).value(i, j).copy()
-
-
 def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
     """Closed form of the word sum for a commuting pair.
 
     When MN = NM all words with the same factor counts coincide, so the
     sum of the words of length ``i`` with ``j`` factors N collapses to
     ``C(i, j) M**(i-j) N**j``.  That is Q(i + 1, j): the index is the word
-    length, one less than :func:`word_sum`'s, so the value equals
-    ``word_sum(M, N, i + 1, j)``, not ``word_sum(M, N, i, j)``.
+    length, one less than :class:`WordSumTable`'s, so the value equals
+    ``WordSumTable(M, N).value(i + 1, j)``.
     Commutativity is checked to 1e-12 relative to the entry scale and a
     :class:`CommutativityError` is raised on failure.  A fresh copy of
     entry j of order i of the row source the commutative route sums,
@@ -502,13 +490,13 @@ class DpmlFunction:
     """Evaluator for one DPML parameter set.
 
     :meth:`stack` sums the series for a whole range of grid points at
-    once: each series order is one matrix product of the monomial weights
-    of every point still running against one row of word sums.
-    :meth:`value` and :meth:`partial_sum` are one-point calls of the same
-    sum.  Every call builds its own word sums from the general
-    recursion or, with ``commutative=True``, from the binomial closed form
-    for commuting pairs (a :class:`CommutativityError` is raised if the
-    pair does not commute); nothing is kept across calls.
+    once, under the adaptive rule or through a fixed order: each series
+    order is one matrix product of the monomial weights of every point
+    still running against one row of word sums.  :meth:`value` is a
+    one-point call of the same sum.  Every call builds its own word sums
+    from the general recursion or, with ``commutative=True``, from the
+    binomial closed form for commuting pairs (a :class:`CommutativityError`
+    is raised if the pair does not commute); nothing is kept across calls.
 
     An instance holds only its parameters and route flag, so concurrent
     calls on a shared instance are safe, and every call returns fresh
@@ -542,34 +530,33 @@ class DpmlFunction:
 
     # -- evaluation ----------------------------------------------------
 
-    def stack(self, kmin: int, kmax: int) -> np.ndarray:
+    def stack(self, kmin: int, kmax: int, imax: int | None = None) -> np.ndarray:
         """DPML values on ``[kmin, kmax]`` as an array of shape (L, n, n).
 
         Every point is summed under the adaptive truncation rule, with the
         zero/identity branches below the series range.  Raises
-        :class:`DivergenceError` when any point fails the rule.
+        :class:`DivergenceError` when any point fails the rule.  With
+        ``imax`` given, every point is the fixed sum of orders 0 .. imax
+        instead, the stop rule bypassed: the diagnostic output of divergent
+        parameter sets.
 
         A point's value can depend on the points beside it: BLAS rounds
         each row of a product by its neighbours, so ``stack(k, k)`` and
         ``k`` in a longer stack may differ in the last bits, or by a whole
-        term where a term near the tolerance moves the stop order.
+        term where a term near the tolerance moves the stop order.  A
+        fixed sum has no stop order to move, but its last bits can still
+        change with the range: it is within the rounding bound of the
+        exact truncated sum, not byte-stable per point.
         """
         _require_points(kmin=kmin, kmax=kmax)
-        return self._series(kmin, kmax, None)
+        if imax is not None:
+            imax = _require_count("imax", imax, 0)
+        return self._series(kmin, kmax, imax)
 
     def value(self, k: int) -> np.ndarray:
         """DPML value at grid point ``k`` under the adaptive truncation rule."""
         _require_points(k=k)
         return self._series(k, k, None)[0]
-
-    def partial_sum(self, k: int, imax: int) -> np.ndarray:
-        """Fixed truncation through order ``imax``, bypassing the stop rule.
-
-        Intended for diagnostic output on divergent parameter sets; the
-        piecewise zero/identity branches still apply.
-        """
-        _require_points(k=k)
-        return self._series(k, k, _require_count("imax", imax, 0))[0]
 
     def _series(self, kmin: int, kmax: int, imax: int | None) -> np.ndarray:
         # Sums orders 0 .. imax when imax is given, else stops each point on

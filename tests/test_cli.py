@@ -19,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from nabladelay import (
     closed_form_solve,
     ml_eval,
     ml_partial_sum,
+    monomial_run,
 )
 from nabladelay import cli
 from nabladelay.cli import ConfigError, load_config, main, parse_config
@@ -687,18 +689,23 @@ class TestQtableCommand:
 
 class TestFigureCommand:
     def test_divergent_showcase_emits_truncation_caveat(self, tmp_path):
+        # Divergent in every column, at the default kmax and at 200: one
+        # warning a run, and one stack per column fills every row.
         out = tmp_path / "figure.csv"
-        args = [
-            "figure", "--alpha", "0.9", "--beta", "0.6",
-            "--m", "5", "--n", "3", "--delay", "2", "--out", str(out),
-        ]
-        with pytest.warns(RuntimeWarning):
-            assert main(args) == 0
-        comments, header, rows = read_csv(out)
-        assert comments == ["# truncated at i=60, convergence not guaranteed"]
-        assert header == "k,D,E,F"
-        assert [int(r[0]) for r in rows] == list(range(-2, 21))
-        assert all(np.isfinite(float(x)) for r in rows for x in r[1:])
+        for kmax in ([], ["--kmax", "200"]):
+            args = [
+                "figure", "--alpha", "0.9", "--beta", "0.6",
+                "--m", "5", "--n", "3", "--delay", "2", *kmax, "--out", str(out),
+            ]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(args) == 0
+            assert [w.category for w in caught] == [RuntimeWarning]
+            comments, header, rows = read_csv(out)
+            assert comments == ["# truncated at i=60, convergence not guaranteed"]
+            assert header == "k,D,E,F"
+            assert [int(r[0]) for r in rows] == list(range(-2, 201 if kmax else 21))
+            assert all(np.isfinite(float(x)) for r in rows for x in r[1:])
 
     def test_no_delay_matrix_collapses_first_two_columns(self, tmp_path):
         out = tmp_path / "figure.csv"
@@ -768,9 +775,11 @@ class TestFigureCommand:
         assert "config error: m: expected a finite number, got -inf" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_each_column_warns_from_its_own_function(self, tmp_path):
-        # D, E and F are DPML functions of (m, n), (m, 0) and (0, n), each
-        # warning when built, so E warns even where no point needs a series.
+    def test_warns_once_from_the_general_column(self, tmp_path):
+        # D, E and F are DPML functions of (m, n), (m, 0) and (0, n).  E's
+        # and F's 1-norms, |m| and |n|, are at most D's |m| + |n|, so D's
+        # warning, made when it is built and blamed on the caller's line,
+        # is the only one, even where no point needs a series.
         out = tmp_path / "figure.csv"
         args = ["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "1.25", "--n", "1.5",
                 "--delay", "3", "--kmax", "-3", "--out", str(out)]
@@ -778,9 +787,49 @@ class TestFigureCommand:
             warnings.simplefilter("always")
             assert main(args) == 0
         assert [str(w.message).split(";")[0] for w in caught] == [
-            f"sum of coefficient 1-norms is {norm} >= 1" for norm in (2.75, 1.25, 1.5)
+            "sum of coefficient 1-norms is 2.75 >= 1"
         ]
+        assert caught[0].filename == __file__
         assert read_csv(out)[2] == [["-3", "1.0", "1.0", "1.0"]]
+
+    @pytest.mark.parametrize(
+        "alpha, beta, m, n, delay, kmax, imax",
+        [(0.3, 0.4, -1.3, 0.5, 1, 60, 60),  # cancelling: D(54) is 2.4e13, a term 4.6e28
+         (0.3, 0.4, -1.3, 0.5, 2, 60, 60), (0.9, 0.6, 5.0, 3.0, 2, 20, 60),
+         (0.6, 1.7, 1.3, 0.2, 5, 60, 60), (1.0, 1.0, -0.9, 3.0, 2, 20, 7)],
+    )
+    def test_truncated_cells_are_within_rounding_of_the_exact_sum(
+            self, tmp_path, alpha, beta, m, n, delay, kmax, imax):
+        # Column D of a truncated table against the exact sum of its terms,
+        # taken in fractions from the code's own float monomial weights and
+        # word sums.  Each term is one product, summed over the p + 1 delay
+        # blocks of its order and then over the imax + 1 orders, so the
+        # float sum is within gamma_N sum |terms|, N = (p + 1) + imax + 1.
+        out = tmp_path / "figure.csv"
+        argv = ["figure", "--alpha", str(alpha), "--beta", str(beta), "--m", str(m),
+                "--n", str(n), "--delay", str(delay), "--kmax", str(kmax),
+                "--imax", str(imax), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 0
+        comments, _, rows = read_csv(out)
+        assert comments == [f"# truncated at i={imax}, convergence not guaranteed"]
+        got = {int(row[0]): Fraction(float(row[1])) for row in rows}
+        assert got[-delay] == 1
+        # h[i][x] is the order-i monomial at x + 1, q[i][j] is Q(i + 1, j).
+        h = [[Fraction(x) for x in monomial_run(i * alpha + (beta - 1.0), kmax + delay)]
+             for i in range(imax + 1)]
+        table = WordSumTable([[m]], [[n]])
+        q = [[Fraction(float(x)) for x in table.row(i + 1)[:, 0, 0]] for i in range(imax + 1)]
+        u = Fraction(1, 2**53)
+        for k in range(1 - delay, kmax + 1):
+            p = max(0, -(-k // delay))
+            terms = [h[i][k - (j - 1) * delay - 1] * q[i][j]
+                     for i in range(imax + 1) for j in range(min(i, p) + 1)]
+            size = (p + 1) + imax + 1
+            bound = size * u / (1 - size * u) * sum(map(abs, terms))
+            error = abs(got[k] - sum(terms))
+            assert error <= bound, (k, float(error), float(bound))
 
     def test_rejects_alpha_outside_series_domain(self, tmp_path, capsys):
         out = tmp_path / "figure.csv"
@@ -862,8 +911,7 @@ class TestCsvByteParity:
 
         def table(imax):
             # Numpy scalars in every value column, as the figure command built them.
-            D, F = (fn.stack(-delay, kmax)[:, 0, 0] if imax is None
-                    else [fn.partial_sum(k, imax)[0, 0] for k in points] for fn in pairs)
+            D, F = (fn.stack(-delay, kmax, imax)[:, 0, 0] for fn in pairs)
             E = [np.eye(1)[0, 0] if k == -delay
                  else (ml_eval([[m]], alpha, beta - 1.0, k, -delay) if imax is None
                        else ml_partial_sum([[m]], alpha, beta - 1.0, k, -delay, imax))[0, 0]

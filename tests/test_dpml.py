@@ -51,7 +51,6 @@ from nabladelay import (
     monomial,
     monomial_run,
     special_reductions,
-    word_sum,
     word_sum_commutative,
 )
 
@@ -133,34 +132,37 @@ def enumerated_word_sum(M: np.ndarray, N: np.ndarray, length: int, n_count: int)
 
 class TestWordSum:
     def test_base_case_identity(self):
-        np.testing.assert_array_equal(word_sum(M2, N2, 1, 0), np.eye(2))
+        np.testing.assert_array_equal(WordSumTable(M2, N2).value(1, 0), np.eye(2))
 
     def test_length_two_mixed(self):
-        np.testing.assert_allclose(word_sum(M2, N2, 3, 1), M2 @ N2 + N2 @ M2, atol=1e-15)
+        np.testing.assert_allclose(WordSumTable(M2, N2).value(3, 1), M2 @ N2 + N2 @ M2,
+                                   atol=1e-15)
 
     def test_length_three_two_delays(self):
         want = M2 @ N2 @ N2 + N2 @ (M2 @ N2 + N2 @ M2)
-        np.testing.assert_allclose(word_sum(M2, N2, 4, 2), want, atol=1e-15)
+        np.testing.assert_allclose(WordSumTable(M2, N2).value(4, 2), want, atol=1e-15)
 
     def test_out_of_range_is_zero(self):
-        np.testing.assert_array_equal(word_sum(M2, N2, 2, 5), np.zeros((2, 2)))
-        np.testing.assert_array_equal(word_sum(M2, N2, 2, -1), np.zeros((2, 2)))
-        np.testing.assert_array_equal(word_sum(M2, N2, 0, 0), np.zeros((2, 2)))
+        table = WordSumTable(M2, N2)
+        np.testing.assert_array_equal(table.value(2, 5), np.zeros((2, 2)))
+        np.testing.assert_array_equal(table.value(2, -1), np.zeros((2, 2)))
+        np.testing.assert_array_equal(table.value(0, 0), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (3, 1), (6, 0), (6, 5), (2, 5), (4, -1)])
-    def test_is_a_fresh_writable_copy_of_the_table_value(self, i, j):
-        want = WordSumTable(M2, N2).value(i, j)
-        got = word_sum(M2, N2, i, j)
-        assert got.flags.writeable and got.flags.c_contiguous
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    def test_value_is_a_fresh_writable_array(self, i, j):
+        table = WordSumTable(M2, N2)
+        want = table.value(i, j).copy()
+        got = table.value(i, j)
+        assert got.flags.writeable and (got.dtype, got.shape) == (np.float64, (2, 2))
         got[...] = 99.0
-        assert word_sum(M2, N2, i, j).tobytes() == want.tobytes()
+        assert table.value(i, j).tobytes() == want.tobytes()
 
     def test_rejects_indices_below_domain(self):
+        table = WordSumTable(M2, N2)
         with pytest.raises(ValueError):
-            word_sum(M2, N2, -1, 0)
+            table.value(-1, 0)
         with pytest.raises(ValueError):
-            word_sum(M2, N2, 2, -2)
+            table.value(2, -2)
 
     def test_matches_explicit_enumeration(self):
         rng = np.random.default_rng(11)
@@ -402,7 +404,7 @@ class TestWordSumSources:
             calls = [lambda: obj.row(30), lambda: obj.value(17, 4), lambda: obj.row(9)]
         else:
             obj = DpmlFunction(DpmlParams(0.6, 0.7, 2, M, N), commutative=commutative)
-            calls = [lambda: obj.stack(-3, 30), lambda: obj.value(17), lambda: obj.partial_sum(9, 12)]
+            calls = [lambda: obj.stack(-3, 30), lambda: obj.value(17), lambda: obj.stack(9, 9, 12)]
         before, state = dict(vars(obj)), pickle.dumps(vars(obj))
         for call in calls:
             call()
@@ -480,7 +482,7 @@ class TestNonFiniteInput:
             pytest.param(lambda: DpmlParams(0.5, -math.inf, 2, [[0.1]], [[0.1]]), "beta",
                          id="params-beta-inf"),
             pytest.param(lambda: WordSumTable(NAN, np.eye(2)), "M", id="table-M"),
-            pytest.param(lambda: word_sum(np.eye(2), NAN, 2, 1), "N", id="word_sum-N"),
+            pytest.param(lambda: WordSumTable(np.eye(2), NAN), "N", id="table-N"),
             pytest.param(lambda: word_sum_commutative(INF, [[0.1]], 2, 1), "M",
                          id="word_sum_commutative-M"),
             pytest.param(lambda: ml_eval(NAN, 0.5, -0.5, 4, 0), "M", id="ml_eval-M"),
@@ -587,17 +589,22 @@ class TestDpmlEval:
             warnings.simplefilter("error")
             DpmlFunction(DpmlParams(0.5, 0.5, 2, [[0.6]], [[0.3]]))
 
-    def test_partial_sum_keeps_piecewise_branches(self):
+    def test_truncated_stack_keeps_piecewise_branches(self):
         with pytest.warns(RuntimeWarning):
             fn = DpmlFunction(DpmlParams(0.9, 0.6, 2, [[5.0]], [[3.0]], TruncationPolicy()))
-        np.testing.assert_array_equal(fn.partial_sum(-6, 10), np.zeros((1, 1)))
-        np.testing.assert_array_equal(fn.partial_sum(-2, 10), np.eye(1))
-        assert np.isfinite(fn.partial_sum(10, 60)[0, 0])
+        np.testing.assert_array_equal(fn.stack(-6, -6, 10)[0], np.zeros((1, 1)))
+        np.testing.assert_array_equal(fn.stack(-2, -2, 10)[0], np.eye(1))
+        assert np.isfinite(fn.stack(10, 10, 60)[0, 0, 0])
+        values = fn.stack(-6, 10, 60)
+        np.testing.assert_array_equal(values[:4], np.zeros((4, 1, 1)))
+        np.testing.assert_array_equal(values[4], np.eye(1))
+        assert np.isfinite(values).all()
 
-    def test_partial_sum_converges_to_adaptive_value(self):
+    def test_truncated_stack_converges_to_adaptive_value(self):
         fn = DpmlFunction(DpmlParams(0.5, 0.5, 2, M2, N2))
         for k in (0, 3, 7):
-            np.testing.assert_allclose(fn.partial_sum(k, 200), fn.value(k), atol=1e-12)
+            np.testing.assert_allclose(fn.stack(k, k, 200)[0], fn.value(k), atol=1e-12)
+        np.testing.assert_allclose(fn.stack(-3, 7, 200), fn.stack(-3, 7), atol=1e-12)
 
     def test_cached_values_are_isolated_from_callers(self):
         fn = DpmlFunction(DpmlParams(0.5, 0.5, 2, M2, N2))
@@ -1398,8 +1405,8 @@ def reference_values(call):
 
 
 class TestSeriesBytes:
-    """stack, value and partial_sum give the bytes and error texts of the
-    per-order loop of reference_series."""
+    """stack, with and without imax, and value give the bytes and error
+    texts of the per-order loop of reference_series."""
 
     @pytest.mark.parametrize("policy", [TruncationPolicy(), TIGHT, ODD],
                              ids=["default", "tight", "odd"])
@@ -1427,7 +1434,9 @@ class TestSeriesBytes:
             for k in (-r - 1, -r, 1 - r, 0, 1, 7, 30):
                 check(lambda: fn.value(k), k, k, point=True)
             for k, imax in ((1 - r, 0), (5, 3), (12, 33), (30, 70)):
-                check(lambda: fn.partial_sum(k, imax), k, k, imax, point=True)
+                check(lambda: fn.stack(k, k, imax)[0], k, k, imax, point=True)
+            for kmin, kmax, imax in ((-r - 2, 30, 0), (-r, 9, 33), (2, 30, 70)):
+                check(lambda: fn.stack(kmin, kmax, imax), kmin, kmax, imax)
         assert "values" in seen
         if policy is TIGHT:
             assert any(text in seen_text for text in STOP_MESSAGES for seen_text in seen)

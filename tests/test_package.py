@@ -11,8 +11,7 @@ PUBLIC_NAMES = {
     "SingularityError", "SolutionTrace", "TruncationPolicy", "VerifyReport", "WordSumTable",
     "closed_form_solve", "commutative_solve", "delta_solve", "dpml_eval", "forced_part",
     "homogeneous_part", "ml_eval", "ml_partial_sum", "monomial", "monomial_run", "nabla_sum",
-    "rl_difference", "special_reductions", "step_solve", "verify", "word_sum",
-    "word_sum_commutative",
+    "rl_difference", "special_reductions", "step_solve", "verify", "word_sum_commutative",
 }
 
 

@@ -44,7 +44,6 @@ from nabladelay import (
     special_reductions,
     step_solve,
     verify,
-    word_sum,
     word_sum_commutative,
 )
 from nabladelay.cli import main
@@ -1175,7 +1174,8 @@ def point_calls():
         "DpmlFunction.value": (lambda k: DpmlFunction(params).value(k), "k"),
         "DpmlFunction.stack-kmin": (lambda kmin: DpmlFunction(params).stack(kmin, 4), "kmin"),
         "DpmlFunction.stack-kmax": (lambda kmax: DpmlFunction(params).stack(1, kmax), "kmax"),
-        "DpmlFunction.partial_sum": (lambda k: DpmlFunction(params).partial_sum(k, 5), "k"),
+        "DpmlFunction.stack-truncated": (
+            lambda kmin: DpmlFunction(params).stack(kmin, kmin, 5)[0], "kmin"),
         "dpml_eval": (lambda k: dpml_eval(params, k), "k"),
         "ml_eval-k": (lambda k: ml_eval([[0.2]], 0.5, -0.5, k, 0), "k"),
         "ml_eval-a": (lambda a: ml_eval([[0.2]], 0.5, -0.5, 4, a), "a"),
@@ -1235,12 +1235,10 @@ def integer_calls():
         "WordSumTable.row": (lambda i: table.row(i), "i", 0),
         "WordSumTable.value-i": (lambda i: table.value(i, 1), "i", 0),
         "WordSumTable.value-j": (lambda j: table.value(4, j), "j", -1),
-        "word_sum-i": (lambda i: word_sum(M2, N2, i, 1), "i", 0),
-        "word_sum-j": (lambda j: word_sum(M2, N2, 4, j), "j", -1),
         "word_sum_commutative-i": (lambda i: word_sum_commutative(D, D, i, 1), "i", 0),
         "word_sum_commutative-j": (lambda j: word_sum_commutative(D, D, 4, j), "j", -1),
-        "DpmlFunction.partial_sum": (
-            lambda imax: DpmlFunction(params).partial_sum(4, imax), "imax", 0),
+        "DpmlFunction.stack-imax": (
+            lambda imax: DpmlFunction(params).stack(4, 4, imax)[0], "imax", 0),
         "ml_partial_sum": (
             lambda imax: ml_partial_sum([[0.2]], 0.5, -0.5, 4, 0, imax), "imax", 0),
     }
