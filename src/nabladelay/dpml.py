@@ -109,8 +109,8 @@ _ORDER_BLOCK = 32
 # long stacks take fewer orders per block, so the buffers stay small.
 _BLOCK_CELLS = 1 << 15
 
-# Cells of the monomial table of a lone series' block: a one-point DPML
-# value, ml_eval or the delayed Mittag-Leffler reduction.
+# Cells of the monomial table of one block.  Every block keeps its terms
+# within _BLOCK_CELLS and its table within _TRIANGLE_CELLS.
 _TRIANGLE_CELLS = 1 << 20
 
 # Cells of one order of a block, rows * n * n, up to which the running
@@ -119,17 +119,18 @@ _TRIANGLE_CELLS = 1 << 20
 _NARROW_CELLS = 128
 
 
-def _block_orders(rows: int, cells: int, width: int = 1) -> int:
-    # Orders per block for `rows` series of `cells` entries each.  A lone
-    # series takes 2 * _ORDER_BLOCK: its per-block NumPy calls cost more
-    # than the orders it sums past its stop.  It also keeps its table,
-    # `width` cells an order, within _TRIANGLE_CELLS: its bytes do not
-    # depend on its block length.  Several rows keep _ORDER_BLOCK, so they
-    # leave the products at the same orders: BLAS rounds each row of a
-    # product by the rows beside it.
-    if rows == 1:
-        return max(1, min(2 * _ORDER_BLOCK, _BLOCK_CELLS // cells, _TRIANGLE_CELLS // width))
-    return max(1, min(_ORDER_BLOCK, _BLOCK_CELLS // (rows * cells)))
+def _block_orders(rows: int, cells: int, width: int) -> int:
+    # Orders per block for `rows` series of `cells` entries each, whose
+    # monomial table holds `width` cells an order: every block keeps its
+    # terms within _BLOCK_CELLS and its table within _TRIANGLE_CELLS.  A
+    # lone series takes up to 2 * _ORDER_BLOCK orders: its per-block NumPy
+    # calls cost more than the orders it sums past its stop, and its bytes
+    # do not depend on its block length.  Several rows take up to
+    # _ORDER_BLOCK: a row that stops leaves the products at a block's end,
+    # and BLAS rounds each row of a product by the rows beside it, so
+    # their block length is part of their bytes.
+    return max(1, min((2 if rows == 1 else 1) * _ORDER_BLOCK, _BLOCK_CELLS // (rows * cells),
+                      _TRIANGLE_CELLS // width))
 
 
 class _StopRule:
@@ -143,9 +144,10 @@ class _StopRule:
     running totals after each order, in place, by the sequential adds of
     ``total += term`` per order: one ``np.cumsum`` over the orders on a
     narrow block (at most ``_NARROW_CELLS`` cells an order), one add per
-    order on a wider one.  It returns per row the order at which
-    the row met the stop rule, -1 for a row that runs on.  Quiet and
-    growth run lengths come from ``np.maximum.accumulate`` over the
+    order on a wider one.  It returns the split of the rows as integer
+    indices: the rows that met the stop rule in the block, the offset in
+    the block of each one's stop order, and the rows that run on.  Quiet
+    and growth run lengths come from ``np.maximum.accumulate`` over the
     block, continuing the runs carried from the block before.  Rows that
     stopped leave the state, so the caller drops them from its own arrays
     too; their terms past the stop order are never inspected.
@@ -194,9 +196,9 @@ class _StopRule:
                 f"series terms grew for {pol.divergence_growth} consecutive "
                 f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
             )
-        keep = stop == b
-        self.quiet, self.growth, self.prev = quiet[-1, keep], growth[-1, keep], norm[-1, keep]
-        return np.where(keep, -1, i0 + stop)
+        stopped, running = np.flatnonzero(stop < b), np.flatnonzero(stop == b)
+        self.quiet, self.growth, self.prev = (x[-1, running] for x in (quiet, growth, norm))
+        return stopped, stop[stopped], running
 
     def exhausted(self) -> DivergenceError:
         return DivergenceError(
@@ -215,7 +217,7 @@ def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int
     # None); else stops each row under the policy through _StopRule, picks
     # its running total at its stop order and asks no more terms of it.
     # Returns the values, shaped (rows, cells).  Blocks take _block_orders
-    # orders, a lone row's table holding `width` cells an order.
+    # orders, the monomial table holding `width` cells an order.
     last = policy.i_max if imax is None else imax
     out = np.empty((rows, cells))
     live = np.arange(rows)
@@ -229,13 +231,11 @@ def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int
             if imax is not None:
                 total = _running_totals(block, total)[-1]
                 continue
-            stop = rule.block(i0, block, total)
-            done = stop >= 0
-            out[live[done]] = block[stop[done] - i0, :, done]
-            keep = ~done
-            if not keep.any():
+            stopped, at, running = rule.block(i0, block, total)
+            out[live[stopped]] = block[at, :, stopped]
+            if not running.size:
                 return out
-            live, total = live[keep], block[-1][:, keep]
+            live, total = live[running], block[-1][:, running]
     if imax is None:
         raise rule.exhausted()
     out[live] = total.T
@@ -602,7 +602,7 @@ class DpmlFunction:
             # Rows last, as the stop rule reduces them (one copy a block).
             return np.ascontiguousarray(products.transpose(0, 2, 1))
 
-        # A lone point's table has at most kmax + (p + 1) r columns.
+        # A block's table has at most kmax + (p + 1) r columns.
         out[first - kmin :] = _block_sum(pol, kmax + 1 - first, n * n, imax, terms,
                                          kmax + (p + 1) * r)
         return _transposed(out, n)
@@ -687,20 +687,18 @@ def _power_sum(A: np.ndarray, weights, imax: int | None,
     # Sum of w_i A**i, a lone series on _block_sum: orders 0 .. imax when
     # imax is given, else stopped under the policy.  weights(i0, i) gives
     # the w_i of orders i0 .. i - 1, from a table of `width` cells an order.
-    n = A.shape[0]
-    # A**i .. A**(i + b) of the block at order i.
-    powers = np.empty((_block_orders(1, n * n, width) + 1, n, n))
-    powers[0] = np.eye(n)
+    powers = np.eye(len(A))[None]  # ends in A**i0 for the block from order i0
 
     def terms(i0: int, i: int, live: np.ndarray) -> np.ndarray:
+        # A**i0 .. A**i, sized from the block asked for.
+        nonlocal powers
         b = i - i0
+        powers = np.concatenate((powers[-1:], np.empty((b, *A.shape))))
         for t in range(b):
             np.dot(powers[t], A, out=powers[t + 1])
-        block = (weights(i0, i)[:, None] * powers[:b].reshape(b, n * n))[:, :, None]
-        powers[0] = powers[b]
-        return block
+        return (weights(i0, i)[:, None] * powers[:b].reshape(b, A.size))[:, :, None]
 
-    return _block_sum(policy, 1, n * n, imax, terms, width).reshape(n, n)
+    return _block_sum(policy, 1, A.size, imax, terms, width).reshape(A.shape)
 
 
 # -- closed-form reductions ---------------------------------------------

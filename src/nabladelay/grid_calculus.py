@@ -50,6 +50,12 @@ def _require_count(name: str, count, lowest: int = 1) -> int:
     return int(count)
 
 
+def _require_order(mu: float) -> None:
+    # The one finiteness check of a monomial order, named in the error.
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+
+
 def monomial(mu: float, k: int, a: int) -> float:
     """Fractional Taylor monomial of order ``mu`` based at ``a``.
 
@@ -66,11 +72,13 @@ def monomial(mu: float, k: int, a: int) -> float:
     Parameters
     ----------
     mu : float
-        Order of the monomial.
+        Order of the monomial; a NaN or infinite order raises
+        :class:`ValueError`.  A finite order may still overflow to inf.
     k, a : int
         Evaluation point and base point.
     """
     _require_points(k=k, a=a)
+    _require_order(mu)
     m = k - a
     if m < 1:
         return 1.0 if (m == 0 and mu == 0.0) else 0.0
@@ -86,8 +94,9 @@ def monomial_run(mu: float, count: int) -> np.ndarray:
     Entry ``j`` holds ``monomial(mu, a + j + 1, a)``; the whole run is
     produced by the same product recurrence as :func:`monomial`, one
     multiplication per step, so it agrees with the pointwise routine to
-    the last bit.
+    the last bit.  A NaN or infinite ``mu`` raises :class:`ValueError`.
     """
+    _require_order(mu)
     count = _require_count("count", count, 0)
     return _monomial_rows(np.array([mu], dtype=float), np.empty((1, count)))[0]
 

@@ -1195,15 +1195,14 @@ def drive_rule(policy, terms, lengths):
             return str(rule.exhausted())
         block = terms[i : min(i + b, policy.i_max + 1)][:, :, rows].copy()
         try:
-            stop = rule.block(i, block, total)
+            stopped, at, running = rule.block(i, block, total)
         except DivergenceError as exc:
             return str(exc)
-        for j in np.flatnonzero(stop >= 0):
-            found[int(rows[j])] = (int(stop[j]), block[stop[j] - i, :, j].tobytes())
-        keep = stop < 0
-        if not keep.any():
+        for j, t in zip(stopped, at):
+            found[int(rows[j])] = (i + int(t), block[t, :, j].tobytes())
+        if not running.size:
             return found
-        rows, total = rows[keep], block[-1][:, keep]
+        rows, total = rows[running], block[-1][:, running]
         i += len(block)
 
 
@@ -1335,8 +1334,10 @@ def reference_series(params, kmin, kmax, imax=None, commutative=False):
 
     An (L × W) table of monomial arguments, one gather and one
     ``weights @ q`` per order with untransposed word sums, running totals
-    added order by order, and blocks of at most _ORDER_BLOCK orders and
-    _BLOCK_CELLS cells.  Returns the values and {k: stop order} of the
+    added order by order, and blocks of at most _ORDER_BLOCK orders,
+    _BLOCK_CELLS cells of terms and _TRIANGLE_CELLS cells of a monomial
+    table of kmax + (p(kmax) + 1) r cells an order, the bound of
+    DpmlFunction's own table.  Returns the values and {k: stop order} of the
     points it summed under the policy; raises the stop rule's
     DivergenceError.
     """
@@ -1355,6 +1356,7 @@ def reference_series(params, kmin, kmax, imax=None, commutative=False):
     j = np.arange(int(p.max()) + 1)
     m = np.where(j <= p[:, None], ks[:, None] - (j - 1) * r, 0)
     rows = ks - kmin
+    width = kmax + (int(p.max()) + 1) * r
     total = np.zeros((n * n, ks.size))
     rule = dpml._StopRule(pol, ks.size)
     source = reference_commuting_rows if commutative else reference_word_sum_rows
@@ -1362,7 +1364,8 @@ def reference_series(params, kmin, kmax, imax=None, commutative=False):
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while i <= last:
-            b = max(1, min(dpml._ORDER_BLOCK, dpml._BLOCK_CELLS // (rows.size * n * n)))
+            b = max(1, min(dpml._ORDER_BLOCK, dpml._BLOCK_CELLS // (rows.size * n * n),
+                           dpml._TRIANGLE_CELLS // width))
             i0, i = i, min(i + b, last + 1)
             h = np.zeros((i - i0, kmax + r + 1))
             for t in range(i - i0):
@@ -1376,15 +1379,13 @@ def reference_series(params, kmin, kmax, imax=None, commutative=False):
                 for term in terms:
                     total += term
                 continue
-            stop = rule.block(i0, terms, total)
-            done = stop >= 0
-            out[rows[done]] = terms[stop[done] - i0, :, done]
-            stops.update(zip((rows[done] + kmin).tolist(), stop[done].tolist()))
-            keep = ~done
-            if not keep.any():
+            stopped, at, running = rule.block(i0, terms, total)
+            out[rows[stopped]] = terms[at, :, stopped]
+            stops.update(zip((rows[stopped] + kmin).tolist(), (i0 + at).tolist()))
+            if not running.size:
                 return out.reshape(-1, n, n), stops
-            rows, total, p = rows[keep], terms[-1][:, keep], p[keep]
-            m = m[keep, : int(p.max()) + 1]
+            rows, total, p = rows[running], terms[-1][:, running], p[running]
+            m = m[running, : int(p.max()) + 1]
     if imax is None:
         raise rule.exhausted()
     out[rows] = total.T
@@ -1597,6 +1598,26 @@ class TestSeriesMemory:
         assert peak < 16 * 2**20
         want = reference_ml(M, 0.2, -0.3, 200_000, 0, TruncationPolicy())
         assert got.tobytes() == want.tobytes()
+
+    def test_every_block_table_within_cap(self, monkeypatch):
+        # Two points at r = 2 keep each block's monomial table within
+        # _TRIANGLE_CELLS, as a lone point does: 32 orders of it held 100,096
+        # cells here.  Unbounded, homogeneous_part at r = 2, k = 2e5 peaked
+        # at 50.5 MiB.  The reference takes the same block lengths.
+        cap, k = 1 << 14, 3000
+        monkeypatch.setattr(dpml, "_TRIANGLE_CELLS", cap)
+        tables = []
+        rows = dpml._monomial_rows
+
+        def spy(mu, out):
+            tables.append(out.size if out.base is None else out.base.size)
+            return rows(mu, out)
+
+        monkeypatch.setattr(dpml, "_monomial_rows", spy)
+        params = DpmlParams(0.5, 0.5, 2, [[0.01]], [[0.01]])
+        got = DpmlFunction(params).stack(k - 1, k)
+        assert tables and max(tables) <= cap
+        assert got.tobytes() == reference_series(params, k - 1, k)[0].tobytes()
 
     def test_exponential_perturbation_triangle_stays_small(self):
         # The weights of a block of orders are read off running products

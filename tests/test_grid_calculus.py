@@ -88,6 +88,15 @@ class TestMonomial:
         with pytest.raises(ValueError):
             monomial_run(0.5, -1)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_order(self, mu):
+        # (5, 7) is the empty interval, where a NaN order read 0.0.  A finite
+        # order that overflows still gives inf (test_run_matches_pointwise).
+        for call in (lambda: monomial(mu, 3, 0), lambda: monomial(mu, 5, 7),
+                     lambda: monomial_run(mu, 5)):
+            with pytest.raises(ValueError, match=rf"^mu must be finite, got {mu}$"):
+                call()
+
 
 class TestGridSeries:
     def test_scalar_values_get_column_shape(self):
