@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_calculus import _monomial_rows, _require_count, _require_points
+from .grid_calculus import (_monomial_rows, _real_array, _require_count, _require_points,
+                            _require_real)
 
 __all__ = [
     "CommutativityError",
@@ -76,7 +77,8 @@ class TruncationPolicy:
     Summation stops once ``window`` consecutive terms have max-norm below
     ``tol * (1 + |partial sum|)``.  Divergence is declared when term norms
     grow for ``divergence_growth`` consecutive orders past ``i_max / 2``,
-    or when ``i_max`` terms never meet the stop rule.
+    or when ``i_max`` terms never meet the stop rule.  ``tol`` must lie in
+    (0, inf); the frozen policy keeps it as given.
     """
 
     tol: float = 1e-12
@@ -85,8 +87,7 @@ class TruncationPolicy:
     divergence_growth: int = 10
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        _require_real("tol", self.tol, "(0, inf)")
         for name in ("window", "i_max", "divergence_growth"):
             _require_count(name, getattr(self, name))
 
@@ -275,9 +276,9 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
 
 
 def _as_square(A, name: str) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(A, dtype=float))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    arr = np.atleast_2d(_real_array(name, A))
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {arr.shape}")
     _require_finite(name, arr)
     return arr
 
@@ -458,9 +459,9 @@ class DpmlParams:
 
     ``alpha`` must lie in (0, 1]; the value 1 is admitted solely so the
     classical delayed-exponential reductions are expressible, while the
-    fractional solvers themselves require alpha < 1.  ``beta`` is any
-    real order, ``r`` the integer delay, and ``M``/``N`` square matrices
-    of equal dimension.
+    fractional solvers themselves require alpha < 1.  ``beta`` lies in
+    (-inf, inf), ``r`` is the integer delay, and ``M``/``N`` are nonempty
+    square matrices of equal dimension.
     """
 
     alpha: float
@@ -471,13 +472,9 @@ class DpmlParams:
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        self.alpha = _require_real("alpha", self.alpha, "(0, 1]")
         self.r = _require_count("delay", self.r)
-        self.alpha = float(self.alpha)
-        self.beta = float(self.beta)
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
+        self.beta = _require_real("beta", self.beta, "(-inf, inf)")
         self.M, self.N = _as_square_pair(self.M, self.N)
         _checked_policy(self.policy)
 
@@ -626,8 +623,9 @@ def ml_eval(M, alpha: float, c: float, k: int, a: int,
     adaptive truncation rule.  For ``k < a`` every monomial vanishes and
     the zero matrix is returned; at ``k = a`` only orders with
     ``i * alpha + c == 0`` survive.  ``alpha`` must lie in (0, 1], with 1
-    admitted for the classical-exponential corner.  ``policy=None`` means
-    the default :class:`TruncationPolicy`; any other value that is not a
+    admitted for the classical-exponential corner, and ``c`` in
+    (-inf, inf).  ``policy=None`` means the default
+    :class:`TruncationPolicy`; any other value that is not a
     :class:`TruncationPolicy` raises :class:`TypeError`.
     """
     policy = TruncationPolicy() if policy is None else _checked_policy(policy)
@@ -644,10 +642,7 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
     # Sums orders 0 .. imax when imax is given, else stops under the policy.
     _require_points(k=k, a=a)
     M = _as_square(M, "M")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c}")
+    alpha, c = _require_real("alpha", alpha, "(0, 1]"), _require_real("c", c, "(-inf, inf)")
     if imax is not None:
         imax = _require_count("imax", imax, 0)
     if k < a:
@@ -655,7 +650,7 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
     if k == a:
         # At the base point only orders with i*alpha + c == 0 contribute;
         # none is in reach when -c / alpha overflows.
-        q = -float(c) / float(alpha)
+        q = -c / alpha
         i = int(round(q)) if math.isfinite(q) else -1
         if i >= 0 and i * alpha + c == 0.0:
             with np.errstate(over="ignore", invalid="ignore"):

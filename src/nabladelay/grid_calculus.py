@@ -17,6 +17,7 @@ interval), with the single exception ``mu = 0, k = a`` where it equals 1.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -50,10 +51,41 @@ def _require_count(name: str, count, lowest: int = 1) -> int:
     return int(count)
 
 
-def _require_order(mu: float) -> None:
-    # The one finiteness check of a monomial order, named in the error.
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
+# The open float bounds (low, high) of each interval text a real argument
+# may be held to: low < x < high for exactly its floats, a closed end's
+# bound being the float next past it.
+_INTERVALS = {"(0, 1]": (0, math.nextafter(1, 2)), "(0, 1)": (0, 1), "(0, inf)": (0, math.inf),
+              "[0, inf)": (math.nextafter(0, -1), math.inf), "(-inf, inf)": (-math.inf, math.inf)}
+
+
+def _require_real(name: str, value, interval: str) -> float:
+    # The one check of a real argument, named in the error: a real number,
+    # not a bool (TypeError), lying in `interval`, a key of _INTERVALS
+    # (ValueError; NaN and an int past the float range lie in none).  float
+    # and int are tested before the ABC, which costs about 0.4 us a call.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    low, high = _INTERVALS[interval]
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not low < number < high:
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+    return number
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    # The one entry rule of array input, named in the error: a rectangular
+    # array (ValueError otherwise) whose NumPy dtype is int, uint or float
+    # (TypeError otherwise: bool, str, complex, object), read as float64.
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{name} must be a rectangular array, got ragged input") from exc
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must hold int or float entries, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def monomial(mu: float, k: int, a: int) -> float:
@@ -72,13 +104,13 @@ def monomial(mu: float, k: int, a: int) -> float:
     Parameters
     ----------
     mu : float
-        Order of the monomial; a NaN or infinite order raises
-        :class:`ValueError`.  A finite order may still overflow to inf.
+        Order of the monomial, in (-inf, inf); a finite order may still
+        overflow to inf.
     k, a : int
         Evaluation point and base point.
     """
     _require_points(k=k, a=a)
-    _require_order(mu)
+    mu = _require_real("mu", mu, "(-inf, inf)")
     m = k - a
     if m < 1:
         return 1.0 if (m == 0 and mu == 0.0) else 0.0
@@ -94,9 +126,9 @@ def monomial_run(mu: float, count: int) -> np.ndarray:
     Entry ``j`` holds ``monomial(mu, a + j + 1, a)``; the whole run is
     produced by the same product recurrence as :func:`monomial`, one
     multiplication per step, so it agrees with the pointwise routine to
-    the last bit.  A NaN or infinite ``mu`` raises :class:`ValueError`.
+    the last bit.  ``mu`` must lie in (-inf, inf), as in :func:`monomial`.
     """
-    _require_order(mu)
+    mu = _require_real("mu", mu, "(-inf, inf)")
     count = _require_count("count", count, 0)
     return _monomial_rows(np.array([mu], dtype=float), np.empty((1, count)))[0]
 
@@ -125,7 +157,7 @@ class GridSeries:
 
     def __init__(self, base: int, values) -> None:
         _require_points(base=base)
-        arr = np.array(values, dtype=float)
+        arr = _real_array("values", values).copy()
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -137,7 +169,7 @@ class GridSeries:
     def constant(cls, base: int, end: int, vector) -> "GridSeries":
         """Series holding the same vector at every point of ``[base, end]``."""
         _require_points(base=base, end=end)
-        vec = np.atleast_1d(np.asarray(vector, dtype=float))
+        vec = np.atleast_1d(_real_array("vector", vector))
         if end < base:
             raise ValueError("end must be >= base")
         return cls(base, np.tile(vec, (end - base + 1, 1)))
@@ -148,8 +180,7 @@ class GridSeries:
         _require_points(base=base, end=end)
         if end < base:
             raise ValueError("end must be >= base")
-        rows = [np.atleast_1d(np.asarray(fn(k), dtype=float)) for k in range(base, end + 1)]
-        return cls(base, np.vstack(rows))
+        return cls(base, [np.atleast_1d(fn(k)) for k in range(base, end + 1)])
 
     @property
     def dim(self) -> int:
@@ -189,8 +220,9 @@ def _kernel_sum(order: float, a: int, z: GridSeries, k: int) -> np.ndarray:
             f"operand stored on [{z.base}, {z.end}] does not cover [{a + 1}, {k}]"
         )
     # The weight of z(s) is the monomial at m = k - s + 1, so the run is
-    # read backwards against z(a + 1) .. z(k).
-    weights = monomial_run(order, k - a)[::-1]
+    # read backwards against z(a + 1) .. z(k): monomial_run(order, k - a)'s
+    # recurrence, its checks made by the callers.
+    weights = _monomial_rows(np.array([order]), np.empty((1, k - a)))[0, ::-1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
         return weights @ z.values[a + 1 - z.base : k + 1 - z.base]
 
@@ -215,12 +247,11 @@ def nabla_sum(alpha: float, a: int, z: GridSeries, k: int) -> np.ndarray:
 
     Evaluates ``sum_{s=a+1}^{k} monomial(alpha - 1, k, s - 1) z(s)``; for
     ``k <= a`` the sum is empty and the zero vector is returned.  ``z``
-    must be stored at least on ``[a + 1, k]``.  ``alpha`` must be positive
-    and finite (:class:`ValueError` otherwise).
+    must be stored at least on ``[a + 1, k]``.  ``alpha`` must lie in
+    (0, inf).
     """
     _require_points(a=a, k=k)
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"fractional sum order must be positive and finite, got {alpha}")
+    alpha = _require_real("alpha", alpha, "(0, inf)")
     if k <= a:
         return np.zeros(z.dim)
     return _kernel_sum(alpha - 1.0, a, z, k)
@@ -232,11 +263,10 @@ def rl_difference(alpha: float, a: int, z: GridSeries, k: int) -> np.ndarray:
     Evaluates ``sum_{s=a+1}^{k} monomial(-alpha - 1, k, s - 1) z(s)`` for
     ``k >= a + 1``.  The ``s = k`` weight is exactly 1, which is what makes
     sequential solvers for implicit fractional difference equations
-    possible.
+    possible.  ``alpha`` must lie in (0, 1).
     """
     _require_points(a=a, k=k)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"difference order must lie in (0, 1), got {alpha}")
+    alpha = _require_real("alpha", alpha, "(0, 1)")
     if k < a + 1:
         raise ValueError(f"evaluation point {k} must be >= {a + 1}")
     return _kernel_sum(-alpha - 1.0, a, z, k)

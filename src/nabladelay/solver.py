@@ -39,7 +39,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
-from .grid_calculus import GridSeries, _kernel_run, _require_count, _require_points, monomial_run
+from .grid_calculus import (GridSeries, _kernel_run, _require_count, _require_points,
+                            _require_real, monomial_run)
 
 __all__ = [
     "DelaySystem",
@@ -80,8 +81,8 @@ def _on_grid(name: str, base: int, values) -> GridSeries:
     # A plain table placed on the grid from ``base``, its error naming the field.
     try:
         return GridSeries(base, values)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 @dataclass
@@ -94,8 +95,9 @@ class DelaySystem:
     ``[1, horizon]``.  Plain arrays are accepted for both and are placed
     on the appropriate grid.
 
-    A delay of 1 is a valid edge case: the initial history then consists
-    of the single value phi(0) and every delay block has length one.
+    ``alpha`` must lie in (0, 1).  A delay of 1 is a valid edge case: the
+    initial history then consists of the single value phi(0) and every
+    delay block has length one.
     """
 
     alpha: float
@@ -108,11 +110,10 @@ class DelaySystem:
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        self.alpha = _require_real("alpha", self.alpha, "(0, 1)")
         # The delay, M/N pair and policy rules are the DPML layer's.
         params = self.params
-        self.alpha, self.delay, self.M, self.N = params.alpha, params.r, params.M, params.N
+        self.delay, self.M, self.N = params.r, params.M, params.N
         self.horizon = _require_count("horizon", self.horizon)
         if not isinstance(self.phi, GridSeries):
             self.phi = _on_grid("phi", 1 - self.delay, self.phi)
@@ -489,10 +490,9 @@ def verify(system: DelaySystem, tol: float = 1e-8) -> VerifyReport:
     closed form as unavailable (nothing is raised) and still carries the
     oracle trace.
     An overflowing oracle raises, as in :func:`step_solve`.  ``tol`` must
-    be finite and >= 0 (:class:`ValueError` otherwise).
+    lie in [0, inf).
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    tol = _require_real("tol", tol, "[0, inf)")
     oracle = step_solve(system)
     max_deviation = worst_deviation_k = max_residual = worst_residual_k = None
     try:

@@ -27,6 +27,7 @@ Core claims:
 import itertools
 import math
 import pickle
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -461,39 +462,47 @@ class TestTruncationPolicy:
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_rejects_non_finite_tol(self, tol):
         # An infinite tol once stopped every series after `window` terms.
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        text = f"tol must lie in (0, inf), got {tol!r}"
+        with pytest.raises(ValueError, match=rf"^{re.escape(text)}$"):
             TruncationPolicy(tol=tol)
 
 
 INF = [[math.inf]]
 NAN = [[0.1, math.nan], [0.0, 0.1]]
+# The tails of the texts that name INF's and NAN's first bad entry.
+INF_AT = f"has a non-finite entry {np.float64(math.inf)!r} at index (0, 0)"
+NAN_AT = f"has a non-finite entry {np.float64(math.nan)!r} at index (0, 1)"
 
 
 class TestNonFiniteInput:
     """Bad input is a ValueError naming the field, not a divergent series."""
 
     @pytest.mark.parametrize(
-        "call, field",
+        "call, text",
         [
-            pytest.param(lambda: DpmlParams(0.5, 0.5, 2, INF, [[0.1]]), "M", id="params-M"),
-            pytest.param(lambda: DpmlParams(0.5, 0.5, 2, [[0.1]], INF), "N", id="params-N"),
-            pytest.param(lambda: DpmlParams(0.5, math.nan, 2, [[0.1]], [[0.1]]), "beta",
-                         id="params-beta-nan"),
-            pytest.param(lambda: DpmlParams(0.5, -math.inf, 2, [[0.1]], [[0.1]]), "beta",
-                         id="params-beta-inf"),
-            pytest.param(lambda: WordSumTable(NAN, np.eye(2)), "M", id="table-M"),
-            pytest.param(lambda: WordSumTable(np.eye(2), NAN), "N", id="table-N"),
-            pytest.param(lambda: word_sum_commutative(INF, [[0.1]], 2, 1), "M",
+            pytest.param(lambda: DpmlParams(0.5, 0.5, 2, INF, [[0.1]]), f"M {INF_AT}",
+                         id="params-M"),
+            pytest.param(lambda: DpmlParams(0.5, 0.5, 2, [[0.1]], INF), f"N {INF_AT}",
+                         id="params-N"),
+            pytest.param(lambda: DpmlParams(0.5, math.nan, 2, [[0.1]], [[0.1]]),
+                         "beta must lie in (-inf, inf), got nan", id="params-beta-nan"),
+            pytest.param(lambda: DpmlParams(0.5, -math.inf, 2, [[0.1]], [[0.1]]),
+                         "beta must lie in (-inf, inf), got -inf", id="params-beta-inf"),
+            pytest.param(lambda: WordSumTable(NAN, np.eye(2)), f"M {NAN_AT}", id="table-M"),
+            pytest.param(lambda: WordSumTable(np.eye(2), NAN), f"N {NAN_AT}", id="table-N"),
+            pytest.param(lambda: word_sum_commutative(INF, [[0.1]], 2, 1), f"M {INF_AT}",
                          id="word_sum_commutative-M"),
-            pytest.param(lambda: ml_eval(NAN, 0.5, -0.5, 4, 0), "M", id="ml_eval-M"),
-            pytest.param(lambda: ml_partial_sum(INF, 0.5, -0.5, 4, 0, 3), "M",
+            pytest.param(lambda: ml_eval(NAN, 0.5, -0.5, 4, 0), f"M {NAN_AT}", id="ml_eval-M"),
+            pytest.param(lambda: ml_partial_sum(INF, 0.5, -0.5, 4, 0, 3), f"M {INF_AT}",
                          id="ml_partial_sum-M"),
-            pytest.param(lambda: ml_eval(M2, 0.5, math.nan, 4, 0), "c", id="ml_eval-c-nan"),
-            pytest.param(lambda: ml_eval(M2, 0.5, math.inf, 0, 0), "c", id="ml_eval-c-base-point"),
+            pytest.param(lambda: ml_eval(M2, 0.5, math.nan, 4, 0),
+                         "c must lie in (-inf, inf), got nan", id="ml_eval-c-nan"),
+            pytest.param(lambda: ml_eval(M2, 0.5, math.inf, 0, 0),
+                         "c must lie in (-inf, inf), got inf", id="ml_eval-c-base-point"),
         ],
     )
-    def test_rejected_with_the_field_named(self, call, field):
-        with pytest.raises(ValueError, match=rf"^{field} (has a non-finite entry|must be finite)"):
+    def test_rejected_with_the_field_named(self, call, text):
+        with pytest.raises(ValueError, match=rf"^{re.escape(text)}$"):
             call()
 
     def test_message_names_the_first_bad_entry(self):

@@ -94,7 +94,7 @@ class TestMonomial:
         # order that overflows still gives inf (test_run_matches_pointwise).
         for call in (lambda: monomial(mu, 3, 0), lambda: monomial(mu, 5, 7),
                      lambda: monomial_run(mu, 5)):
-            with pytest.raises(ValueError, match=rf"^mu must be finite, got {mu}$"):
+            with pytest.raises(ValueError, match=rf"^mu must lie in \(-inf, inf\), got {mu!r}$"):
                 call()
 
 
@@ -153,7 +153,7 @@ class TestNablaSum:
     @pytest.mark.parametrize("k", [0, 3])
     def test_rejects_non_finite_order(self, alpha, k):
         z = GridSeries.constant(1, 5, [1.0])
-        with pytest.raises(ValueError, match=rf"^fractional sum order .* got {alpha}$"):
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \(0, inf\), got {alpha!r}$"):
             nabla_sum(alpha, 0, z, k)
 
     def test_range_error_when_grid_too_short(self):

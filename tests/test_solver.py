@@ -9,6 +9,7 @@ plus the commutative and delta-grid variants and the verification report.
 
 import inspect
 import json
+import math
 import re
 import warnings
 from decimal import Decimal
@@ -963,7 +964,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
     def test_rejects_a_non_finite_or_negative_tolerance(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        with pytest.raises(ValueError, match=rf"^tol must lie in \[0, inf\), got {tol!r}$"):
             verify(scalar_system(delay=2, horizon=8), tol=tol)
 
     def test_tolerance_is_respected(self):
@@ -1260,3 +1261,110 @@ def test_integer_arguments_follow_one_rule(entry):
         with pytest.raises(error, match=rf"^{re.escape(text)}$"):
             call(value)
     assert call(np.int64(3)).tobytes() == call(3).tobytes()
+
+
+def real_calls():
+    """Each public real argument, as (call, name, interval).
+
+    ``call`` returns what the argument reaches: the stored value of a
+    field, else the result computed from it.
+    """
+    z = GridSeries(-2, np.ones((12, 1)))
+    system = scalar_system(delay=2, horizon=6)
+    return {
+        "DpmlParams-alpha": (
+            lambda v: DpmlParams(v, 0.5, 2, [[0.2]], [[0.1]]).alpha, "alpha", "(0, 1]"),
+        "DpmlParams-beta": (
+            lambda v: DpmlParams(0.5, v, 2, [[0.2]], [[0.1]]).beta, "beta", "(-inf, inf)"),
+        "ml_eval-alpha": (lambda v: ml_eval([[0.2]], v, -0.5, 4, 0), "alpha", "(0, 1]"),
+        "ml_eval-c": (lambda v: ml_eval([[0.2]], 0.5, v, 4, 0), "c", "(-inf, inf)"),
+        "ml_partial_sum-alpha": (
+            lambda v: ml_partial_sum([[0.2]], v, -0.5, 4, 0, 5), "alpha", "(0, 1]"),
+        "ml_partial_sum-c": (
+            lambda v: ml_partial_sum([[0.2]], 0.5, v, 4, 0, 5), "c", "(-inf, inf)"),
+        "DelaySystem-alpha": (
+            lambda v: DelaySystem(v, 1, [[0.1]], [[0.1]], [[1.0]], horizon=3).alpha,
+            "alpha", "(0, 1)"),
+        "rl_difference": (lambda v: rl_difference(v, -3, z, 8), "alpha", "(0, 1)"),
+        "nabla_sum": (lambda v: nabla_sum(v, -3, z, 8), "alpha", "(0, inf)"),
+        # The frozen policy keeps the value it is given: the series it
+        # stops shows what it read.
+        "TruncationPolicy-tol": (
+            lambda v: ml_eval([[0.2]], 0.5, -0.5, 9, 0, TruncationPolicy(tol=v)),
+            "tol", "(0, inf)"),
+        "verify-tol": (lambda v: verify(system, tol=v).tol, "tol", "[0, inf)"),
+        "monomial": (lambda v: monomial(v, 6, 0), "mu", "(-inf, inf)"),
+        "monomial_run": (lambda v: monomial_run(v, 5), "mu", "(-inf, inf)"),
+    }
+
+
+@pytest.mark.parametrize("entry", list(real_calls()))
+def test_real_arguments_follow_one_rule(entry):
+    # A value of another type is a TypeError; NaN, +-inf, an int past the
+    # float range and an open finite end of the interval are a ValueError,
+    # each with the rule's own text, not a raw error or a value kept as
+    # given.  A NumPy real reads as the Python float it holds.
+    call, name, interval = real_calls()[entry]
+    ends = [0.0] * interval.startswith("(0") + [1.0] * interval.endswith("1)")
+    cases = [(TypeError, v, f"{name} must be a real number, got {v!r}")
+             for v in (True, "0.5", None, 1j)]
+    cases += [(ValueError, v, f"{name} must lie in {interval}, got {v!r}")
+              for v in [math.nan, math.inf, -math.inf, 10 ** 400, *ends]]
+    for error, value, text in cases:
+        with pytest.raises(error, match=rf"^{re.escape(text)}$"):
+            call(value)
+    pairs = [(np.float64(0.5), 0.5)] + [(np.int64(1), 1.0)] * (not interval.endswith("1)"))
+    for value, plain in pairs:
+        got, want = call(value), call(plain)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def array_calls():
+    """Each reader of array input, as (call, name, square).
+
+    The matrices (``square``) go through ``dpml._as_square``, the grid
+    tables through the ``GridSeries`` constructor.
+    """
+    zero = np.zeros((2, 2))
+    small = [[0.1, 0.0], [0.0, 0.1]]
+    phi = [[1.0, 1.0], [1.0, 1.0]]
+    return {
+        "DpmlParams-M": (lambda A: DpmlParams(0.5, 0.5, 2, A, zero).M, "M", True),
+        "DpmlParams-N": (lambda A: DpmlParams(0.5, 0.5, 2, zero, A).N, "N", True),
+        "WordSumTable-M": (lambda A: WordSumTable(A, zero).row(3), "M", True),
+        "word_sum_commutative-M": (lambda A: word_sum_commutative(A, zero, 3, 0), "M", True),
+        # At the base point the series is M**2 for c = -2 alpha.
+        "ml_eval-M": (lambda A: ml_eval(A, 0.5, -1.0, 0, 0), "M", True),
+        "GridSeries": (lambda A: GridSeries(1, A).values, "values", False),
+        "DelaySystem-phi": (lambda A: DelaySystem(0.5, 2, small, small, A, horizon=3).phi.values,
+                            "phi: values", False),
+        "DelaySystem-forcing": (
+            lambda A: DelaySystem(0.5, 2, small, small, phi, A, horizon=2).forcing.values,
+            "forcing: values", False),
+    }
+
+
+@pytest.mark.parametrize("entry", list(array_calls()))
+def test_array_entries_follow_one_rule(entry):
+    # Entries NumPy reads as other than int, uint or float are a TypeError,
+    # ragged rows and an empty matrix a ValueError, each naming the field,
+    # not a raw numpy error or a value read as 0.1, 1.0 or NaN; int and
+    # uint entries read as the floats they hold.
+    call, name, square = array_calls()[entry]
+    for x in ("0.1", True, None, 1j):
+        bad = [[x, x], [x, x]]
+        text = f"{name} must hold int or float entries, got dtype {np.asarray(bad).dtype}"
+        with pytest.raises(TypeError, match=rf"^{re.escape(text)}$"):
+            call(bad)
+    text = f"{name} must be a rectangular array, got ragged input"
+    with pytest.raises(ValueError, match=rf"^{re.escape(text)}$"):
+        call([[0.1, 0.2], [0.3]])
+    if square:
+        text = f"{name} must be a nonempty square matrix, got shape (0, 0)"
+        with pytest.raises(ValueError, match=rf"^{re.escape(text)}$"):
+            call(np.zeros((0, 0)))
+    want = call([[1.0, 0.0], [0.0, 1.0]]).tobytes()
+    assert call([[1, 0], [0, 1]]).tobytes() == want
+    for dtype in (np.int64, np.uint8, np.float32):
+        assert call(np.array([[1, 0], [0, 1]], dtype=dtype)).tobytes() == want
