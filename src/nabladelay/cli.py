@@ -16,7 +16,8 @@ figure
 Exit codes: 0 success (verify: PASS), 1 verification failure, 2 schema or
 usage violation (messages name the offending config field or flag, e.g. a
 negative or non-finite ``verify --tol``, an ``--out`` path that cannot be
-written, or a ``horizon`` or ``--kmax`` too large for memory), 3 series
+written, a file that is not JSON, or a ``horizon`` or ``--kmax`` too large
+for memory), 3 series
 divergence (messages name the truncation policy), a stepping trajectory
 that overflowed float64, or a closed-form trajectory whose defining-equation
 residual is over budget (messages name the first such k).
@@ -90,6 +91,21 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+# Grid points times floats per point past which a grid is rejected before
+# anything is allocated.  2**56 floats are 512 PiB, more than any memory,
+# and far below the sizes at which NumPy raises ValueError or
+# OverflowError instead of MemoryError: an array it cannot even describe.
+_MAX_GRID_CELLS = 2**56
+
+
+def _require_grid(path: str, points: int, cells: int) -> None:
+    # The grid's size, from the fields already parsed: `points` grid points
+    # of `cells` floats each, the most any array of the run holds per point.
+    if points * cells > _MAX_GRID_CELLS:
+        problem = f"the grid does not fit in memory ({points} points x {cells} floats)"
+        raise ConfigError(path, problem)
+
+
 def _as_vector(value, length: int, path: str) -> list[float]:
     if not isinstance(value, list) or len(value) != length:
         raise ConfigError(path, f"expected a list of {length} numbers")
@@ -155,6 +171,7 @@ def parse_config(doc) -> DelaySystem:
     M = _as_matrix(_require(doc, "M"), "M")
     N = _as_matrix(_require(doc, "N"), "N")
     dim = M.shape[0]
+    _require_grid("horizon", horizon, dim * dim)
     phi = _require(doc, "phi")
     if not isinstance(phi, list):
         raise ConfigError("phi", "expected a list of vectors ordered k = 1 - delay .. 0")
@@ -216,7 +233,7 @@ def _read_json(path: str, kind: str, field: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(field, f"cannot read {kind} file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or nesting levels
         raise ConfigError(field, f"invalid JSON: {exc}") from exc
 
 
@@ -339,6 +356,7 @@ def cmd_figure(args) -> int:
         raise ConfigError("", str(exc)) from exc
     if kmax < -r:
         raise ConfigError("kmax", f"must be >= {-r}, got {kmax}")
+    _require_grid("kmax", kmax + r + 1, 1)
 
     def table(imax: int | None) -> list:
         # Adaptive sums when imax is None, else fixed partial sums through

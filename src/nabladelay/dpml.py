@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_calculus import (_monomial_rows, _real_array, _require_count, _require_points,
-                            _require_real)
+                            _require_real, _set_fields)
 
 __all__ = [
     "CommutativityError",
@@ -453,7 +453,7 @@ def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
     return q[j].reshape(M.shape).T.copy()
 
 
-@dataclass
+@dataclass(frozen=True)
 class DpmlParams:
     """Parameter set of one DPML matrix function.
 
@@ -462,6 +462,11 @@ class DpmlParams:
     fractional solvers themselves require alpha < 1.  ``beta`` lies in
     (-inf, inf), ``r`` is the integer delay, and ``M``/``N`` are nonempty
     square matrices of equal dimension.
+
+    The fields are checked and normalised once, at construction, and the
+    set is frozen: assigning a field raises
+    :class:`dataclasses.FrozenInstanceError`, and ``dataclasses.replace``
+    builds a new set through the same checks.
     """
 
     alpha: float
@@ -472,11 +477,12 @@ class DpmlParams:
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self) -> None:
-        self.alpha = _require_real("alpha", self.alpha, "(0, 1]")
-        self.r = _require_count("delay", self.r)
-        self.beta = _require_real("beta", self.beta, "(-inf, inf)")
-        self.M, self.N = _as_square_pair(self.M, self.N)
+        alpha = _require_real("alpha", self.alpha, "(0, 1]")
+        r = _require_count("delay", self.r)
+        beta = _require_real("beta", self.beta, "(-inf, inf)")
+        M, N = _as_square_pair(self.M, self.N)
         _checked_policy(self.policy)
+        _set_fields(self, alpha=alpha, beta=beta, r=r, M=M, N=N)
 
     @property
     def dim(self) -> int:

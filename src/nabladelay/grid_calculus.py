@@ -43,11 +43,26 @@ def _require_points(**points) -> None:
             raise TypeError(f"{name} must be an integer grid point, got {value!r}")
 
 
+def _shown(value) -> str:
+    # The argument as a rule's text shows it: its repr, or for an int past
+    # Python's int-to-str digit limit its sign and bit length.
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
+def _set_fields(obj, **fields) -> None:
+    # The checked fields of a frozen dataclass, stored once by its __post_init__.
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
 def _require_count(name: str, count, lowest: int = 1) -> int:
     # The one check of a count or index argument, named in the error: an int
     # or np.integer >= lowest, not a bool.
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < lowest:
-        raise ValueError(f"{name} must be an integer >= {lowest}, got {count!r}")
+        raise ValueError(f"{name} must be an integer >= {lowest}, got {_shown(count)}")
     return int(count)
 
 
@@ -71,7 +86,7 @@ def _require_real(name: str, value, interval: str) -> float:
     except OverflowError:
         number = math.inf
     if not low < number < high:
-        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+        raise ValueError(f"{name} must lie in {interval}, got {_shown(value)}")
     return number
 
 

@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
 from .grid_calculus import (GridSeries, _kernel_run, _require_count, _require_points,
-                            _require_real, monomial_run)
+                            _require_real, _set_fields, monomial_run)
 
 __all__ = [
     "DelaySystem",
@@ -78,14 +78,17 @@ _RESIDUAL_BUDGET = 1e-7
 
 
 def _on_grid(name: str, base: int, values) -> GridSeries:
-    # A plain table placed on the grid from ``base``, its error naming the field.
+    # A table as a GridSeries, a plain one placed on the grid from ``base``,
+    # its error naming the field.
+    if isinstance(values, GridSeries):
+        return values
     try:
         return GridSeries(base, values)
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelaySystem:
     """One delayed fractional difference problem instance.
 
@@ -98,6 +101,17 @@ class DelaySystem:
     ``alpha`` must lie in (0, 1).  A delay of 1 is a valid edge case: the
     initial history then consists of the single value phi(0) and every
     delay block has length one.
+
+    The system is checked once, at construction, and frozen: assigning a
+    field raises :class:`dataclasses.FrozenInstanceError`, and
+    ``dataclasses.replace(system, ...)`` builds a new system through every
+    check.  Construction also sets two derived fields that every route
+    reads: ``params``, the system's ``DpmlParams(alpha, alpha, delay, M, N,
+    policy)``, which checks the delay, the matrix pair and the policy, and
+    ``condition``, the 1-norm condition number of I - M (inf when I - M is
+    singular; only the stepping oracle rejects that).  The arrays it holds
+    are not locked: writing into ``M``, ``N`` or a table's values
+    bypasses the checks and leaves ``condition`` stale.
     """
 
     alpha: float
@@ -108,43 +122,35 @@ class DelaySystem:
     forcing: GridSeries | None = None
     horizon: int = 1
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
+    params: DpmlParams = field(init=False, repr=False, compare=False)
+    condition: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.alpha = _require_real("alpha", self.alpha, "(0, 1)")
+        alpha = _require_real("alpha", self.alpha, "(0, 1)")
         # The delay, M/N pair and policy rules are the DPML layer's.
-        params = self.params
-        self.delay, self.M, self.N = params.r, params.M, params.N
-        self.horizon = _require_count("horizon", self.horizon)
-        if not isinstance(self.phi, GridSeries):
-            self.phi = _on_grid("phi", 1 - self.delay, self.phi)
-        if self.phi.base != 1 - self.delay or self.phi.end != 0:
-            raise ValueError(
-                f"phi must cover exactly [{1 - self.delay}, 0], got "
-                f"[{self.phi.base}, {self.phi.end}]"
-            )
-        if self.forcing is not None and not isinstance(self.forcing, GridSeries):
-            self.forcing = _on_grid("forcing", 1, self.forcing)
-        if self.forcing is not None and (
-            self.forcing.base > 1 or self.forcing.end < self.horizon
-        ):
-            raise ValueError(
-                f"forcing must cover [1, {self.horizon}], got "
-                f"[{self.forcing.base}, {self.forcing.end}]"
-            )
-        if self.M.shape[0] != self.phi.dim:  # N has M's shape
-            raise ValueError(f"M has dimension {self.M.shape[0]} but phi has {self.phi.dim}")
-        if self.forcing is not None and self.forcing.dim != self.phi.dim:
-            raise ValueError(
-                f"forcing has dimension {self.forcing.dim} but phi has {self.phi.dim}"
-            )
-        _require_finite("phi", self.phi.values)
-        if self.forcing is not None:
-            _require_finite("forcing", self.forcing.values)
-
-    @property
-    def params(self) -> DpmlParams:
-        """DpmlParams(alpha, alpha, delay, M, N, policy), built from the fields on each read."""
-        return DpmlParams(self.alpha, self.alpha, self.delay, self.M, self.N, self.policy)
+        params = DpmlParams(alpha, alpha, self.delay, self.M, self.N, self.policy)
+        r = params.r
+        horizon = _require_count("horizon", self.horizon)
+        phi = _on_grid("phi", 1 - r, self.phi)
+        if phi.base != 1 - r or phi.end != 0:
+            raise ValueError(f"phi must cover exactly [{1 - r}, 0], got [{phi.base}, {phi.end}]")
+        if params.dim != phi.dim:  # N has M's shape
+            raise ValueError(f"M has dimension {params.dim} but phi has {phi.dim}")
+        _require_finite("phi", phi.values)
+        forcing = self.forcing
+        if forcing is not None:
+            forcing = _on_grid("forcing", 1, forcing)
+            if forcing.base > 1 or forcing.end < horizon:
+                raise ValueError(
+                    f"forcing must cover [1, {horizon}], got [{forcing.base}, {forcing.end}]"
+                )
+            if forcing.dim != phi.dim:
+                raise ValueError(f"forcing has dimension {forcing.dim} but phi has {phi.dim}")
+            _require_finite("forcing", forcing.values)
+        # inf when I - M is singular: cond raises only on empty or non-square input.
+        condition = float(np.linalg.cond(np.eye(params.dim) - params.M, 1))
+        _set_fields(self, alpha=alpha, delay=r, M=params.M, N=params.N, phi=phi,
+                    forcing=forcing, horizon=horizon, params=params, condition=condition)
 
     @property
     def dim(self) -> int:
@@ -160,8 +166,8 @@ class SolutionTrace:
     variants.  Each of them raises instead of returning a trajectory
     whose residual at some k exceeds 1e-7 * max(1, max|z(k)|) or is not
     finite.  It is ``None`` on the stepping oracle's trace.
-    ``condition`` is the 1-norm condition number of I - M when the
-    producing route factored it.
+    ``condition`` is the system's 1-norm condition number of I - M,
+    carried by the trace of every route.
     """
 
     values: GridSeries
@@ -178,16 +184,15 @@ def _eigenvalue_nearest_one(M: np.ndarray) -> str:
     return f"{ev:.6g}"
 
 
-def _factor_implicit(system: DelaySystem) -> tuple[np.ndarray, float]:
-    ImM = np.eye(system.dim) - system.M
-    # inf when I - M is singular: cond raises only on empty or non-square input.
-    cond = float(np.linalg.cond(ImM, 1))
+def _factor_implicit(system: DelaySystem) -> np.ndarray:
+    # I - M, once its condition number shows it can be solved with.
+    cond = system.condition
     if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
         raise SingularityError(
             f"I - M is numerically singular (condition {cond:.3e}): "
             f"M has eigenvalue {_eigenvalue_nearest_one(system.M)}"
         )
-    return ImM, cond
+    return np.eye(system.dim) - system.M
 
 
 def _leaf_rows(K: int, n: int) -> int:
@@ -256,7 +261,7 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
     oracle does not check itself.
     """
     r, K, n = system.delay, system.horizon, system.dim
-    ImM, cond = _factor_implicit(system)
+    ImM = _factor_implicit(system)
     weights = monomial_run(-system.alpha - 1.0, K + r)
     F = _forcing_rows(system, K)
     end = K + r
@@ -305,7 +310,7 @@ def step_solve(system: DelaySystem) -> SolutionTrace:
         raise _SteppingOverflow(
             f"stepping trajectory overflowed float64 at k = {bad[0] + 1 - r}"
         )
-    return SolutionTrace(values=GridSeries(1 - r, V), method="step", condition=cond)
+    return SolutionTrace(values=GridSeries(1 - r, V), method="step", condition=system.condition)
 
 
 def _forcing_rows(system: DelaySystem, kmax: int) -> np.ndarray:
@@ -428,7 +433,8 @@ def _closed_trace(system: DelaySystem, commutative: bool, base: int, method: str
             f"residual {float(residuals[i])!r} is {float(ratio[i]):.3g} of max(1, max|z(k)|), "
             f"over the budget {_RESIDUAL_BUDGET:g}"
         )
-    return SolutionTrace(values=GridSeries(base, z), residuals=residuals, method=method)
+    return SolutionTrace(values=GridSeries(base, z), residuals=residuals, method=method,
+                         condition=system.condition)
 
 
 def closed_form_solve(system: DelaySystem) -> SolutionTrace:

@@ -213,11 +213,18 @@ class TestConfigValidation:
         assert "forcing.values[7]" in capsys.readouterr().err
 
     def test_invalid_json_rejected(self, tmp_path, capsys):
+        # Broken syntax, an int past Python's 4,300-digit limit, nesting past
+        # the recursion limit and bytes that are not UTF-8, as a config and
+        # as a qtable matrix file.
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o.csv")])
-        assert code == 2
-        assert "invalid JSON" in capsys.readouterr().err
+        for text in [b"{not json", b'{"alpha": 0.5, "horizon": ' + b"9" * 5000 + b"}",
+                     b"[" * 100000 + b"]" * 100000, b"\xff{}"]:
+            path.write_bytes(text)
+            code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("config error: invalid JSON")
+            assert main(["qtable", "--m", str(path), "--n", str(path), "--imax", "2"]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {path}: invalid JSON")
 
     def test_missing_file_rejected(self, tmp_path, capsys):
         code = main(
@@ -371,22 +378,28 @@ class TestRejectedInput:
         self.assert_rejected(code, capsys, "imax", out)
 
     # 10**13 points of one float each are 73 TiB, which numpy refuses at
-    # once; a size that could be allocated must not be tried here.
+    # once; a size that could be allocated must not be tried here.  At
+    # 2**61 and 10**20 points numpy cannot describe the array at all, so
+    # those grids are turned down before anything is allocated.
     @pytest.mark.parametrize("command", [["solve"], ["solve", "--method", "step"], ["verify"]])
     @pytest.mark.parametrize("forcing", [None, {"type": "constant", "value": [1.0]}],
                              ids=["zero", "constant"])
     def test_horizon_past_memory(self, tmp_path, capsys, command, forcing):
         out = tmp_path / "o.csv"
-        config = write_config(tmp_path, horizon=10**13,
-                              **({} if forcing is None else {"forcing": forcing}))
-        args = [*command, "--config", config] + (["--out", str(out)] if command[0] == "solve" else [])
-        self.assert_rejected(main(args), capsys, "horizon", out)
+        for horizon in (10**13, 2**61, 10**20):
+            config = write_config(tmp_path, horizon=horizon,
+                                  **({} if forcing is None else {"forcing": forcing}))
+            args = [*command, "--config", config]
+            args += ["--out", str(out)] if command[0] == "solve" else []
+            self.assert_rejected(main(args), capsys, "horizon", out)
 
     def test_figure_kmax_past_memory(self, tmp_path, capsys):
+        # The grid is [-delay, kmax], so a huge delay is a grid past memory too.
         out = tmp_path / "figure.csv"
-        code = main(["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "0.1", "--n", "0.1",
-                     "--delay", "2", "--kmax", str(10**13), "--out", str(out)])
-        self.assert_rejected(code, capsys, "kmax", out)
+        for grid in (("2", 10**13), ("2", 10**20), (10**20, 20)):
+            code = main(["figure", "--alpha", "0.5", "--beta", "0.5", "--m", "0.1", "--n", "0.1",
+                         "--delay", str(grid[0]), "--kmax", str(grid[1]), "--out", str(out)])
+            self.assert_rejected(code, capsys, "kmax", out)
 
 
 # The per-entry number checks, one call per entry, that the CLI ran on every

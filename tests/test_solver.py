@@ -7,6 +7,7 @@ against the oracle on homogeneous-only, forced-only, and mixed problems,
 plus the commutative and delta-grid variants and the verification report.
 """
 
+import dataclasses
 import inspect
 import json
 import math
@@ -232,13 +233,40 @@ class TestDelaySystem:
         assert str(got.value) == str(want.value)
 
     def test_params_follow_the_fields(self):
+        # The system is checked once and frozen: its params are built once,
+        # and a system with another field is a new one, checked again.
         system = planar_system(horizon=5)
         params = system.params
         assert (params.alpha, params.beta, params.r) == (0.5, 0.5, 2)
         assert params.M is system.M and params.N is system.N
         assert params.policy is system.policy
-        system.N = 0.5 * N2
-        np.testing.assert_array_equal(system.params.N, 0.5 * N2)
+        assert system.params is params
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.N = 0.5 * N2
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got 1\.5$"):
+            dataclasses.replace(system, alpha=1.5)
+        np.testing.assert_array_equal(dataclasses.replace(system, N=0.5 * N2).params.N, 0.5 * N2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: planar_system(horizon=5, forcing=np.ones((5, 2))),
+        lambda: DpmlParams(0.5, 0.5, 2, M2, N2),
+    ], ids=["DelaySystem", "DpmlParams"])
+    def test_every_field_is_frozen(self, build):
+        # No field can be set past the checks, not even to its own value.
+        instance = build()
+        for f in dataclasses.fields(instance):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, f.name, getattr(instance, f.name))
+
+    def test_condition_is_the_one_norm_condition_of_i_minus_m(self):
+        system = planar_system(horizon=5)
+        assert type(system.condition) is float
+        assert system.condition == np.linalg.cond(np.eye(2) - M2, 1)
+        # A singular I - M still builds; only the stepping oracle rejects it.
+        singular = scalar_system(m=1.0, horizon=5)
+        assert singular.condition == math.inf
+        with pytest.raises(SingularityError, match="M has eigenvalue 1$"):
+            step_solve(singular)
 
 
 class TestStepSolve:
@@ -1024,6 +1052,33 @@ class TestCallStructure:
         assert report.oracle.residuals is None
         assert report.closed.residuals.shape == (12,)
 
+    def test_routes_read_the_parts_the_system_built_once(self, monkeypatch):
+        # A built system's DpmlParams and cond(I - M) are read, never rebuilt,
+        # by the parts and every route; construction makes each once.
+        system = planar_system(horizon=12, forcing=np.ones((12, 2)))
+        builds = count_calls(monkeypatch, "DpmlParams", solver)
+        conds = count_calls(monkeypatch, "cond", np.linalg)
+        homogeneous_part(system, 5)
+        forced_part(system, 5)
+        closed_form_solve(system)
+        step_solve(system)
+        verify(system)
+        assert builds == [] and conds == []
+        planar_system(horizon=12)
+        assert len(builds) == 1 and len(conds) == 1
+
+    def test_every_route_carries_the_condition_number(self):
+        # The same float as the stepping oracle's, bit for bit, on every trace.
+        system = DelaySystem(0.5, 2, np.diag([0.2, 0.1]), np.diag([0.1, 0.3]),
+                             np.ones((2, 2)), horizon=12)
+        want = step_solve(system).condition
+        assert type(want) is float and want == system.condition
+        report = verify(system)
+        traces = [route(system) for route in (closed_form_solve, commutative_solve, delta_solve)]
+        for trace in traces + [report.oracle, report.closed]:
+            assert type(trace.condition) is float
+            assert np.float64(trace.condition).tobytes() == np.float64(want).tobytes()
+
     def test_closed_form_takes_its_rl_differences_from_two_kernel_runs(self, monkeypatch):
         # The RL differences of phi (the history weights) and of the whole
         # trajectory (the residual) are each one grid_calculus kernel run,
@@ -1233,6 +1288,11 @@ def integer_calls():
         "GridSeries.from_function-end": (
             lambda end: _placed(GridSeries.from_function(1, end, float)), "end", None),
         "monomial_run": (lambda count: monomial_run(0.5, count), "count", 0),
+        "DpmlParams-delay": (
+            lambda r: np.float64(DpmlParams(0.5, 0.5, r, [[0.2]], [[0.1]]).r), "delay", 1),
+        "DelaySystem-horizon": (
+            lambda h: np.float64(DelaySystem(0.5, 1, [[0.1]], [[0.1]], [[1.0]], None, h).horizon),
+            "horizon", 1),
         "WordSumTable.row": (lambda i: table.row(i), "i", 0),
         "WordSumTable.value-i": (lambda i: table.value(i, 1), "i", 0),
         "WordSumTable.value-j": (lambda j: table.value(4, j), "j", -1),
@@ -1257,6 +1317,8 @@ def test_integer_arguments_follow_one_rule(entry):
     else:
         cases = [(ValueError, v, f"{name} must be an integer >= {lowest}, got {v!r}")
                  for v in (3.5, True, lowest - 1)]
+        cases.append((ValueError, -10 ** 5000,
+                      f"{name} must be an integer >= {lowest}, got a negative int of 16610 bits"))
     for error, value, text in cases:
         with pytest.raises(error, match=rf"^{re.escape(text)}$"):
             call(value)
@@ -1310,6 +1372,9 @@ def test_real_arguments_follow_one_rule(entry):
              for v in (True, "0.5", None, 1j)]
     cases += [(ValueError, v, f"{name} must lie in {interval}, got {v!r}")
               for v in [math.nan, math.inf, -math.inf, 10 ** 400, *ends]]
+    # An int past Python's int-to-str digit limit is shown by its size.
+    cases.append(
+        (ValueError, 10 ** 5000, f"{name} must lie in {interval}, got an int of 16610 bits"))
     for error, value, text in cases:
         with pytest.raises(error, match=rf"^{re.escape(text)}$"):
             call(value)
