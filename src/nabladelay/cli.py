@@ -52,7 +52,7 @@ from .dpml import (
     TruncationPolicy,
     WordSumTable,
 )
-from .grid_calculus import GridSeries, _require_count
+from .grid_calculus import _require_count
 from .solver import DelaySystem, SingularityError, _ResidualOverBudget, _SteppingOverflow, verify
 
 __all__ = ["ConfigError", "load_config", "parse_config", "main", "run"]
@@ -188,7 +188,8 @@ def parse_config(doc) -> DelaySystem:
         raise ConfigError("", str(exc)) from exc
 
 
-def _parse_forcing(doc, dim: int, horizon: int) -> GridSeries | None:
+def _parse_forcing(doc, dim: int, horizon: int) -> np.ndarray | list | None:
+    # The rows f(1) .. f(horizon) for the system to check, None for zero forcing.
     if doc is None:
         return None
     if not isinstance(doc, dict):
@@ -198,14 +199,14 @@ def _parse_forcing(doc, dim: int, horizon: int) -> GridSeries | None:
         return None
     if ftype == "constant":
         vec = _as_vector(_require(doc, "value", "forcing"), dim, "forcing.value")
-        return GridSeries.constant(1, horizon, vec)
+        return np.tile(vec, (horizon, 1))
     if ftype == "table":
         values = _require(doc, "values", "forcing")
         if not isinstance(values, list) or len(values) != horizon:
             raise ConfigError(
                 "forcing.values", f"expected {horizon} vectors ordered k = 1 .. {horizon}"
             )
-        return GridSeries(1, _as_vectors(values, dim, "forcing.values"))
+        return _as_vectors(values, dim, "forcing.values")
     raise ConfigError("forcing.type", f"expected 'zero', 'constant' or 'table', got {ftype!r}")
 
 

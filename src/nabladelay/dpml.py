@@ -276,10 +276,12 @@ def _require_finite(name: str, arr: np.ndarray) -> None:
 
 
 def _as_square(A, name: str) -> np.ndarray:
+    # The library's own read-only copy of a checked square matrix.
     arr = np.atleast_2d(_real_array(name, A))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise ValueError(f"{name} must be a nonempty square matrix, got shape {arr.shape}")
     _require_finite(name, arr)
+    arr.flags.writeable = False
     return arr
 
 
@@ -453,7 +455,7 @@ def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
     return q[j].reshape(M.shape).T.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DpmlParams:
     """Parameter set of one DPML matrix function.
 
@@ -466,7 +468,10 @@ class DpmlParams:
     The fields are checked and normalised once, at construction, and the
     set is frozen: assigning a field raises
     :class:`dataclasses.FrozenInstanceError`, and ``dataclasses.replace``
-    builds a new set through the same checks.
+    builds a new set through the same checks.  ``M`` and ``N`` are the
+    set's own read-only float64 copies: writing into them raises
+    ``ValueError``, and no later write into the caller's arrays reaches
+    them.  Sets compare and hash by identity.
     """
 
     alpha: float
@@ -665,7 +670,7 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
                 raise DivergenceError(
                     f"series value at the base point k = {a} is M**{i}, which is non-finite"
                 )
-            return power
+            return power.copy()  # M itself at i = 1
         return np.zeros_like(M)
     if imax is None:
         _warn_convergence(M)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +51,12 @@ def _shown(value) -> str:
         return repr(value)
     except ValueError:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
+def _span(lo: int, hi: int) -> str:
+    # The grid interval [lo, hi] as a range text shows it, each end an int
+    # through _shown.
+    return f"[{_shown(int(lo))}, {_shown(int(hi))}]"
 
 
 def _set_fields(obj, **fields) -> None:
@@ -93,14 +100,15 @@ def _require_real(name: str, value, interval: str) -> float:
 def _real_array(name: str, values) -> np.ndarray:
     # The one entry rule of array input, named in the error: a rectangular
     # array (ValueError otherwise) whose NumPy dtype is int, uint or float
-    # (TypeError otherwise: bool, str, complex, object), read as float64.
+    # (TypeError otherwise: bool, str, complex, object), read into the
+    # library's own float64 copy, so no later write by the caller reaches it.
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged nesting
         raise ValueError(f"{name} must be a rectangular array, got ragged input") from exc
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"{name} must hold int or float entries, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
+    return arr.astype(float)
 
 
 def monomial(mu: float, k: int, a: int) -> float:
@@ -161,24 +169,34 @@ def _monomial_rows(mu: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class GridSeries:
     """Vector-valued function on a contiguous integer grid.
 
     Stores samples for grid points ``base, base + 1, ..., base + L`` as a
-    float array of shape ``(L + 1, n)``.  Reading outside the stored range
-    raises :class:`GridRangeError`; grid functions never extend themselves
+    float array ``values`` of shape ``(L + 1, n)``, the series' own copy of
+    the input.  Reading outside the stored range raises
+    :class:`GridRangeError`; grid functions never extend themselves
     silently with zeros.
+
+    The fields are checked once, at construction, and frozen: assigning
+    ``base`` or ``values`` raises :class:`dataclasses.FrozenInstanceError`.
+    The values stay writeable unless the series belongs to a
+    ``DelaySystem``, whose tables are read-only.  Series compare and hash
+    by identity.
     """
 
-    def __init__(self, base: int, values) -> None:
-        _require_points(base=base)
-        arr = _real_array("values", values).copy()
+    base: int
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        _require_points(base=self.base)
+        arr = _real_array("values", self.values)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError("values must be a nonempty sequence of equal-length vectors")
-        self.base = int(base)
-        self.values = arr
+        _set_fields(self, base=int(self.base), values=arr)
 
     @classmethod
     def constant(cls, base: int, end: int, vector) -> "GridSeries":
@@ -220,19 +238,16 @@ class GridSeries:
         _require_points(k=k)
         if k < self.base or k > self.end:
             raise GridRangeError(
-                f"grid point {k} outside stored range [{self.base}, {self.end}]"
+                f"grid point {_shown(int(k))} outside stored range {_span(self.base, self.end)}"
             )
         return self.values[k - self.base]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GridSeries(base={self.base}, end={self.end}, dim={self.dim})"
 
 
 def _kernel_sum(order: float, a: int, z: GridSeries, k: int) -> np.ndarray:
     # Common core of both operators: sum_{s=a+1}^{k} H_order(k, s-1) z(s).
     if z.base > a + 1 or z.end < k:
         raise GridRangeError(
-            f"operand stored on [{z.base}, {z.end}] does not cover [{a + 1}, {k}]"
+            f"operand stored on {_span(z.base, z.end)} does not cover {_span(a + 1, k)}"
         )
     # The weight of z(s) is the monomial at m = k - s + 1, so the run is
     # read backwards against z(a + 1) .. z(k): monomial_run(order, k - a)'s
@@ -283,5 +298,5 @@ def rl_difference(alpha: float, a: int, z: GridSeries, k: int) -> np.ndarray:
     _require_points(a=a, k=k)
     alpha = _require_real("alpha", alpha, "(0, 1)")
     if k < a + 1:
-        raise ValueError(f"evaluation point {k} must be >= {a + 1}")
+        raise ValueError(f"evaluation point {_shown(int(k))} must be >= {_shown(int(a) + 1)}")
     return _kernel_sum(-alpha - 1.0, a, z, k)

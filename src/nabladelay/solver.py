@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
 from .grid_calculus import (GridSeries, _kernel_run, _require_count, _require_points,
-                            _require_real, _set_fields, monomial_run)
+                            _require_real, _set_fields, _span, monomial_run)
 
 __all__ = [
     "DelaySystem",
@@ -78,17 +78,22 @@ _RESIDUAL_BUDGET = 1e-7
 
 
 def _on_grid(name: str, base: int, values) -> GridSeries:
-    # A table as a GridSeries, a plain one placed on the grid from ``base``,
-    # its error naming the field.
+    # The one intake of a system's tables: the system's own GridSeries, of
+    # a plain table placed on the grid from ``base`` or of a GridSeries at
+    # its own base, its entries finite and read-only, each error naming
+    # the field.
     if isinstance(values, GridSeries):
-        return values
+        base, values = values.base, values.values
     try:
-        return GridSeries(base, values)
+        series = GridSeries(base, values)
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
+    _require_finite(name, series.values)
+    series.values.flags.writeable = False
+    return series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelaySystem:
     """One delayed fractional difference problem instance.
 
@@ -109,9 +114,11 @@ class DelaySystem:
     reads: ``params``, the system's ``DpmlParams(alpha, alpha, delay, M, N,
     policy)``, which checks the delay, the matrix pair and the policy, and
     ``condition``, the 1-norm condition number of I - M (inf when I - M is
-    singular; only the stepping oracle rejects that).  The arrays it holds
-    are not locked: writing into ``M``, ``N`` or a table's values
-    bypasses the checks and leaves ``condition`` stale.
+    singular; only the stepping oracle rejects that).  ``M``, ``N`` and
+    the values of ``phi`` and ``forcing`` are the system's own read-only
+    float64 copies, a :class:`GridSeries` argument included: writing into
+    them raises ``ValueError``, and no later write into the caller's
+    arrays reaches them.  Systems compare and hash by identity.
     """
 
     alpha: float
@@ -122,8 +129,8 @@ class DelaySystem:
     forcing: GridSeries | None = None
     horizon: int = 1
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
-    params: DpmlParams = field(init=False, repr=False, compare=False)
-    condition: float = field(init=False, repr=False, compare=False)
+    params: DpmlParams = field(init=False, repr=False)
+    condition: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         alpha = _require_real("alpha", self.alpha, "(0, 1)")
@@ -133,20 +140,21 @@ class DelaySystem:
         horizon = _require_count("horizon", self.horizon)
         phi = _on_grid("phi", 1 - r, self.phi)
         if phi.base != 1 - r or phi.end != 0:
-            raise ValueError(f"phi must cover exactly [{1 - r}, 0], got [{phi.base}, {phi.end}]")
+            raise ValueError(
+                f"phi must cover exactly {_span(1 - r, 0)}, got {_span(phi.base, phi.end)}"
+            )
         if params.dim != phi.dim:  # N has M's shape
             raise ValueError(f"M has dimension {params.dim} but phi has {phi.dim}")
-        _require_finite("phi", phi.values)
         forcing = self.forcing
         if forcing is not None:
             forcing = _on_grid("forcing", 1, forcing)
             if forcing.base > 1 or forcing.end < horizon:
                 raise ValueError(
-                    f"forcing must cover [1, {horizon}], got [{forcing.base}, {forcing.end}]"
+                    f"forcing must cover {_span(1, horizon)}, "
+                    f"got {_span(forcing.base, forcing.end)}"
                 )
             if forcing.dim != phi.dim:
                 raise ValueError(f"forcing has dimension {forcing.dim} but phi has {phi.dim}")
-            _require_finite("forcing", forcing.values)
         # inf when I - M is singular: cond raises only on empty or non-square input.
         condition = float(np.linalg.cond(np.eye(params.dim) - params.M, 1))
         _set_fields(self, alpha=alpha, delay=r, M=params.M, N=params.N, phi=phi,
@@ -373,13 +381,15 @@ def _closed_trajectory(system: DelaySystem, kmax: int, commutative: bool = False
 
 
 def _dpml_sum(system: DelaySystem, k: int, s0: int, s1: int) -> np.ndarray:
-    # sum_{s = s0}^{s1} Phi(k - r - s + 1) g(s), g read once the DPML values
-    # are in: the values from the lowest grid point up against g from the
-    # latest down.  A sum that overflows raises.
+    # sum_{s = s0}^{s1} Phi(k - r - s + 1) g(s), g read first, so a k past
+    # the stored forcing raises before any series work: the DPML values
+    # from the lowest grid point up against g from the latest down.  A sum
+    # that overflows raises.
     r = system.delay
+    g = _g_rows(system, s0, s1)[::-1]
     phi = DpmlFunction(system.params).stack(k - r - s1 + 1, k - r - s0 + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
-        value = np.tensordot(phi, _g_rows(system, s0, s1)[::-1], axes=([0, 2], [0, 1]))
+        value = np.tensordot(phi, g, axes=([0, 2], [0, 1]))
     if not np.isfinite(value).all():
         raise DivergenceError(f"explicit representation is non-finite at k = {k}")
     return value

@@ -250,13 +250,50 @@ class TestDelaySystem:
     @pytest.mark.parametrize("build", [
         lambda: planar_system(horizon=5, forcing=np.ones((5, 2))),
         lambda: DpmlParams(0.5, 0.5, 2, M2, N2),
-    ], ids=["DelaySystem", "DpmlParams"])
+        lambda: GridSeries(1, [[1.0, 2.0]]),
+    ], ids=["DelaySystem", "DpmlParams", "GridSeries"])
     def test_every_field_is_frozen(self, build):
         # No field can be set past the checks, not even to its own value.
         instance = build()
         for f in dataclasses.fields(instance):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(instance, f.name, getattr(instance, f.name))
+
+    @pytest.mark.parametrize("edit", [1.0, np.nan], ids=["singular", "nan"])
+    def test_a_later_edit_of_the_callers_arrays_changes_nothing(self, edit):
+        # The system holds its own copies: M = 0.2 edited to 1.0 (I - M
+        # singular) or nan after construction, and phi and forcing given as
+        # a GridSeries edited alike, leave the solve as it was.
+        M, N = np.array([[0.2]]), np.array([[0.1]])
+        phi, forcing = GridSeries(-1, [[1.0], [1.0]]), GridSeries(1, np.ones((6, 1)))
+        system = DelaySystem(0.5, 2, M, N, phi, forcing, horizon=6)
+        assert system.phi is not phi and system.forcing is not forcing
+        assert (system.phi.base, system.forcing.base) == (-1, 1)
+        want = step_solve(system).values.values.tobytes()
+        for caller in (M, N, phi.values, forcing.values):
+            caller[0, 0] = edit
+        assert step_solve(system).values.values.tobytes() == want
+        assert system.condition == np.linalg.cond([[0.8]], 1)
+
+    @pytest.mark.parametrize("held", [
+        lambda s: s.M, lambda s: s.N, lambda s: s.params.M, lambda s: s.params.N,
+        lambda s: s.phi.values, lambda s: s.forcing.values,
+    ], ids=["M", "N", "params.M", "params.N", "phi", "forcing"])
+    def test_held_arrays_are_read_only(self, held):
+        system = planar_system(horizon=5, forcing=np.ones((5, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            held(system)[0, 0] = np.nan
+
+    @pytest.mark.parametrize("build", [
+        lambda: planar_system(horizon=5),
+        lambda: DpmlParams(0.5, 0.5, 2, M2, N2),
+    ], ids=["DelaySystem", "DpmlParams"])
+    def test_compares_and_hashes_by_identity(self, build):
+        # Two n = 2 instances built alike are two values: == neither
+        # raises on their arrays nor calls them equal.
+        a, b = build(), build()
+        assert a == a and not a == b and a != b
+        assert len({a, b}) == 2
 
     def test_condition_is_the_one_norm_condition_of_i_minus_m(self):
         system = planar_system(horizon=5)
@@ -524,6 +561,15 @@ class TestForcedPart:
             forced_part(forced, 15)
         assert np.isfinite(homogeneous_part(forced, 40)).all()
         np.testing.assert_array_equal(forced_part(scalar_system(horizon=12), 40), np.zeros(1))
+        # The range is checked before any series work: a divergent pair
+        # raises the range error, with no convergence warning first.
+        divergent = DelaySystem(0.9, 1, [[0.9]], [[0.9]], [[1.0]], forcing=np.ones((5, 1)),
+                                horizon=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = "grid point 60 outside stored range [1, 5]"
+            with pytest.raises(GridRangeError, match=rf"^{re.escape(text)}$"):
+                forced_part(divergent, 60)
 
 
 class TestGRows:
@@ -1386,27 +1432,29 @@ def test_real_arguments_follow_one_rule(entry):
 
 
 def array_calls():
-    """Each reader of array input, as (call, name, square).
+    """Each reader of array input, as (call, name, square, kept).
 
     The matrices (``square``) go through ``dpml._as_square``, the grid
-    tables through the ``GridSeries`` constructor.
+    tables through the ``GridSeries`` constructor.  A ``kept`` call returns
+    the array a checked object holds, which is read-only.
     """
     zero = np.zeros((2, 2))
     small = [[0.1, 0.0], [0.0, 0.1]]
     phi = [[1.0, 1.0], [1.0, 1.0]]
     return {
-        "DpmlParams-M": (lambda A: DpmlParams(0.5, 0.5, 2, A, zero).M, "M", True),
-        "DpmlParams-N": (lambda A: DpmlParams(0.5, 0.5, 2, zero, A).N, "N", True),
-        "WordSumTable-M": (lambda A: WordSumTable(A, zero).row(3), "M", True),
-        "word_sum_commutative-M": (lambda A: word_sum_commutative(A, zero, 3, 0), "M", True),
+        "DpmlParams-M": (lambda A: DpmlParams(0.5, 0.5, 2, A, zero).M, "M", True, True),
+        "DpmlParams-N": (lambda A: DpmlParams(0.5, 0.5, 2, zero, A).N, "N", True, True),
+        "WordSumTable-M": (lambda A: WordSumTable(A, zero).row(3), "M", True, False),
+        "word_sum_commutative-M": (
+            lambda A: word_sum_commutative(A, zero, 3, 0), "M", True, False),
         # At the base point the series is M**2 for c = -2 alpha.
-        "ml_eval-M": (lambda A: ml_eval(A, 0.5, -1.0, 0, 0), "M", True),
-        "GridSeries": (lambda A: GridSeries(1, A).values, "values", False),
+        "ml_eval-M": (lambda A: ml_eval(A, 0.5, -1.0, 0, 0), "M", True, False),
+        "GridSeries": (lambda A: GridSeries(1, A).values, "values", False, False),
         "DelaySystem-phi": (lambda A: DelaySystem(0.5, 2, small, small, A, horizon=3).phi.values,
-                            "phi: values", False),
+                            "phi: values", False, True),
         "DelaySystem-forcing": (
             lambda A: DelaySystem(0.5, 2, small, small, phi, A, horizon=2).forcing.values,
-            "forcing: values", False),
+            "forcing: values", False, True),
     }
 
 
@@ -1415,8 +1463,10 @@ def test_array_entries_follow_one_rule(entry):
     # Entries NumPy reads as other than int, uint or float are a TypeError,
     # ragged rows and an empty matrix a ValueError, each naming the field,
     # not a raw numpy error or a value read as 0.1, 1.0 or NaN; int and
-    # uint entries read as the floats they hold.
-    call, name, square = array_calls()[entry]
+    # uint entries read as the floats they hold.  The reader takes its own
+    # copy: a later edit of the caller's array changes nothing, and the
+    # array a checked object keeps is read-only.
+    call, name, square, kept = array_calls()[entry]
     for x in ("0.1", True, None, 1j):
         bad = [[x, x], [x, x]]
         text = f"{name} must hold int or float entries, got dtype {np.asarray(bad).dtype}"
@@ -1433,3 +1483,117 @@ def test_array_entries_follow_one_rule(entry):
     assert call([[1, 0], [0, 1]]).tobytes() == want
     for dtype in (np.int64, np.uint8, np.float32):
         assert call(np.array([[1, 0], [0, 1]], dtype=dtype)).tobytes() == want
+    caller = np.array([[1.0, 0.0], [0.0, 1.0]])
+    got = call(caller)
+    caller[0, 0] = np.nan
+    assert got.tobytes() == want
+    assert got.flags.writeable is not kept
+
+
+def _held(obj):
+    """``obj`` if it is an array, else every array the checked object holds."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (GridSeries, DpmlParams, DelaySystem, WordSumTable)):
+        return [a for value in vars(obj).values() for a in _held(value)]
+    return []
+
+
+def value_calls():
+    """Each public entry that returns an array, as (calls, inputs).
+
+    ``calls`` maps a name to a call of the entry; ``inputs`` are the
+    caller's arrays and the checked objects the calls read.
+    """
+    rng = np.random.default_rng(5)
+    M, N = M2.copy(), N2.copy()
+    D, E, Z = np.diag([0.2, 0.3]), np.diag([0.1, 0.2]), np.zeros((2, 2))
+    phi, forcing, values = rng.normal(size=(2, 2)), rng.normal(size=(6, 2)), rng.normal(size=(8, 2))
+    params = DpmlParams(0.5, 0.5, 2, M, N)
+    # A parameter set of each reduction pattern, in REDUCTION_PATTERNS order.
+    patterns = {
+        "delayed_exponential": DpmlParams(1.0, 1.0, 2, Z, E),
+        "factored_exponential": DpmlParams(1.0, 1.0, 2, D, E),
+        "exponential_perturbation": DpmlParams(1.0, 1.0, 2, M, N),
+        "delayed_ml": DpmlParams(0.5, 0.5, 2, Z, E),
+        "ml": DpmlParams(0.5, 0.5, 2, D, Z),
+    }
+    system = DelaySystem(0.5, 2, M, N, phi, forcing, horizon=6)
+    commuting = DelaySystem(0.5, 2, D, E, phi, horizon=6)
+    table, z = WordSumTable(M, N), GridSeries(0, values)
+    calls = {
+        "dpml_eval": lambda: dpml_eval(params, 4),
+        "dpml_eval-identity": lambda: dpml_eval(params, -2),
+        "DpmlFunction.stack": lambda: DpmlFunction(params).stack(-3, 6),
+        "DpmlFunction.stack-imax": lambda: DpmlFunction(params).stack(-3, 6, 4),
+        "DpmlFunction.value": lambda: DpmlFunction(params).value(4),
+        "ml_eval": lambda: ml_eval(M, 0.5, 0.5, 6, 0),
+        # At the base point the series is M**i for c = -i alpha.
+        "ml_eval-base-i0": lambda: ml_eval(M, 0.5, 0.0, 3, 3),
+        "ml_eval-base-i1": lambda: ml_eval(M, 0.5, -0.5, 3, 3),
+        "ml_eval-left": lambda: ml_eval(M, 0.5, 0.5, 2, 3),
+        "ml_partial_sum": lambda: ml_partial_sum(M, 0.5, 0.5, 6, 0, 5),
+        "ml_partial_sum-base-i1": lambda: ml_partial_sum(M, 0.5, -0.5, 3, 3, 5),
+        "WordSumTable.row": lambda: table.row(3),
+        "WordSumTable.value": lambda: table.value(3, 1),
+        "WordSumTable.value-zero": lambda: table.value(3, 5),
+        "word_sum_commutative": lambda: word_sum_commutative(D, E, 3, 1),
+        "word_sum_commutative-zero": lambda: word_sum_commutative(D, E, 3, 5),
+        "homogeneous_part": lambda: homogeneous_part(system, 4),
+        "homogeneous_part-zero": lambda: homogeneous_part(system, -5),
+        "forced_part": lambda: forced_part(system, 4),
+        "forced_part-zero": lambda: forced_part(system, 0),
+        "nabla_sum": lambda: nabla_sum(0.5, 0, z, 4),
+        "nabla_sum-empty": lambda: nabla_sum(0.5, 4, z, 4),
+        "rl_difference": lambda: rl_difference(0.5, 0, z, 4),
+        "monomial_run": lambda: monomial_run(0.5, 6),
+        "step_solve": lambda: step_solve(system).values.values,
+        "closed_form_solve": lambda: closed_form_solve(system).values.values,
+        "commutative_solve": lambda: commutative_solve(commuting).values.values,
+        "delta_solve": lambda: delta_solve(system).values.values,
+        "verify-oracle": lambda: verify(system).oracle.values.values,
+        "verify-closed": lambda: verify(system).closed.values.values,
+    }
+    for name, pattern_params in patterns.items():
+        # k = 4 in the series range, k = -2 = -r and k = -3 on the left branch.
+        for k in (4, -2, -3):
+            calls[f"special_reductions-{name}-{k}"] = (
+                lambda p=pattern_params, k=k, name=name: special_reductions(p, k, name))
+    inputs = [M, N, D, E, Z, phi, forcing, values, params, *patterns.values(), system,
+              commuting, table, z]
+    return calls, inputs
+
+
+@pytest.mark.parametrize("entry", list(value_calls()[0]))
+def test_value_entries_return_fresh_arrays(entry):
+    # Each result is the caller's own: a writeable float64 array that shares
+    # no memory with an argument or with an array a checked object holds.
+    calls, inputs = value_calls()
+    got = calls[entry]()
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert got.flags.writeable
+    for held in (a for obj in inputs for a in _held(obj)):
+        assert not np.shares_memory(got, held)
+
+
+HUGE = 10 ** 5000  # past Python's int-to-str digit limit: 16610 bits
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: GridSeries(0, [[1.0]]).at(HUGE), GridRangeError,
+     "grid point an int of 16610 bits outside stored range [0, 0]"),
+    (lambda: nabla_sum(0.5, 0, GridSeries(0, [[1.0]]), HUGE), GridRangeError,
+     "operand stored on [0, 0] does not cover [1, an int of 16610 bits]"),
+    (lambda: rl_difference(0.5, HUGE, GridSeries(0, [[1.0]]), 0), ValueError,
+     "evaluation point 0 must be >= an int of 16610 bits"),
+    (lambda: DelaySystem(0.5, 1, [[0.1]], [[0.1]], GridSeries(HUGE, [[1.0]])), ValueError,
+     "phi must cover exactly [0, 0], got [an int of 16610 bits, an int of 16610 bits]"),
+    (lambda: DelaySystem(0.5, 1, [[0.1]], [[0.1]], [[1.0]], [[1.0]], HUGE), ValueError,
+     "forcing must cover [1, an int of 16610 bits], got [1, 1]"),
+], ids=["GridSeries.at", "kernel-range", "rl_difference-point", "DelaySystem-phi",
+        "DelaySystem-forcing"])
+def test_grid_point_texts_show_a_huge_int_by_its_size(call, error, text):
+    # Each text keeps its exception and prefix; the int is shown by its
+    # size, not through str, which raises past the digit limit.
+    with pytest.raises(error, match=rf"^{re.escape(text)}$"):
+        call()
