@@ -52,7 +52,7 @@ from .dpml import (
     TruncationPolicy,
     WordSumTable,
 )
-from .grid_calculus import _require_count
+from .grid_calculus import _require_count, _require_grid
 from .solver import DelaySystem, SingularityError, _ResidualOverBudget, _SteppingOverflow, verify
 
 __all__ = ["ConfigError", "load_config", "parse_config", "main", "run"]
@@ -89,21 +89,6 @@ def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
     return value
-
-
-# Grid points times floats per point past which a grid is rejected before
-# anything is allocated.  2**56 floats are 512 PiB, more than any memory,
-# and far below the sizes at which NumPy raises ValueError or
-# OverflowError instead of MemoryError: an array it cannot even describe.
-_MAX_GRID_CELLS = 2**56
-
-
-def _require_grid(path: str, points: int, cells: int) -> None:
-    # The grid's size, from the fields already parsed: `points` grid points
-    # of `cells` floats each, the most any array of the run holds per point.
-    if points * cells > _MAX_GRID_CELLS:
-        problem = f"the grid does not fit in memory ({points} points x {cells} floats)"
-        raise ConfigError(path, problem)
 
 
 def _as_vector(value, length: int, path: str) -> list[float]:
@@ -171,7 +156,10 @@ def parse_config(doc) -> DelaySystem:
     M = _as_matrix(_require(doc, "M"), "M")
     N = _as_matrix(_require(doc, "N"), "N")
     dim = M.shape[0]
-    _require_grid("horizon", horizon, dim * dim)
+    try:
+        _require_grid("horizon", horizon, dim * dim)
+    except ValueError as exc:
+        raise ConfigError("", str(exc)) from exc
     phi = _require(doc, "phi")
     if not isinstance(phi, list):
         raise ConfigError("phi", "expected a list of vectors ordered k = 1 - delay .. 0")
@@ -353,11 +341,11 @@ def cmd_figure(args) -> int:
             warnings.simplefilter("ignore", RuntimeWarning)
             columns += [DpmlFunction(DpmlParams(args.alpha, args.beta, r, [[m]], [[n]]))
                         for m, n in ((args.m, 0.0), (0.0, args.n))]
+        _require_grid("kmax", kmax + r + 1, 1)  # the grid [-delay, kmax]
     except ValueError as exc:
         raise ConfigError("", str(exc)) from exc
     if kmax < -r:
         raise ConfigError("kmax", f"must be >= {-r}, got {kmax}")
-    _require_grid("kmax", kmax + r + 1, 1)
 
     def table(imax: int | None) -> list:
         # Adaptive sums when imax is None, else fixed partial sums through

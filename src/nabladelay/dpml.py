@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_calculus import (_monomial_rows, _real_array, _require_count, _require_points,
-                            _require_real, _set_fields)
+from .grid_calculus import (_monomial_rows, _real_array, _require_count, _require_grid,
+                            _require_points, _require_real, _set_fields)
 
 __all__ = [
     "CommutativityError",
@@ -105,6 +105,11 @@ def _checked_policy(policy: TruncationPolicy) -> TruncationPolicy:
 # row that met the stop rule inside it is summed past its stop.
 _ORDER_BLOCK = 32
 
+# Orders per block of a lone adaptive series, at most.  Its stop rule runs
+# on Python floats, a few NumPy calls a block, so short blocks cost little
+# and the series draws about half a block past its stop.
+_LONE_ORDERS = 24
+
 # Cells of one block of terms, (orders, n * n, rows), of one gather of
 # monomial weights and of one chunk of falling-binomial running products:
 # long stacks take fewer orders per block, so the buffers stay small.
@@ -123,15 +128,36 @@ _NARROW_CELLS = 128
 def _block_orders(rows: int, cells: int, width: int) -> int:
     # Orders per block for `rows` series of `cells` entries each, whose
     # monomial table holds `width` cells an order: every block keeps its
-    # terms within _BLOCK_CELLS and its table within _TRIANGLE_CELLS.  A
-    # lone series takes up to 2 * _ORDER_BLOCK orders: its per-block NumPy
-    # calls cost more than the orders it sums past its stop, and its bytes
-    # do not depend on its block length.  Several rows take up to
-    # _ORDER_BLOCK: a row that stops leaves the products at a block's end,
-    # and BLAS rounds each row of a product by the rows beside it, so
-    # their block length is part of their bytes.
+    # terms within _BLOCK_CELLS and its table within _TRIANGLE_CELLS.  One
+    # series takes up to 2 * _ORDER_BLOCK orders (a lone adaptive series
+    # up to _LONE_ORDERS of them): its per-block NumPy calls cost more than
+    # the orders it sums past its stop, and its bytes do not depend on its
+    # block length.  Several rows take up to _ORDER_BLOCK: a row that stops
+    # leaves the products at a block's end, and BLAS rounds each row of a
+    # product by the rows beside it, so their block length is part of
+    # their bytes.
     return max(1, min((2 if rows == 1 else 1) * _ORDER_BLOCK, _BLOCK_CELLS // (rows * cells),
                       _TRIANGLE_CELLS // width))
+
+
+def _non_finite(policy: TruncationPolicy, order: int) -> DivergenceError:
+    return DivergenceError(
+        f"series term at order i={order} is non-finite; treating as divergent ({policy!r})"
+    )
+
+
+def _grown(policy: TruncationPolicy) -> DivergenceError:
+    return DivergenceError(
+        f"series terms grew for {policy.divergence_growth} consecutive "
+        f"orders past i = {policy.i_max // 2}; treating as divergent ({policy!r})"
+    )
+
+
+def _exhausted(policy: TruncationPolicy) -> DivergenceError:
+    return DivergenceError(
+        f"series did not meet the truncation stop rule within "
+        f"i_max = {policy.i_max} terms ({policy!r})"
+    )
 
 
 class _StopRule:
@@ -188,24 +214,12 @@ class _StopRule:
             tested = (growth >= pol.divergence_growth) & (t + i0 > pol.i_max // 2)
             grown = _first(tested & (t < stop))
         if broken < b and broken <= grown:
-            raise DivergenceError(
-                f"series term at order i={i0 + broken} is non-finite; "
-                f"treating as divergent ({pol!r})"
-            )
+            raise _non_finite(pol, i0 + broken)
         if grown < b:
-            raise DivergenceError(
-                f"series terms grew for {pol.divergence_growth} consecutive "
-                f"orders past i = {pol.i_max // 2}; treating as divergent ({pol!r})"
-            )
+            raise _grown(pol)
         stopped, running = np.flatnonzero(stop < b), np.flatnonzero(stop == b)
         self.quiet, self.growth, self.prev = (x[-1, running] for x in (quiet, growth, norm))
         return stopped, stop[stopped], running
-
-    def exhausted(self) -> DivergenceError:
-        return DivergenceError(
-            f"series did not meet the truncation stop rule within "
-            f"i_max = {self.policy.i_max} terms ({self.policy!r})"
-        )
 
 
 def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int | None,
@@ -215,10 +229,13 @@ def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int
     # of the rows `live` still running (row indices, ascending), shaped
     # (i - i0, cells, live.size): every order the block asks for.  Sums
     # orders 0 .. imax when imax is given, the policy unused (it may be
-    # None); else stops each row under the policy through _StopRule, picks
-    # its running total at its stop order and asks no more terms of it.
-    # Returns the values, shaped (rows, cells).  Blocks take _block_orders
-    # orders, the monomial table holding `width` cells an order.
+    # None); else stops each row under the policy, picks its running total
+    # at its stop order and asks no more terms of it: a lone series through
+    # _lone_sum, several through _StopRule.  Returns the values, shaped
+    # (rows, cells).  Blocks take _block_orders orders, the monomial table
+    # holding `width` cells an order.
+    if imax is None and rows == 1:
+        return _lone_sum(policy, cells, terms, width)
     last = policy.i_max if imax is None else imax
     out = np.empty((rows, cells))
     live = np.arange(rows)
@@ -238,9 +255,45 @@ def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int
                 return out
             live, total = live[running], block[-1][:, running]
     if imax is None:
-        raise rule.exhausted()
+        raise _exhausted(policy)
     out[live] = total.T
     return out
+
+
+def _lone_sum(policy: TruncationPolicy, cells: int, terms, width: int) -> np.ndarray:
+    # _block_sum's adaptive loop for one series: the rule of _StopRule
+    # applied one order at a time, on Python floats, to the same running
+    # totals.  It stops, and raises its texts, at the orders _StopRule
+    # does.  Blocks take at most _LONE_ORDERS orders within _block_orders'
+    # caps, so the series draws about half a block past its stop.
+    tol, window, grow = policy.tol, policy.window, policy.divergence_growth
+    quiet = growth = 0
+    prev = math.inf
+    live = np.zeros(1, dtype=int)
+    total = np.zeros((cells, 1))
+    i = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i <= policy.i_max:
+            i0, i = i, min(i + min(_LONE_ORDERS, _block_orders(1, cells, width)), policy.i_max + 1)
+            block = terms(i0, i, live)
+            norms = np.abs(block).max(axis=(1, 2)).tolist()  # max propagates nan
+            totals = _running_totals(block, total)
+            sizes = np.abs(totals).max(axis=(1, 2)).tolist()
+            for order, norm, size in zip(range(i0, i), norms, sizes):
+                if not math.isfinite(norm):
+                    raise _non_finite(policy, order)
+                quiet = quiet + 1 if norm < tol * (1.0 + size) else 0
+                if quiet >= window:
+                    return totals[order - i0].T.copy()
+                # The run counts from order 0: one that reaches past
+                # i_max // 2 raises where _StopRule's, counted from its
+                # gate, does.
+                growth = growth + 1 if norm > prev else 0
+                if growth >= grow and order > policy.i_max // 2:
+                    raise _grown(policy)
+                prev = norm
+            total = totals[-1]
+    raise _exhausted(policy)
 
 
 def _running_totals(terms: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -298,7 +351,7 @@ def _warn_convergence(*coefficients: np.ndarray) -> None:
     # outside this package: the caller's line, however deep in the package
     # the series was reached.
     with np.errstate(over="ignore"):
-        norm = float(sum(np.linalg.norm(A, 1) for A in coefficients))
+        norm = float(sum(np.abs(A).sum(axis=0).max() for A in coefficients))
     if norm < 1.0:
         return
     prefix = __name__.rpartition(".")[0] + "."
@@ -336,6 +389,13 @@ def _require_commuting(M: np.ndarray, N: np.ndarray) -> None:
             f"matrices do not commute: max |MN - NM| = {defect:.3e} "
             f"exceeds {_COMMUTE_TOL:g} * {scale:g}"
         )
+
+
+def _require_series_grid(name: str, kmin: int, kmax: int, r: int, n: int) -> None:
+    # The grid rule of the DPML values on [kmin, kmax], named by `name`:
+    # kmax - kmin + 1 points of n * n floats, and a monomial table of at
+    # most 2 (kmax + r) cells an order.
+    _require_grid(name, max(kmax - kmin + 1, 2 * (kmax + r)), n * n)
 
 
 def _blocks(r: int, k):
@@ -559,11 +619,13 @@ class DpmlFunction:
         _require_points(kmin=kmin, kmax=kmax)
         if imax is not None:
             imax = _require_count("imax", imax, 0)
+        _require_series_grid("kmax", kmin, kmax, self.params.r, self.params.dim)
         return self._series(kmin, kmax, imax)
 
     def value(self, k: int) -> np.ndarray:
         """DPML value at grid point ``k`` under the adaptive truncation rule."""
         _require_points(k=k)
+        _require_series_grid("k", k, k, self.params.r, self.params.dim)
         return self._series(k, k, None)[0]
 
     def _series(self, kmin: int, kmax: int, imax: int | None) -> np.ndarray:
@@ -603,11 +665,14 @@ class DpmlFunction:
                     # A copy of the running rows, unit stride along j:
                     # BLAS takes its slices, where the view's negative
                     # stride would send the product to NumPy's own loop,
-                    # which rounds otherwise.
-                    weights = view[pos, t : t + step]
+                    # which rounds otherwise.  A lone point's is one basic
+                    # slice, copied: no fancy gather.
+                    weights = (view[pos[0], t : t + step].copy()[None] if pos.size == 1
+                               else view[pos, t : t + step])
                 live = min(i0 + t, pmax) + 1
                 np.dot(weights[:, t % step, :live], q[:live], out=products[t])
-            # Rows last, as the stop rule reduces them (one copy a block).
+            # Rows last, as the stop rule reduces them: one copy a block,
+            # none for a lone point, whose transpose is already contiguous.
             return np.ascontiguousarray(products.transpose(0, 2, 1))
 
         # A block's table has at most kmax + (p + 1) r columns.
@@ -626,6 +691,10 @@ def dpml_eval(params: DpmlParams, k: int) -> np.ndarray:
     return DpmlFunction(params).value(k)
 
 
+# ml_eval's policy=None: the frozen default, built once.
+_DEFAULT_POLICY = TruncationPolicy()
+
+
 def ml_eval(M, alpha: float, c: float, k: int, a: int,
             policy: TruncationPolicy | None = None) -> np.ndarray:
     """Discrete one-matrix Mittag-Leffler series on the integer grid.
@@ -639,7 +708,7 @@ def ml_eval(M, alpha: float, c: float, k: int, a: int,
     :class:`TruncationPolicy`; any other value that is not a
     :class:`TruncationPolicy` raises :class:`TypeError`.
     """
-    policy = TruncationPolicy() if policy is None else _checked_policy(policy)
+    policy = _DEFAULT_POLICY if policy is None else _checked_policy(policy)
     return _ml_series(M, alpha, c, k, a, None, policy)
 
 
@@ -656,6 +725,7 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
     alpha, c = _require_real("alpha", alpha, "(0, 1]"), _require_real("c", c, "(-inf, inf)")
     if imax is not None:
         imax = _require_count("imax", imax, 0)
+    _require_grid("k", k - a, 1)  # the monomial table of a block: m = 1 .. k - a
     if k < a:
         return np.zeros_like(M)
     if k == a:
@@ -878,6 +948,7 @@ def special_reductions(params: DpmlParams, k: int, pattern: str | None = None) -
         return np.zeros((params.dim, params.dim))
     if k == -r:
         return np.eye(params.dim)
+    _require_series_grid("k", k, k, r, params.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         value = reductions[pattern][1]()
     if not np.isfinite(value).all():

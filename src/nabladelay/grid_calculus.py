@@ -73,6 +73,23 @@ def _require_count(name: str, count, lowest: int = 1) -> int:
     return int(count)
 
 
+# Grid points times floats per point past which a grid is rejected before
+# anything is allocated.  2**56 floats are 512 PiB, more than any memory,
+# and far below the sizes at which NumPy raises ValueError or
+# OverflowError instead of MemoryError: an array it cannot even describe.
+_MAX_GRID_CELLS = 2**56
+
+
+def _require_grid(name: str, points: int, cells: int) -> None:
+    # The one grid-size rule, named by the argument that sets the grid:
+    # `points` grid points of `cells` floats each, the most any array of
+    # the call holds per point.
+    if points * cells > _MAX_GRID_CELLS:
+        raise ValueError(
+            f"{name}: the grid does not fit in memory ({_shown(points)} points x {cells} floats)"
+        )
+
+
 # The open float bounds (low, high) of each interval text a real argument
 # may be held to: low < x < high for exactly its floats, a closed end's
 # bound being the float next past it.
@@ -153,6 +170,7 @@ def monomial_run(mu: float, count: int) -> np.ndarray:
     """
     mu = _require_real("mu", mu, "(-inf, inf)")
     count = _require_count("count", count, 0)
+    _require_grid("count", count, 1)
     return _monomial_rows(np.array([mu], dtype=float), np.empty((1, count)))[0]
 
 
@@ -205,6 +223,7 @@ class GridSeries:
         vec = np.atleast_1d(_real_array("vector", vector))
         if end < base:
             raise ValueError("end must be >= base")
+        _require_grid("end", end - base + 1, vec.size)
         return cls(base, np.tile(vec, (end - base + 1, 1)))
 
     @classmethod
@@ -233,14 +252,15 @@ class GridSeries:
         """Value at grid point ``k`` (shape ``(n,)``).
 
         Raises :class:`TypeError` when ``k`` is not an integer and
-        :class:`GridRangeError` outside the stored range.
+        :class:`GridRangeError` outside the stored range.  The row is a
+        fresh copy: writing into it leaves the series as it was.
         """
         _require_points(k=k)
         if k < self.base or k > self.end:
             raise GridRangeError(
                 f"grid point {_shown(int(k))} outside stored range {_span(self.base, self.end)}"
             )
-        return self.values[k - self.base]
+        return self.values[k - self.base].copy()
 
 
 def _kernel_sum(order: float, a: int, z: GridSeries, k: int) -> np.ndarray:

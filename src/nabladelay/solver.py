@@ -38,9 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dpml import DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite
-from .grid_calculus import (GridSeries, _kernel_run, _require_count, _require_points,
-                            _require_real, _set_fields, _span, monomial_run)
+from .dpml import (DivergenceError, DpmlFunction, DpmlParams, TruncationPolicy, _require_finite,
+                   _require_series_grid)
+from .grid_calculus import (GridSeries, _kernel_run, _require_count, _require_grid,
+                            _require_points, _require_real, _set_fields, _span, monomial_run)
 
 __all__ = [
     "DelaySystem",
@@ -155,6 +156,8 @@ class DelaySystem:
                 )
             if forcing.dim != phi.dim:
                 raise ValueError(f"forcing has dimension {forcing.dim} but phi has {phi.dim}")
+        # Every route holds the trajectory, or Phi, on [1 - r, horizon].
+        _require_grid("horizon", horizon + r, params.dim * params.dim)
         # inf when I - M is singular: cond raises only on empty or non-square input.
         condition = float(np.linalg.cond(np.eye(params.dim) - params.M, 1))
         _set_fields(self, alpha=alpha, delay=r, M=params.M, N=params.N, phi=phi,
@@ -386,8 +389,10 @@ def _dpml_sum(system: DelaySystem, k: int, s0: int, s1: int) -> np.ndarray:
     # from the lowest grid point up against g from the latest down.  A sum
     # that overflows raises.
     r = system.delay
+    kmin, kmax = k - r - s1 + 1, k - r - s0 + 1
+    _require_series_grid("k", kmin, kmax, r, system.dim)  # g has no more rows than Phi
     g = _g_rows(system, s0, s1)[::-1]
-    phi = DpmlFunction(system.params).stack(k - r - s1 + 1, k - r - s0 + 1)
+    phi = DpmlFunction(system.params).stack(kmin, kmax)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
         value = np.tensordot(phi, g, axes=([0, 2], [0, 1]))
     if not np.isfinite(value).all():

@@ -1201,7 +1201,7 @@ def drive_rule(policy, terms, lengths):
     i = 0
     for b in itertools.cycle(lengths):
         if i > policy.i_max:
-            return str(rule.exhausted())
+            return str(dpml._exhausted(policy))
         block = terms[i : min(i + b, policy.i_max + 1)][:, :, rows].copy()
         try:
             stopped, at, running = rule.block(i, block, total)
@@ -1253,6 +1253,8 @@ ROWS = {
     "stops-late": norm_row(big(15)),  # stops at 17
     "inf-after-stop": norm_row(np.r_[big(3), 1e-20, 1e-20, 1e-20, np.inf, np.nan]),  # stops at 5
     "grows-across-blocks": norm_row(np.r_[big(10), 2.0 ** np.arange(1, 12)]),  # raises at 12
+    # Grown for 3 orders at i = 10, which is not past i_max // 2: raises at 11.
+    "grows-at-the-gate": norm_row(np.r_[big(8), 2.0 ** np.arange(1, 14)]),
     "inf-while-running": norm_row(np.r_[big(13), np.inf, big(7)]),  # raises at 13
     "inf-as-growth-raises": norm_row(np.r_[big(12), np.inf, big(8)]),  # raises at 12
     # Stops at 8, then tiny terms grow at 9, 10, 11 in the same block.
@@ -1335,6 +1337,55 @@ class TestBlockStopRule:
         return {"values"}
 
 
+def accumulate_row(policy, row):
+    """(order, total bytes) where _SeriesAccumulator stops one row of terms,
+    shaped (orders, 4), or (order, error text) where it raises."""
+    acc = _SeriesAccumulator(policy, 2)
+    try:
+        for i in range(policy.i_max + 1):
+            if acc.add(row[i].reshape(2, 2)):
+                return i, acc.total.tobytes()
+        raise acc.exhausted()
+    except DivergenceError as exc:
+        return acc._i, str(exc)
+
+
+def drive_lone(policy, row, lengths, monkeypatch):
+    """One row of terms, shaped (orders, 4), alone through dpml._block_sum in
+    blocks of the given lengths, cycled.  Returns the blocks (i0, i) it drew
+    and the total bytes or the error text."""
+    cycle = itertools.cycle(lengths)
+    monkeypatch.setattr(dpml, "_LONE_ORDERS", 1 << 30)
+    monkeypatch.setattr(dpml, "_block_orders", lambda rows, cells, width: next(cycle))
+    blocks = []
+
+    def terms(i0, i, live):
+        assert live.tolist() == [0]
+        blocks.append((i0, i))
+        return row[i0:i, :, None].copy()
+
+    try:
+        return blocks, dpml._block_sum(policy, 1, 4, None, terms).tobytes()
+    except DivergenceError as exc:
+        return blocks, str(exc)
+
+
+class TestLoneStopRule:
+    """A lone adaptive series runs _block_sum's one-row loop.  Every designed
+    row stops, and raises, where the order-by-order accumulator does, in the
+    block holding that order, whatever the block lengths."""
+
+    @pytest.mark.parametrize("lengths", TestBlockStopRule.LENGTHS, ids=str)
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_stops_and_raises_where_the_accumulator_does(self, name, lengths, monkeypatch):
+        order, want = accumulate_row(TIGHT, ROWS[name])
+        blocks, got = drive_lone(TIGHT, ROWS[name], lengths, monkeypatch)
+        assert got == want
+        # Consecutive blocks from order 0, the last one holding the order.
+        assert [i0 for i0, _ in blocks] == [0] + [i for _, i in blocks[:-1]]
+        assert blocks[-1][0] <= order < blocks[-1][1]
+
+
 # -- byte references of the vectorised drivers ----------------------------
 
 
@@ -1396,7 +1447,7 @@ def reference_series(params, kmin, kmax, imax=None, commutative=False):
             rows, total, p = rows[running], terms[-1][:, running], p[running]
             m = m[running, : int(p.max()) + 1]
     if imax is None:
-        raise rule.exhausted()
+        raise dpml._exhausted(pol)
     out[rows] = total.T
     return out.reshape(-1, n, n), stops
 
@@ -1467,10 +1518,11 @@ class TestSeriesBytes:
             want = reference_values(lambda: reference_series(params, -r - 2, 30, None, commutative))
             assert_same_outcome(got, want)
 
-    # (M, N) scalars whose value at k = 20 stops at orders 63 and 64: the
-    # last order of the first 64-order block of a lone series, and the first
-    # of the second.
-    EDGE_PAIRS = [((0.3241, 0.3241), 63), ((0.3286, 0.3286), 64)]
+    # (M, N) scalars whose value at k = 20 stops at the last and the first
+    # order of a lone series' blocks of _LONE_ORDERS = 24 orders (23 and 24,
+    # 47 and 48), and at 63 and 64, where its 64-order blocks met.
+    EDGE_PAIRS = [((0.0595, 0.0595), 23), ((0.066, 0.066), 24), ((0.2235, 0.2235), 47),
+                  ((0.23, 0.23), 48), ((0.3241, 0.3241), 63), ((0.3286, 0.3286), 64)]
 
     def test_lone_series_stops_at_block_edges(self):
         for (m, nn), want in self.EDGE_PAIRS:
@@ -1542,7 +1594,7 @@ class TestDelayBlockSums:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_delay_block_sum_matches_power_loop(self, n):
         rng = np.random.default_rng(70 + n)
-        # 65 and 130 weights cross the 64-order blocks of a lone series.
+        # 65 and 130 weights cross the 64-order blocks of a lone fixed-order sum.
         for count in (1, 2, 5, 40, 65, 130):
             for N in (0.5 * rng.normal(size=(n, n)), -0.0 * np.ones((n, n)),
                       np.where(rng.random((n, n)) < 0.5, -0.0, -0.3)):

@@ -1521,6 +1521,7 @@ def value_calls():
     system = DelaySystem(0.5, 2, M, N, phi, forcing, horizon=6)
     commuting = DelaySystem(0.5, 2, D, E, phi, horizon=6)
     table, z = WordSumTable(M, N), GridSeries(0, values)
+    trace = step_solve(system).values
     calls = {
         "dpml_eval": lambda: dpml_eval(params, 4),
         "dpml_eval-identity": lambda: dpml_eval(params, -2),
@@ -1553,6 +1554,8 @@ def value_calls():
         "delta_solve": lambda: delta_solve(system).values.values,
         "verify-oracle": lambda: verify(system).oracle.values.values,
         "verify-closed": lambda: verify(system).closed.values.values,
+        "GridSeries.at-trace": lambda: trace.at(1),
+        "GridSeries.at-phi": lambda: system.phi.at(0),
     }
     for name, pattern_params in patterns.items():
         # k = 4 in the series range, k = -2 = -r and k = -3 on the left branch.
@@ -1560,7 +1563,7 @@ def value_calls():
             calls[f"special_reductions-{name}-{k}"] = (
                 lambda p=pattern_params, k=k, name=name: special_reductions(p, k, name))
     inputs = [M, N, D, E, Z, phi, forcing, values, params, *patterns.values(), system,
-              commuting, table, z]
+              commuting, table, z, trace]
     return calls, inputs
 
 
@@ -1597,3 +1600,52 @@ def test_grid_point_texts_show_a_huge_int_by_its_size(call, error, text):
     # size, not through str, which raises past the digit limit.
     with pytest.raises(error, match=rf"^{re.escape(text)}$"):
         call()
+
+
+def grid_calls():
+    """Each entry that sizes a grid from an int argument, as (name, call):
+    the argument its text names and a call of the entry at that int."""
+    params = DpmlParams(0.5, 0.5, 2, M2, N2)
+    phi = np.ones((2, 2))
+    unforced = DelaySystem(0.5, 2, M2, N2, phi)
+    forced = DelaySystem(0.5, 2, M2, N2, phi, np.ones((3, 2)), horizon=3)
+    calls = {
+        "dpml_eval": ("k", lambda k: dpml_eval(params, k)),
+        "DpmlFunction.value": ("k", lambda k: DpmlFunction(params).value(k)),
+        "DpmlFunction.stack-point": ("kmax", lambda k: DpmlFunction(params).stack(k, k)),
+        "DpmlFunction.stack-range": ("kmax", lambda k: DpmlFunction(params).stack(0, k)),
+        "DpmlFunction.stack-imax": ("kmax", lambda k: DpmlFunction(params).stack(0, k, 3)),
+        "DpmlFunction.stack-left": ("kmax", lambda k: DpmlFunction(params).stack(-k, 0)),
+        "homogeneous_part": ("k", lambda k: homogeneous_part(unforced, k)),
+        "forced_part-unforced": ("k", lambda k: forced_part(unforced, k)),
+        "forced_part-forced": ("k", lambda k: forced_part(forced, k)),
+        "ml_eval": ("k", lambda k: ml_eval(M2, 0.5, 0.5, k, 0)),
+        "ml_partial_sum": ("k", lambda k: ml_partial_sum(M2, 0.5, 0.5, k, 0, 3)),
+        "monomial_run": ("count", lambda k: monomial_run(0.5, k)),
+        "GridSeries.constant": ("end", lambda k: GridSeries.constant(0, k, [1.0])),
+        "DelaySystem": ("horizon", lambda k: DelaySystem(0.5, 2, M2, N2, phi, horizon=k)),
+    }
+    D, E, Z = np.diag([0.2, 0.3]), np.diag([0.1, 0.2]), np.zeros((2, 2))
+    patterns = {
+        "delayed_exponential": DpmlParams(1.0, 1.0, 2, Z, E),
+        "factored_exponential": DpmlParams(1.0, 1.0, 2, D, E),
+        "exponential_perturbation": DpmlParams(1.0, 1.0, 2, M2, N2),
+        "delayed_ml": DpmlParams(0.5, 0.5, 2, Z, E),
+        "ml": DpmlParams(0.5, 0.5, 2, D, Z),
+    }
+    for pattern, pattern_params in patterns.items():
+        calls[f"special_reductions-{pattern}"] = (
+            "k", lambda k, p=pattern_params, pattern=pattern: special_reductions(p, k, pattern))
+    return calls
+
+
+@pytest.mark.parametrize("size", [2**61, 2**63, 10**20], ids=["2**61", "2**63", "10**20"])
+@pytest.mark.parametrize("entry", list(grid_calls()))
+def test_a_grid_past_memory_is_refused_by_name(entry, size):
+    # Past int64, or past what NumPy can describe, the one grid rule raises
+    # before any array is made, where NumPy's own OverflowError or
+    # ValueError leaked.
+    name, call = grid_calls()[entry]
+    text = rf"^{name}: the grid does not fit in memory \(\d+ points x \d+ floats\)$"
+    with pytest.raises(ValueError, match=text):
+        call(size)
