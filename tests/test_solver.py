@@ -1499,6 +1499,18 @@ def _held(obj):
     return []
 
 
+def reduction_params(M, N, D, E, Z):
+    """A parameter set of each reduction pattern, in REDUCTION_PATTERNS
+    order: D and E commute, Z is zero."""
+    return {
+        "delayed_exponential": DpmlParams(1.0, 1.0, 2, Z, E),
+        "factored_exponential": DpmlParams(1.0, 1.0, 2, D, E),
+        "exponential_perturbation": DpmlParams(1.0, 1.0, 2, M, N),
+        "delayed_ml": DpmlParams(0.5, 0.5, 2, Z, E),
+        "ml": DpmlParams(0.5, 0.5, 2, D, Z),
+    }
+
+
 def value_calls():
     """Each public entry that returns an array, as (calls, inputs).
 
@@ -1510,14 +1522,7 @@ def value_calls():
     D, E, Z = np.diag([0.2, 0.3]), np.diag([0.1, 0.2]), np.zeros((2, 2))
     phi, forcing, values = rng.normal(size=(2, 2)), rng.normal(size=(6, 2)), rng.normal(size=(8, 2))
     params = DpmlParams(0.5, 0.5, 2, M, N)
-    # A parameter set of each reduction pattern, in REDUCTION_PATTERNS order.
-    patterns = {
-        "delayed_exponential": DpmlParams(1.0, 1.0, 2, Z, E),
-        "factored_exponential": DpmlParams(1.0, 1.0, 2, D, E),
-        "exponential_perturbation": DpmlParams(1.0, 1.0, 2, M, N),
-        "delayed_ml": DpmlParams(0.5, 0.5, 2, Z, E),
-        "ml": DpmlParams(0.5, 0.5, 2, D, Z),
-    }
+    patterns = reduction_params(M, N, D, E, Z)
     system = DelaySystem(0.5, 2, M, N, phi, forcing, horizon=6)
     commuting = DelaySystem(0.5, 2, D, E, phi, horizon=6)
     table, z = WordSumTable(M, N), GridSeries(0, values)
@@ -1625,14 +1630,7 @@ def grid_calls():
         "GridSeries.constant": ("end", lambda k: GridSeries.constant(0, k, [1.0])),
         "DelaySystem": ("horizon", lambda k: DelaySystem(0.5, 2, M2, N2, phi, horizon=k)),
     }
-    D, E, Z = np.diag([0.2, 0.3]), np.diag([0.1, 0.2]), np.zeros((2, 2))
-    patterns = {
-        "delayed_exponential": DpmlParams(1.0, 1.0, 2, Z, E),
-        "factored_exponential": DpmlParams(1.0, 1.0, 2, D, E),
-        "exponential_perturbation": DpmlParams(1.0, 1.0, 2, M2, N2),
-        "delayed_ml": DpmlParams(0.5, 0.5, 2, Z, E),
-        "ml": DpmlParams(0.5, 0.5, 2, D, Z),
-    }
+    patterns = reduction_params(M2, N2, np.diag([0.2, 0.3]), np.diag([0.1, 0.2]), np.zeros((2, 2)))
     for pattern, pattern_params in patterns.items():
         calls[f"special_reductions-{pattern}"] = (
             "k", lambda k, p=pattern_params, pattern=pattern: special_reductions(p, k, pattern))
