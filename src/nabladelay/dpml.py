@@ -105,10 +105,15 @@ def _checked_policy(policy: TruncationPolicy) -> TruncationPolicy:
 # row that met the stop rule inside it is summed past its stop.
 _ORDER_BLOCK = 32
 
-# Orders per block of a lone adaptive series, at most.  Its stop rule runs
-# on Python floats, a few NumPy calls a block, so short blocks cost little
-# and the series draws about half a block past its stop.
+# Orders per block of a lone DPML or word-sum series, at most.  Its stop
+# rule runs on Python floats, a few NumPy calls a block, so short blocks
+# cost little and the series draws about half a block past its stop.
 _LONE_ORDERS = 24
+
+# Orders per block of a lone one-matrix series (_power_sum), at most.  Each
+# of its orders costs one n x n product, so the calls made once a block
+# weigh more there than the orders drawn past the stop.
+_POWER_ORDERS = 2 * _LONE_ORDERS
 
 # Cells of one block of terms, (orders, n * n, rows), of one gather of
 # monomial weights and of one chunk of falling-binomial running products:
@@ -129,8 +134,8 @@ def _block_orders(rows: int, cells: int, width: int) -> int:
     # Orders per block for `rows` series of `cells` entries each, whose
     # monomial table holds `width` cells an order: every block keeps its
     # terms within _BLOCK_CELLS and its table within _TRIANGLE_CELLS.  One
-    # series takes up to 2 * _ORDER_BLOCK orders (a lone adaptive series
-    # up to _LONE_ORDERS of them): its per-block NumPy calls cost more than
+    # series takes up to 2 * _ORDER_BLOCK orders (_lone_sum caps it further
+    # at its own block length): its per-block NumPy calls cost more than
     # the orders it sums past its stop, and its bytes do not depend on its
     # block length.  Several rows take up to _ORDER_BLOCK: a row that stops
     # leaves the products at a block's end, and BLAS rounds each row of a
@@ -224,18 +229,19 @@ class _StopRule:
 
 def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int | None,
                terms, width: int = 1) -> np.ndarray:
-    # The block loop of the adaptive series, for `rows` series of `cells`
-    # entries.  terms(i0, i, live) gives the terms of the orders i0 .. i - 1
-    # of the rows `live` still running (row indices, ascending), shaped
+    # The block loop of the series, for `rows` series of `cells` entries.
+    # terms(i0, i, live) gives the terms of the orders i0 .. i - 1 of the
+    # rows `live` still running (row indices, ascending), shaped
     # (i - i0, cells, live.size): every order the block asks for.  Sums
     # orders 0 .. imax when imax is given, the policy unused (it may be
     # None); else stops each row under the policy, picks its running total
-    # at its stop order and asks no more terms of it: a lone series through
-    # _lone_sum, several through _StopRule.  Returns the values, shaped
-    # (rows, cells).  Blocks take _block_orders orders, the monomial table
-    # holding `width` cells an order.
-    if imax is None and rows == 1:
-        return _lone_sum(policy, cells, terms, width)
+    # at its stop order and asks no more terms of it.  A lone series runs
+    # _lone_sum in blocks of at most _LONE_ORDERS orders, several rows
+    # _StopRule.  Returns the values, shaped (rows, cells).  Blocks take
+    # _block_orders orders, the monomial table holding `width` cells an
+    # order.
+    if rows == 1:
+        return _lone_sum(policy, cells, imax, terms, width, _LONE_ORDERS)
     last = policy.i_max if imax is None else imax
     out = np.empty((rows, cells))
     live = np.arange(rows)
@@ -260,22 +266,30 @@ def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int
     return out
 
 
-def _lone_sum(policy: TruncationPolicy, cells: int, terms, width: int) -> np.ndarray:
-    # _block_sum's adaptive loop for one series: the rule of _StopRule
-    # applied one order at a time, on Python floats, to the same running
-    # totals.  It stops, and raises its texts, at the orders _StopRule
-    # does.  Blocks take at most _LONE_ORDERS orders within _block_orders'
-    # caps, so the series draws about half a block past its stop.
-    tol, window, grow = policy.tol, policy.window, policy.divergence_growth
+def _lone_sum(policy: TruncationPolicy | None, cells: int, imax: int | None, terms,
+              width: int, orders: int) -> np.ndarray:
+    # _block_sum's loop for one series, in blocks of at most `orders`
+    # orders within _block_orders' caps.  A fixed sum adds orders 0 .. imax
+    # and never reads the policy.  An adaptive one applies the rule of
+    # _StopRule one order at a time, on Python floats, to the same running
+    # totals: it stops, and raises its texts, at the orders _StopRule does,
+    # and draws about half a block past its stop.  Its totals are the
+    # sequential adds whatever the block length, so are its bytes.
+    last = policy.i_max if imax is None else imax
+    if imax is None:
+        tol, window, grow = policy.tol, policy.window, policy.divergence_growth
     quiet = growth = 0
     prev = math.inf
     live = np.zeros(1, dtype=int)
     total = np.zeros((cells, 1))
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while i <= policy.i_max:
-            i0, i = i, min(i + min(_LONE_ORDERS, _block_orders(1, cells, width)), policy.i_max + 1)
+        while i <= last:
+            i0, i = i, min(i + min(orders, _block_orders(1, cells, width)), last + 1)
             block = terms(i0, i, live)
+            if imax is not None:
+                total = _running_totals(block, total)[-1]
+                continue
             norms = np.abs(block).max(axis=(1, 2)).tolist()  # max propagates nan
             totals = _running_totals(block, total)
             sizes = np.abs(totals).max(axis=(1, 2)).tolist()
@@ -293,7 +307,9 @@ def _lone_sum(policy: TruncationPolicy, cells: int, terms, width: int) -> np.nda
                     raise _grown(policy)
                 prev = norm
             total = totals[-1]
-    raise _exhausted(policy)
+    if imax is None:
+        raise _exhausted(policy)
+    return total.T.copy()
 
 
 def _running_totals(terms: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -413,23 +429,37 @@ def _word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
     Q(i, j)ᵀ gives S Mᵀ, the stack of (M Q(i, j))ᵀ.  The same memory,
     viewed as (J, n * n), is the right operand of a series term.  Each
     array yielded is a view of one of two buffers that take turns, so it
-    holds its values only until the second next one is drawn.
+    holds its values only until the second next one is drawn.  Once the
+    rows reach full width, from order `width` on, every order reads the
+    same views of its buffer, built once.
     """
     n = M.shape[0]
     Mt, Nt = np.ascontiguousarray(M.T), np.ascontiguousarray(N.T)
     cap = (width + 1) * n
     buffers = np.zeros((2, cap, n))  # past its row, a buffer has never been written
-    lower = np.empty((cap, n))  # the N products
+    lower = np.empty((cap - n, n))  # the N products
     row = buffers[0, :n]
     row[...] = np.eye(n)
-    for i in itertools.count(1):
+    for i in range(1, width + 1):  # the rows still growing
         yield row.reshape(-1, n * n)
         size = len(row)
-        nxt = buffers[i % 2, : min(size + n, cap)]
-        np.dot(row, Mt, out=nxt[:size])
-        np.dot(row[: len(nxt) - n], Nt, out=lower[: len(nxt) - n])
-        nxt[n:] += lower[: len(nxt) - n]
+        nxt = buffers[i % 2, : size + n]
+        row.dot(Mt, out=nxt[:size])
+        row.dot(Nt, out=lower[:size])
+        nxt[n:] += lower[:size]
         row = nxt
+    # Per buffer: the row flattened, whole, without its last block and
+    # without its first.
+    views = [(b.reshape(-1, n * n), b, b[: cap - n], b[n:]) for b in buffers]
+    cur, nxt = views[width % 2], views[1 - width % 2]
+    while True:
+        flat, row, head, _ = cur
+        yield flat
+        _, whole, _, tail = nxt
+        row.dot(Mt, out=whole)
+        head.dot(Nt, out=lower)
+        tail += lower
+        cur, nxt = nxt, cur
 
 
 def _commuting_word_sum_rows(M: np.ndarray, N: np.ndarray, width: int):
@@ -473,6 +503,7 @@ class WordSumTable:
         """A fresh stack of Q(i, j) for j = 0 .. i - 1: i orders of the recursion."""
         i = _require_count("i", i, 0)
         n = self.dim
+        _require_grid("i", i, n * n)  # the row's i blocks of n * n floats
         if i == 0:
             return np.zeros((0, n, n))
         # Order i - 1 of the source, transposed back into a fresh array.
@@ -510,6 +541,7 @@ def word_sum_commutative(M, N, i: int, j: int) -> np.ndarray:
     i, j = _require_count("i", i, 0), _require_count("j", j, -1)
     if j < 0 or j > i:
         return np.zeros_like(M)
+    _require_grid("i", i + 1, M.size)  # i + 1 orders of up to i + 1 blocks of n * n floats
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf and nan
         q = next(itertools.islice(_commuting_word_sum_rows(M, N, j), i, None))
     return q[j].reshape(M.shape).T.copy()
@@ -660,6 +692,14 @@ class DpmlFunction:
             )
             step = max(1, _BLOCK_CELLS // (pos.size * cols))
             products = np.empty((i - i0, pos.size, n * n))
+            # From offset `full` on, an order reads all `cols` delay blocks.
+            # Those orders' word sums are copied into `batch`, and each
+            # chunk of weights takes one np.matmul over them: the BLAS call
+            # of one product per order, item by item, so the same bits.
+            # Orders still growing take one product each, at their own
+            # width: padding them to `cols` would round otherwise.
+            full = max(0, cols - 1 - i0)
+            batch = np.empty((i - i0 - full, cols, n * n))
             for t, q in zip(range(i - i0), qrows):
                 if t % step == 0:
                     # A copy of the running rows, unit stride along j:
@@ -669,8 +709,14 @@ class DpmlFunction:
                     # slice, copied: no fancy gather.
                     weights = (view[pos[0], t : t + step].copy()[None] if pos.size == 1
                                else view[pos, t : t + step])
-                live = min(i0 + t, pmax) + 1
-                np.dot(weights[:, t % step, :live], q[:live], out=products[t])
+                if t < full:
+                    weights[:, t % step, : i0 + t + 1].dot(q[: i0 + t + 1], out=products[t])
+                    continue
+                batch[t - full] = q[:cols]
+                if t % step == step - 1 or t == i - i0 - 1:  # the chunk's last order
+                    lo = max(full, t - t % step)
+                    np.matmul(weights[:, lo - t - 1 :].transpose(1, 0, 2),
+                              batch[lo - full : t + 1 - full], out=products[lo : t + 1])
             # Rows last, as the stop rule reduces them: one copy a block,
             # none for a lone point, whose transpose is already contiguous.
             return np.ascontiguousarray(products.transpose(0, 2, 1))
@@ -747,34 +793,45 @@ def _ml_series(M, alpha: float, c: float, k: int, a: int, imax: int | None,
 
     def weights(i0: int, i: int) -> np.ndarray:
         # monomial(i * alpha + c, k, a) for the orders i0 .. i - 1.
-        return _monomials_at(np.arange(i0, i) * alpha + c, np.full(i - i0, k - a))
+        return _monomials_at(np.arange(i0, i) * alpha + c, k - a)
 
     return _power_sum(M, weights, imax, policy, k - a)
 
 
-def _monomials_at(mu: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # monomial(mu[i], k, a) at m = k - a = m[i] >= 1, off rows of the
-    # product recurrence m[0] long: m[0] is the largest m.
-    return _monomial_rows(mu, np.empty((mu.size, m[0])))[np.arange(mu.size), m - 1]
+def _monomials_at(mu: np.ndarray, m: int) -> np.ndarray:
+    # monomial(mu[i], k, a) for every order i at one m = k - a >= 1: the
+    # product of (t + mu[i]) / t over t = 1 .. m - 1, multiplied in the
+    # order of t, as a row of _monomial_rows is, so with its bytes.  The
+    # orders come last, so each product over t is one multiply along them,
+    # and no (orders x m) table is built to read one column of.
+    t = np.arange(1.0, m)[:, None]
+    factors = np.empty((m - 1, mu.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(t, mu, out=factors)
+        factors /= t
+        return np.multiply.reduce(factors, axis=0)
 
 
 def _power_sum(A: np.ndarray, weights, imax: int | None,
                policy: TruncationPolicy | None = None, width: int = 1) -> np.ndarray:
-    # Sum of w_i A**i, a lone series on _block_sum: orders 0 .. imax when
-    # imax is given, else stopped under the policy.  weights(i0, i) gives
-    # the w_i of orders i0 .. i - 1, from a table of `width` cells an order.
-    powers = np.eye(len(A))[None]  # ends in A**i0 for the block from order i0
+    # Sum of w_i A**i, a lone series on _lone_sum in blocks of at most
+    # _POWER_ORDERS orders: orders 0 .. imax when imax is given, else
+    # stopped under the policy.  weights(i0, i) gives the w_i of orders
+    # i0 .. i - 1, from a table of `width` cells an order.
+    orders = _POWER_ORDERS
+    buffer = np.empty((orders + 1, *A.shape))
+    powers = list(buffer)  # powers[t] holds A**(i0 + t) in the block from order i0
+    powers[0][...] = np.eye(len(A))
 
     def terms(i0: int, i: int, live: np.ndarray) -> np.ndarray:
-        # A**i0 .. A**i, sized from the block asked for.
-        nonlocal powers
         b = i - i0
-        powers = np.concatenate((powers[-1:], np.empty((b, *A.shape))))
         for t in range(b):
-            np.dot(powers[t], A, out=powers[t + 1])
-        return (weights(i0, i)[:, None] * powers[:b].reshape(b, A.size))[:, :, None]
+            powers[t].dot(A, out=powers[t + 1])
+        block = (weights(i0, i)[:, None] * buffer[:b].reshape(b, A.size))[:, :, None]
+        powers[0][...] = powers[b]  # A**i, for the next block
+        return block
 
-    return _block_sum(policy, 1, A.size, imax, terms, width).reshape(A.shape)
+    return _lone_sum(policy, A.size, imax, terms, width, orders).reshape(A.shape)
 
 
 # -- closed-form reductions ---------------------------------------------
@@ -859,7 +916,7 @@ def _reduce_exponential_perturbation(
         weights = _falling_binomials((k - 1.0 + r) + np.arange(i0 - index[0, 0], i), index, i0)
         block = np.empty((i - i0, M.size))
         for w, q, out in zip(weights, qrows, block):
-            np.dot(w[: len(q)], q, out=out)
+            w[: len(q)].dot(q, out=out)
         return block[:, :, None]
 
     return _block_sum(policy, 1, M.size, None, terms).reshape(M.shape).T.copy()
@@ -872,8 +929,12 @@ def _reduce_delayed_ml(N: np.ndarray, alpha: float, r: int, k: int) -> np.ndarra
     # the order-0 row is the longest, k + r cells.
 
     def weights(i0: int, i: int) -> np.ndarray:
+        # Off rows of the product recurrence as long as the largest m, the
+        # first order's.
         orders = np.arange(i0, i)
-        return _monomials_at(orders * alpha + alpha - 1.0, k - (orders - 1) * r)
+        m = k - (orders - 1) * r
+        table = _monomial_rows(orders * alpha + alpha - 1.0, np.empty((orders.size, m[0])))
+        return table[np.arange(orders.size), m - 1]
 
     return _power_sum(N, weights, int(_blocks(r, k)), width=k + r)
 

@@ -867,9 +867,10 @@ def assert_same_outcome(got, want):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def reference_ml(M, alpha, c, k, a, policy, imax=None):
+def reference_ml(M, alpha, c, k, a, policy, imax=None, stops=None):
     """The one-matrix series for k > a, order by order: scalar monomials
-    and the accumulator, or a plain sum through ``imax``."""
+    and the accumulator, or a plain sum through ``imax``.  The stop order
+    is appended to the list ``stops`` when one is given."""
     M = np.asarray(M, dtype=float)
     acc = _SeriesAccumulator(policy, M.shape[0])
     power = np.eye(M.shape[0])
@@ -879,6 +880,8 @@ def reference_ml(M, alpha, c, k, a, policy, imax=None):
             if imax is not None:
                 acc.total += term
             elif acc.add(term):
+                if stops is not None:
+                    stops.append(i)
                 return acc.total
             power = power @ M
     if imax is None:
@@ -940,6 +943,60 @@ class TestOneRowDrivers:
         for M, m, imax in itertools.product(self.ML_PAIRS, (1, 2, 9, 40), (0, 1, 5, 33, 70)):
             want = outcome(lambda: reference_ml(M, 0.7, -0.3, m, 0, TIGHT, imax))
             assert_same_outcome(outcome(lambda: ml_partial_sum(M, 0.7, -0.3, m, 0, imax)), want)
+
+    # Scalars M whose ml_eval(M, 0.7, -0.3, 20, -2) stops at the last and the
+    # first order of the one-matrix series' blocks of _POWER_ORDERS = 48
+    # orders: 47 and 48, 95 and 96.
+    ML_EDGES = [(0.2762, 47), (0.2829, 48), (0.5082, 95), (0.5115, 96)]
+
+    def test_ml_eval_stops_at_block_edges(self, monkeypatch):
+        blocks = []
+        weights = dpml._monomials_at
+
+        def spy(mu, m):
+            blocks.append(mu.size)
+            return weights(mu, m)
+
+        monkeypatch.setattr(dpml, "_monomials_at", spy)
+        for m, order in self.ML_EDGES:
+            stops, blocks[:] = [], []
+            want = reference_ml([[m]], 0.7, -0.3, 20, -2, TruncationPolicy(), stops=stops)
+            assert stops == [order]
+            assert ml_eval([[m]], 0.7, -0.3, 20, -2).tobytes() == want.tobytes()
+            # Whole blocks of 48 orders, the last one holding the stop.
+            assert blocks == [48] * (order // 48 + 1)
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(), TIGHT], ids=["default", "tight"])
+    def test_ml_eval_on_long_and_overflowing_weights(self, policy):
+        # m = k - a = 165 and 400 rows of the product recurrence, and orders
+        # whose monomials pass the float range: the order-0 weight at
+        # c = 1000, later weights at alpha = 1, c = 150.
+        seen = set()
+        for M, (alpha, c), m in itertools.product(
+            ([[0.3]], 0.2 * M2, -0.9 * M2 / np.linalg.norm(M2, 1)),
+            ((0.3, -0.7), (0.9, 0.5), (1.0, 150.0), (0.5, 1e3)), (165, 400),
+        ):
+            want = outcome(lambda: reference_ml(M, alpha, c, m - 3, -3, policy))
+            got = outcome(lambda: ml_eval(M, alpha, c, m - 3, -3, policy))
+            assert_same_outcome(got, want)
+            seen.add("values" if isinstance(want, np.ndarray) else want)
+        assert "values" in seen and any("is non-finite" in text for text in seen)
+
+    def test_one_column_weights_match_the_table_column(self):
+        # The weights of one m for every order, multiplied along the orders,
+        # give the bytes of column m - 1 of _monomial_rows' table, inf and
+        # nan included: -1100 overflows before its zero factor at t = 1100.
+        rng = np.random.default_rng(11)
+        seen = set()
+        for m in (1, 2, 7, 165, 400, 1200):
+            for mu in (0.7 * np.arange(48) - 0.3, rng.uniform(-3.0, 3.0, 24),
+                       rng.uniform(-50.0, 500.0, 1), np.array([-1100.0, -3.0, -0.5, 350.5, 1e3])):
+                want = dpml._monomial_rows(mu, np.empty((mu.size, m)))[:, m - 1]
+                got = dpml._monomials_at(mu, m)
+                assert got.tobytes() == want.tobytes()
+                seen.update(name for name, hit in (("inf", np.isinf), ("nan", np.isnan))
+                            if hit(want).any())
+        assert seen == {"inf", "nan"}
 
     @pytest.mark.parametrize("policy", [TruncationPolicy(), TIGHT], ids=["default", "tight"])
     def test_exponential_perturbation_matches_accumulator(self, policy):
@@ -1465,6 +1522,32 @@ def reference_values(call):
     return got if isinstance(got, str) else got[0]
 
 
+class ProductCounter:
+    """Counts the word-sum orders DpmlFunction's series draws and the items
+    of its batched np.matmul calls, through dpml's own names: the orders
+    not batched took one product each."""
+
+    def __init__(self, monkeypatch):
+        self.drawn = self.batched = 0
+        for name in ("_word_sum_rows", "_commuting_word_sum_rows"):
+            monkeypatch.setattr(dpml, name, self.counted(getattr(dpml, name)))
+        monkeypatch.setattr(dpml, "np", self)
+
+    def counted(self, source):
+        def rows(*args):
+            for row in source(*args):
+                self.drawn += 1
+                yield row
+        return rows
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out):
+        self.batched += len(b)
+        return np.matmul(a, b, out=out)
+
+
 class TestSeriesBytes:
     """stack, with and without imax, and value give the bytes and error
     texts of the per-order loop of reference_series."""
@@ -1517,6 +1600,33 @@ class TestSeriesBytes:
             got = quiet(lambda: fn.stack(-r - 2, 30))
             want = reference_values(lambda: reference_series(params, -r - 2, 30, None, commutative))
             assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("cells", [48, 200, 1 << 15])
+    @pytest.mark.parametrize("n, r", [(1, 1), (2, 2), (2, 5)])
+    def test_full_width_orders_take_one_product_a_chunk(self, n, r, cells, monkeypatch):
+        # An order that reads every live delay block of its block joins one
+        # np.matmul a chunk of weights; the orders before it, still
+        # growing, take one product each.  Chunks of _BLOCK_CELLS //
+        # (points x delay blocks) orders put the first full-width order
+        # inside a chunk (at n = r = 1, 48 cells: the 2-order chunk of
+        # orders 22 and 23 of k = 29), and both branches must run.
+        monkeypatch.setattr(dpml, "_BLOCK_CELLS", cells)
+        counter = ProductCounter(monkeypatch)
+        for commutative in (False, True):
+            base = stack_case(n, r, commutative)
+            params = DpmlParams(0.7, 0.4, r, 0.3 * base.M, 0.3 * base.N)
+            fn = quiet(lambda: DpmlFunction(params, commutative=commutative))
+            for k in (1, 7, 29, 30, 41):
+                want = reference_values(lambda: reference_series(params, k, k, None, commutative))
+                assert_same_outcome(quiet(lambda: fn.stack(k, k)), want)
+                assert_same_outcome(quiet(lambda: fn.value(k)), want[0])
+                want = reference_values(lambda: reference_series(params, k, k, 40, commutative))
+                assert_same_outcome(quiet(lambda: fn.stack(k, k, 40)), want)
+            for kmin, kmax, imax in ((1 - r, 30, None), (5, 30, 70), (12, 13, None)):
+                want = reference_values(
+                    lambda: reference_series(params, kmin, kmax, imax, commutative))
+                assert_same_outcome(quiet(lambda: fn.stack(kmin, kmax, imax)), want)
+        assert counter.batched > 0 and counter.drawn > counter.batched
 
     # (M, N) scalars whose value at k = 20 stops at the last and the first
     # order of a lone series' blocks of _LONE_ORDERS = 24 orders (23 and 24,

@@ -1609,7 +1609,8 @@ def test_grid_point_texts_show_a_huge_int_by_its_size(call, error, text):
 
 def grid_calls():
     """Each entry that sizes a grid from an int argument, as (name, call):
-    the argument its text names and a call of the entry at that int."""
+    the argument its text names and a call of the entry at that int.  The
+    word-sum entries size a row from its order i."""
     params = DpmlParams(0.5, 0.5, 2, M2, N2)
     phi = np.ones((2, 2))
     unforced = DelaySystem(0.5, 2, M2, N2, phi)
@@ -1629,6 +1630,10 @@ def grid_calls():
         "monomial_run": ("count", lambda k: monomial_run(0.5, k)),
         "GridSeries.constant": ("end", lambda k: GridSeries.constant(0, k, [1.0])),
         "DelaySystem": ("horizon", lambda k: DelaySystem(0.5, 2, M2, N2, phi, horizon=k)),
+        "WordSumTable.row": ("i", lambda k: WordSumTable(M2, N2).row(k)),
+        "WordSumTable.value": ("i", lambda k: WordSumTable(M2, N2).value(k, 1)),
+        "word_sum_commutative": (
+            "i", lambda k: word_sum_commutative(np.diag([0.2, 0.3]), np.diag([0.1, 0.2]), k, k // 2)),
     }
     patterns = reduction_params(M2, N2, np.diag([0.2, 0.3]), np.diag([0.1, 0.2]), np.zeros((2, 2)))
     for pattern, pattern_params in patterns.items():
