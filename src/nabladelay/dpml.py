@@ -99,21 +99,17 @@ def _checked_policy(policy: TruncationPolicy) -> TruncationPolicy:
     return policy
 
 
-# Orders per block of the series drivers.  Most series stop after a few
-# dozen orders, so a monomial table filled for all i_max orders up front
-# would cost more than the sum; the block also bounds how many orders a
-# row that met the stop rule inside it is summed past its stop.
+# Orders per block of the DPML and word-sum series, lone, stacked or
+# fixed-order.  Most series stop after a few dozen orders, so a monomial
+# table filled for all i_max orders up front would cost more than the sum;
+# the block also bounds how many orders a row that met the stop rule
+# inside it is summed past its stop.
 _ORDER_BLOCK = 32
 
-# Orders per block of a lone DPML or word-sum series, at most.  Its stop
-# rule runs on Python floats, a few NumPy calls a block, so short blocks
-# cost little and the series draws about half a block past its stop.
-_LONE_ORDERS = 24
-
-# Orders per block of a lone one-matrix series (_power_sum), at most.  Each
-# of its orders costs one n x n product, so the calls made once a block
-# weigh more there than the orders drawn past the stop.
-_POWER_ORDERS = 2 * _LONE_ORDERS
+# Orders per block of a one-matrix series (_power_sum).  Each of its orders
+# costs one n x n product, so the calls made once a block weigh more there
+# than the orders drawn past the stop.
+_POWER_ORDERS = 48
 
 # Cells of one block of terms, (orders, n * n, rows), of one gather of
 # monomial weights and of one chunk of falling-binomial running products:
@@ -130,19 +126,12 @@ _TRIANGLE_CELLS = 1 << 20
 _NARROW_CELLS = 128
 
 
-def _block_orders(rows: int, cells: int, width: int) -> int:
-    # Orders per block for `rows` series of `cells` entries each, whose
-    # monomial table holds `width` cells an order: every block keeps its
-    # terms within _BLOCK_CELLS and its table within _TRIANGLE_CELLS.  One
-    # series takes up to 2 * _ORDER_BLOCK orders (_lone_sum caps it further
-    # at its own block length): its per-block NumPy calls cost more than
-    # the orders it sums past its stop, and its bytes do not depend on its
-    # block length.  Several rows take up to _ORDER_BLOCK: a row that stops
-    # leaves the products at a block's end, and BLAS rounds each row of a
-    # product by the rows beside it, so their block length is part of
-    # their bytes.
-    return max(1, min((2 if rows == 1 else 1) * _ORDER_BLOCK, _BLOCK_CELLS // (rows * cells),
-                      _TRIANGLE_CELLS // width))
+def _block_orders(rows: int, cells: int, width: int, orders: int) -> int:
+    # Orders per block, at most `orders`, for `rows` series of `cells`
+    # entries each, whose monomial table holds `width` cells an order:
+    # every block keeps its terms within _BLOCK_CELLS and its table within
+    # _TRIANGLE_CELLS.
+    return max(1, min(orders, _BLOCK_CELLS // (rows * cells), _TRIANGLE_CELLS // width))
 
 
 def _non_finite(policy: TruncationPolicy, order: int) -> DivergenceError:
@@ -227,69 +216,73 @@ class _StopRule:
         return stopped, stop[stopped], running
 
 
-def _block_sum(policy: TruncationPolicy | None, rows: int, cells: int, imax: int | None,
-               terms, width: int = 1) -> np.ndarray:
-    # The block loop of the series, for `rows` series of `cells` entries.
-    # terms(i0, i, live) gives the terms of the orders i0 .. i - 1 of the
-    # rows `live` still running (row indices, ascending), shaped
-    # (i - i0, cells, live.size): every order the block asks for.  Sums
-    # orders 0 .. imax when imax is given, the policy unused (it may be
-    # None); else stops each row under the policy, picks its running total
-    # at its stop order and asks no more terms of it.  A lone series runs
-    # _lone_sum in blocks of at most _LONE_ORDERS orders, several rows
-    # _StopRule.  Returns the values, shaped (rows, cells).  Blocks take
-    # _block_orders orders, the monomial table holding `width` cells an
-    # order.
+def _fixed_sum(rows: int, cells: int, imax: int, terms, width: int, orders: int) -> np.ndarray:
+    # The sum of orders 0 .. imax of `rows` series of `cells` entries, for
+    # any row count, in blocks of _block_orders orders, at most `orders`.
+    # terms(i0, i, live) is _block_sum's, every row live in every block.
+    # Returns the values, shaped (rows, cells).  No row leaves a product and
+    # the totals are the sequential adds, so no byte depends on the block
+    # length.
+    live = np.arange(rows)
+    total = np.zeros((cells, rows))
+    i = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i <= imax:
+            i0, i = i, min(i + _block_orders(rows, cells, width, orders), imax + 1)
+            total = _running_totals(terms(i0, i, live), total)[-1]
+    return total.T.copy()
+
+
+def _block_sum(policy: TruncationPolicy, rows: int, cells: int, terms,
+               width: int = 1) -> np.ndarray:
+    # The adaptive block loop of the series, for `rows` series of `cells`
+    # entries.  terms(i0, i, live) gives the terms of the orders i0 .. i - 1
+    # of the rows `live` still running (row indices, ascending), shaped
+    # (i - i0, cells, live.size): every order the block asks for.  Stops
+    # each row under the policy, picks its running total at its stop order
+    # and asks no more terms of it.  A lone series runs _lone_sum, several
+    # rows _StopRule.  Returns the values, shaped (rows, cells).  Blocks take
+    # _block_orders orders, at most _ORDER_BLOCK, the monomial table holding
+    # `width` cells an order.  A row that stops leaves the products at its
+    # block's end, and BLAS rounds each row of a product by the rows beside
+    # it, so the block length is part of several rows' bytes.
     if rows == 1:
-        return _lone_sum(policy, cells, imax, terms, width, _LONE_ORDERS)
-    last = policy.i_max if imax is None else imax
+        return _lone_sum(policy, cells, terms, width, _ORDER_BLOCK)
     out = np.empty((rows, cells))
     live = np.arange(rows)
     total = np.zeros((cells, rows))
-    rule = _StopRule(policy, rows) if imax is None else None
+    rule = _StopRule(policy, rows)
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while i <= last:
-            i0, i = i, min(i + _block_orders(live.size, cells, width), last + 1)
+        while i <= policy.i_max:
+            i0, i = i, min(i + _block_orders(live.size, cells, width, _ORDER_BLOCK),
+                           policy.i_max + 1)
             block = terms(i0, i, live)
-            if imax is not None:
-                total = _running_totals(block, total)[-1]
-                continue
             stopped, at, running = rule.block(i0, block, total)
             out[live[stopped]] = block[at, :, stopped]
             if not running.size:
                 return out
             live, total = live[running], block[-1][:, running]
-    if imax is None:
-        raise _exhausted(policy)
-    out[live] = total.T
-    return out
+    raise _exhausted(policy)
 
 
-def _lone_sum(policy: TruncationPolicy | None, cells: int, imax: int | None, terms,
-              width: int, orders: int) -> np.ndarray:
-    # _block_sum's loop for one series, in blocks of at most `orders`
-    # orders within _block_orders' caps.  A fixed sum adds orders 0 .. imax
-    # and never reads the policy.  An adaptive one applies the rule of
-    # _StopRule one order at a time, on Python floats, to the same running
-    # totals: it stops, and raises its texts, at the orders _StopRule does,
-    # and draws about half a block past its stop.  Its totals are the
-    # sequential adds whatever the block length, so are its bytes.
-    last = policy.i_max if imax is None else imax
-    if imax is None:
-        tol, window, grow = policy.tol, policy.window, policy.divergence_growth
+def _lone_sum(policy: TruncationPolicy, cells: int, terms, width: int, orders: int) -> np.ndarray:
+    # _block_sum's loop for one series, in blocks of _block_orders orders,
+    # at most `orders`.  It applies the rule of _StopRule one order at a
+    # time, on Python floats, to the same running totals: it stops, and
+    # raises its texts, at the orders _StopRule does, and draws about half
+    # a block past its stop.  Its totals are the sequential adds whatever
+    # the block length, so are its bytes.
+    tol, window, grow = policy.tol, policy.window, policy.divergence_growth
     quiet = growth = 0
     prev = math.inf
     live = np.zeros(1, dtype=int)
     total = np.zeros((cells, 1))
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while i <= last:
-            i0, i = i, min(i + min(orders, _block_orders(1, cells, width)), last + 1)
+        while i <= policy.i_max:
+            i0, i = i, min(i + _block_orders(1, cells, width, orders), policy.i_max + 1)
             block = terms(i0, i, live)
-            if imax is not None:
-                total = _running_totals(block, total)[-1]
-                continue
             norms = np.abs(block).max(axis=(1, 2)).tolist()  # max propagates nan
             totals = _running_totals(block, total)
             sizes = np.abs(totals).max(axis=(1, 2)).tolist()
@@ -307,9 +300,7 @@ def _lone_sum(policy: TruncationPolicy | None, cells: int, imax: int | None, ter
                     raise _grown(policy)
                 prev = norm
             total = totals[-1]
-    if imax is None:
-        raise _exhausted(policy)
-    return total.T.copy()
+    raise _exhausted(policy)
 
 
 def _running_totals(terms: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -610,24 +601,6 @@ class DpmlFunction:
             _require_commuting(params.M, params.N)
         _warn_convergence(params.M, params.N)
 
-    # -- monomial table ------------------------------------------------
-
-    def _monomials(self, first: int, stop: int, cols: int, pad: int) -> np.ndarray:
-        """Table h[i - first, pad + m - 1] of the order-(i alpha + beta - 1) monomial at m = k - a.
-
-        Rows are the orders first .. stop - 1; each row is independent of
-        the others, so a block of orders equals the same rows of a taller
-        table.  Columns pad .. pad + cols - 1 hold m = 1 .. cols, by the
-        product recurrence of :func:`~nabladelay.grid_calculus.monomial`.
-        The pad columns on the left are zero: the series reads them at
-        m <= 0, for the delay blocks past p(k).  High orders overflow to
-        inf, which the stop rule reports.
-        """
-        mu = np.arange(first, stop) * self.params.alpha + (self.params.beta - 1.0)
-        table = np.zeros((stop - first, pad + cols))
-        _monomial_rows(mu, table[:, pad:])
-        return table
-
     # -- evaluation ----------------------------------------------------
 
     def stack(self, kmin: int, kmax: int, imax: int | None = None) -> np.ndarray:
@@ -672,7 +645,7 @@ class DpmlFunction:
         first = max(kmin, 1 - r)
         if first > kmax:
             return out.reshape(-1, n, n)
-        pol = self.params.policy
+        pol, alpha, beta = self.params.policy, self.params.alpha, self.params.beta
         p = int(_blocks(r, kmax))  # delay block count p(kmax)
         source = _commuting_word_sum_rows if self.commutative else _word_sum_rows
         qrows = source(self.params.M, self.params.N, min(p, pol.i_max if imax is None else imax))
@@ -681,7 +654,15 @@ class DpmlFunction:
             # pos holds k - first of each point still running, ascending.
             pmax = int(_blocks(r, pos[-1] + first))
             cols = min(i - 1, pmax) + 1  # delay blocks j live at the block's last order
-            h = self._monomials(i0, i, kmax + r, (cols - 1) * r)
+            # h[t, pad + m - 1] is the order-(i alpha + beta - 1) monomial at
+            # m = k - a for the order i = i0 + t, by the product recurrence
+            # of grid_calculus.monomial: rows are orders, each independent
+            # of the others, and the zero pad columns hold m <= 0, read for
+            # the delay blocks past p(k).  High orders overflow to inf,
+            # which the stop rule reports.
+            pad = (cols - 1) * r
+            h = np.zeros((i - i0, pad + kmax + r))
+            _monomial_rows(np.arange(i0, i) * alpha + (beta - 1.0), h[:, pad:])
             # view[x, t, j] = h[t, pad + m - 1] at m = k - (j - 1) r for
             # the point k = first + x, pad = (cols - 1) r, through
             # strides alone.
@@ -722,8 +703,9 @@ class DpmlFunction:
             return np.ascontiguousarray(products.transpose(0, 2, 1))
 
         # A block's table has at most kmax + (p + 1) r columns.
-        out[first - kmin :] = _block_sum(pol, kmax + 1 - first, n * n, imax, terms,
-                                         kmax + (p + 1) * r)
+        rows, width = kmax + 1 - first, kmax + (p + 1) * r
+        out[first - kmin :] = (_block_sum(pol, rows, n * n, terms, width) if imax is None
+                               else _fixed_sum(rows, n * n, imax, terms, width, _ORDER_BLOCK))
         return _transposed(out, n)
 
 
@@ -814,10 +796,10 @@ def _monomials_at(mu: np.ndarray, m: int) -> np.ndarray:
 
 def _power_sum(A: np.ndarray, weights, imax: int | None,
                policy: TruncationPolicy | None = None, width: int = 1) -> np.ndarray:
-    # Sum of w_i A**i, a lone series on _lone_sum in blocks of at most
-    # _POWER_ORDERS orders: orders 0 .. imax when imax is given, else
-    # stopped under the policy.  weights(i0, i) gives the w_i of orders
-    # i0 .. i - 1, from a table of `width` cells an order.
+    # Sum of w_i A**i, a lone series in blocks of at most _POWER_ORDERS
+    # orders: orders 0 .. imax on _fixed_sum when imax is given, else
+    # stopped under the policy on _lone_sum.  weights(i0, i) gives the w_i
+    # of orders i0 .. i - 1, from a table of `width` cells an order.
     orders = _POWER_ORDERS
     buffer = np.empty((orders + 1, *A.shape))
     powers = list(buffer)  # powers[t] holds A**(i0 + t) in the block from order i0
@@ -831,7 +813,9 @@ def _power_sum(A: np.ndarray, weights, imax: int | None,
         powers[0][...] = powers[b]  # A**i, for the next block
         return block
 
-    return _lone_sum(policy, A.size, imax, terms, width, orders).reshape(A.shape)
+    values = (_lone_sum(policy, A.size, terms, width, orders) if imax is None
+              else _fixed_sum(1, A.size, imax, terms, width, orders))
+    return values.reshape(A.shape)
 
 
 # -- closed-form reductions ---------------------------------------------
@@ -919,7 +903,7 @@ def _reduce_exponential_perturbation(
             w[: len(q)].dot(q, out=out)
         return block[:, :, None]
 
-    return _block_sum(policy, 1, M.size, None, terms).reshape(M.shape).T.copy()
+    return _lone_sum(policy, M.size, terms, 1, _ORDER_BLOCK).reshape(M.shape).T.copy()
 
 
 def _reduce_delayed_ml(N: np.ndarray, alpha: float, r: int, k: int) -> np.ndarray:

@@ -117,14 +117,18 @@ def _require_real(name: str, value, interval: str) -> float:
 def _real_array(name: str, values) -> np.ndarray:
     # The one entry rule of array input, named in the error: a rectangular
     # array (ValueError otherwise) whose NumPy dtype is int, uint or float
-    # (TypeError otherwise: bool, str, complex, object), read into the
-    # library's own float64 copy, so no later write by the caller reaches it.
+    # and, nested input, holding no bool among its numbers (TypeError
+    # otherwise: bool, str, complex, object), read into the library's own
+    # float64 copy, so no later write by the caller reaches it.
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged nesting
         raise ValueError(f"{name} must be a rectangular array, got ragged input") from exc
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"{name} must hold int or float entries, got dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+        raise TypeError(f"{name} must hold int or float entries, got a bool among numbers")
     return arr.astype(float)
 
 

@@ -1039,16 +1039,22 @@ class TestOneRowDrivers:
         if cells is not None:
             monkeypatch.setattr(dpml, "_TRIANGLE_CELLS", cells)
             monkeypatch.setattr(dpml, "_BLOCK_CELLS", cells)
+        counter = BlockCounter(monkeypatch)
         N = 0.3 * np.array(N2)
         for r, k in itertools.product((1, 2, 4), (0, 1, 5, 30, 90)):
             params = DpmlParams(1.0, 1.0, r, np.zeros((2, 2)), N)
-            got = special_reductions(params, k, pattern="delayed_exponential")
+            got = counter.run(
+                lambda: special_reductions(params, k, pattern="delayed_exponential"))[0]
             assert got.tobytes() == reference_delayed_exponential(N, r, k).tobytes()
         for r, k in itertools.product((1, 3), (4, 40)):
             params = DpmlParams(1.0, 1.0, r, 0.1 * np.array(M2), 0.1 * np.array(N2))
             want = reference_exponential_perturbation(params.M, params.N, r, k, params.policy)
-            got = special_reductions(params, k, pattern="exponential_perturbation")
+            got = counter.run(
+                lambda: special_reductions(params, k, pattern="exponential_perturbation"))[0]
             assert got.tobytes() == want.tobytes()
+        # Blocks of 2 x 2 terms within `cells` cells, from 48 orders (91 at
+        # r = 1, k = 90) down to one.
+        assert max(counter.seen) == (48 if cells is None else max(1, cells // 4))
         # An (orders × delay blocks) argument array, as a block of the
         # exponential-perturbation reduction passes it, with signed and
         # non-integer upper arguments.
@@ -1371,19 +1377,24 @@ class TestBlockStopRule:
         # Block lengths the orders of TIGHT and ODD are no multiple of; the
         # pairs scaled up grow, and [[1e150]] overflows.
         monkeypatch.setattr(dpml, "_ORDER_BLOCK", block)
+        counter = BlockCounter(monkeypatch)
         seen = set()
         for n, r, scale in itertools.product((1, 2), (1, 3), (0.1, 1.0, 4.0, 8.0)):
             base = stack_case(n, r, False)
             params = DpmlParams(0.7, 0.4, r, scale * base.M, scale * base.N, policy)
-            seen.update(self.check(params, -r - 2, 14))
-        seen.update(self.check(DpmlParams(0.7, 0.4, 2, [[1e150]], [[1e150]], policy), -2, 9))
+            seen.update(self.check(params, -r - 2, 14, counter))
+        params = DpmlParams(0.7, 0.4, 2, [[1e150]], [[1e150]], policy)
+        seen.update(self.check(params, -2, 9, counter))
         assert seen == {"values", *STOP_MESSAGES}
+        # Every block is cut at the patched length: the first block of a
+        # series takes it whole, or all i_max + 1 orders.
+        assert max(counter.seen) == min(block, policy.i_max + 1)
 
     @staticmethod
-    def check(params, kmin, kmax):
+    def check(params, kmin, kmax, counter):
         with np.errstate(over="ignore", invalid="ignore"):
             want = reference_outcome(params, kmin, kmax, recursion_rows(params.M, params.N))
-        got = outcome(lambda: DpmlFunction(params).stack(kmin, kmax))
+        got = counter.run(lambda: outcome(lambda: DpmlFunction(params).stack(kmin, kmax)))[0]
         if isinstance(want, str):
             assert got == want
             return {text for text in STOP_MESSAGES if text in want}
@@ -1412,8 +1423,7 @@ def drive_lone(policy, row, lengths, monkeypatch):
     blocks of the given lengths, cycled.  Returns the blocks (i0, i) it drew
     and the total bytes or the error text."""
     cycle = itertools.cycle(lengths)
-    monkeypatch.setattr(dpml, "_LONE_ORDERS", 1 << 30)
-    monkeypatch.setattr(dpml, "_block_orders", lambda rows, cells, width: next(cycle))
+    monkeypatch.setattr(dpml, "_block_orders", lambda rows, cells, width, orders: next(cycle))
     blocks = []
 
     def terms(i0, i, live):
@@ -1422,7 +1432,7 @@ def drive_lone(policy, row, lengths, monkeypatch):
         return row[i0:i, :, None].copy()
 
     try:
-        return blocks, dpml._block_sum(policy, 1, 4, None, terms).tobytes()
+        return blocks, dpml._block_sum(policy, 1, 4, terms).tobytes()
     except DivergenceError as exc:
         return blocks, str(exc)
 
@@ -1548,6 +1558,73 @@ class ProductCounter:
         return np.matmul(a, b, out=out)
 
 
+class BlockCounter:
+    """Counts the blocks of terms the series drivers draw, one terms call
+    each: every driver passes each block once through dpml's own
+    _running_totals.  run(call) gives the call's result and the orders of
+    each block it drew; ``seen`` gathers them over every run."""
+
+    def __init__(self, monkeypatch):
+        self.blocks, self.seen = None, []
+        totals = dpml._running_totals
+
+        def counted(terms, total):
+            if self.blocks is not None:
+                self.blocks.append(len(terms))
+            return totals(terms, total)
+
+        monkeypatch.setattr(dpml, "_running_totals", counted)
+
+    def run(self, call):
+        self.blocks = []
+        try:
+            return call(), self.blocks
+        finally:
+            self.seen += self.blocks
+            self.blocks = None
+
+
+def cut(orders, block):
+    """The order counts of `orders` orders cut into blocks of `block`."""
+    return [block] * (orders // block) + [orders % block] * (orders % block > 0)
+
+
+class TestFixedSumBytes:
+    """A fixed-order sum adds every order of every row in sequence, so its
+    bytes do not depend on its block length: one row or several, through
+    stack(kmin, kmax, imax) and ml_partial_sum, with the block constant
+    patched."""
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (2, 3), (3, 2)])
+    def test_stack_bytes_do_not_depend_on_block_length(self, n, r, monkeypatch):
+        counter = BlockCounter(monkeypatch)
+        for commutative, scale in itertools.product((False, True), (0.3, 1.0)):
+            base = stack_case(n, r, commutative)
+            params = DpmlParams(0.7, 0.4, r, scale * base.M, scale * base.N)
+            fn = quiet(lambda: DpmlFunction(params, commutative=commutative))
+            for kmin, kmax, imax in ((7, 7, 70), (30, 30, 40), (1 - r, 1 - r, 0),
+                                     (-r - 2, 30, 70), (5, 12, 33)):
+                want = reference_values(
+                    lambda: reference_series(params, kmin, kmax, imax, commutative))
+                for block in (1, 5, 32, 64):
+                    monkeypatch.setattr(dpml, "_ORDER_BLOCK", block)
+                    got, blocks = counter.run(lambda: quiet(lambda: fn.stack(kmin, kmax, imax)))
+                    assert_same_outcome(got, want)
+                    assert blocks == cut(imax + 1, block)
+
+    @pytest.mark.parametrize("M", TestOneRowDrivers.ML_PAIRS, ids=["M2", "scaled", "large", "huge"])
+    def test_ml_partial_sum_bytes_do_not_depend_on_block_length(self, M, monkeypatch):
+        counter = BlockCounter(monkeypatch)
+        for m, imax in itertools.product((1, 2, 9, 40), (0, 5, 33, 70, 130)):
+            want = outcome(lambda: reference_ml(M, 0.7, -0.3, m, 0, TIGHT, imax))
+            for block in (1, 5, 32, 64):
+                monkeypatch.setattr(dpml, "_POWER_ORDERS", block)
+                got, blocks = counter.run(lambda: outcome(
+                    lambda: ml_partial_sum(M, 0.7, -0.3, m, 0, imax)))
+                assert_same_outcome(got, want)
+                assert blocks == cut(imax + 1, block)
+
+
 class TestSeriesBytes:
     """stack, with and without imax, and value give the bytes and error
     texts of the per-order loop of reference_series."""
@@ -1593,13 +1670,17 @@ class TestSeriesBytes:
         # once more than 8 delay blocks are live.
         monkeypatch.setattr(dpml, "_ORDER_BLOCK", block)
         monkeypatch.setattr(dpml, "_BLOCK_CELLS", 256)
+        counter = BlockCounter(monkeypatch)
         for commutative, scale in itertools.product((False, True), (0.3, 1.0)):
             base = stack_case(n, r, commutative)
             params = DpmlParams(0.7, 0.4, r, scale * base.M, scale * base.N, TIGHT)
             fn = quiet(lambda: DpmlFunction(params, commutative=commutative))
-            got = quiet(lambda: fn.stack(-r - 2, 30))
+            got, blocks = counter.run(lambda: quiet(lambda: fn.stack(-r - 2, 30)))
             want = reference_values(lambda: reference_series(params, -r - 2, 30, None, commutative))
             assert_same_outcome(got, want)
+            # The 30 + r points of the series share 256 cells of terms.
+            assert blocks[0] == max(1, min(block, 256 // ((30 + r) * n * n)))
+            assert max(blocks) <= block
 
     @pytest.mark.parametrize("cells", [48, 200, 1 << 15])
     @pytest.mark.parametrize("n, r", [(1, 1), (2, 2), (2, 5)])
@@ -1629,18 +1710,21 @@ class TestSeriesBytes:
         assert counter.batched > 0 and counter.drawn > counter.batched
 
     # (M, N) scalars whose value at k = 20 stops at the last and the first
-    # order of a lone series' blocks of _LONE_ORDERS = 24 orders (23 and 24,
-    # 47 and 48), and at 63 and 64, where its 64-order blocks met.
-    EDGE_PAIRS = [((0.0595, 0.0595), 23), ((0.066, 0.066), 24), ((0.2235, 0.2235), 47),
-                  ((0.23, 0.23), 48), ((0.3241, 0.3241), 63), ((0.3286, 0.3286), 64)]
+    # order of a lone series' blocks of _ORDER_BLOCK = 32 orders: 31 and 32,
+    # 63 and 64, 95 and 96.
+    EDGE_PAIRS = [((0.115, 0.115), 31), ((0.122, 0.122), 32), ((0.3241, 0.3241), 63),
+                  ((0.3286, 0.3286), 64), ((0.4745, 0.4745), 95), ((0.478, 0.478), 96)]
 
-    def test_lone_series_stops_at_block_edges(self):
+    def test_lone_series_stops_at_block_edges(self, monkeypatch):
+        counter = BlockCounter(monkeypatch)
         for (m, nn), want in self.EDGE_PAIRS:
             params = DpmlParams(0.7, 0.4, 1, [[m]], [[nn]])
             values, stops = reference_series(params, 20, 20)
             assert stops == {20: want}
-            got = DpmlFunction(params).value(20)
+            got, blocks = counter.run(lambda: DpmlFunction(params).value(20))
             assert got.tobytes() == values[0].tobytes()
+            # Whole blocks of 32 orders, the last one holding the stop.
+            assert blocks == [32] * (want // 32 + 1)
             stacked = DpmlFunction(params).stack(20, 20)
             assert stacked.tobytes() == values.tobytes()
 
@@ -1704,8 +1788,9 @@ class TestDelayBlockSums:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_delay_block_sum_matches_power_loop(self, n):
         rng = np.random.default_rng(70 + n)
-        # 65 and 130 weights cross the 64-order blocks of a lone fixed-order sum.
-        for count in (1, 2, 5, 40, 65, 130):
+        # 48, 49, 65 and 130 weights meet and cross the 48-order blocks of a
+        # one-matrix fixed-order sum.
+        for count in (1, 2, 5, 40, 48, 49, 65, 130):
             for N in (0.5 * rng.normal(size=(n, n)), -0.0 * np.ones((n, n)),
                       np.where(rng.random((n, n)) < 0.5, -0.0, -0.3)):
                 # Signed and zero weights give -0.0 products.
@@ -1716,11 +1801,13 @@ class TestDelayBlockSums:
     @pytest.mark.parametrize("cells", [None, 1, 7, 100])
     def test_delayed_ml_weights_match_scalar_monomial(self, cells, monkeypatch):
         # A block's table of monomial products holds at most `cells` cells,
-        # and the blocks take at most 2 * _ORDER_BLOCK orders; every cut
-        # gives the scalar rule's products and the sum's bytes.  At r = 1,
-        # k = 200 the sum runs over 201 orders, past three block edges.
+        # and the blocks take at most _POWER_ORDERS orders; every cut gives
+        # the scalar rule's products and the sum's bytes.  At r = 1, k = 200
+        # the sum runs over 201 orders, past four block edges.
         if cells is not None:
             monkeypatch.setattr(dpml, "_TRIANGLE_CELLS", cells)
+        cap = dpml._TRIANGLE_CELLS
+        counter = BlockCounter(monkeypatch)
         N = 0.3 * np.array(N2)
         cases = itertools.chain(
             itertools.product((0.3, 0.75, 1.0), (1, 2, 5), (-1, 0, 1, 7, 60)),
@@ -1734,9 +1821,12 @@ class TestDelayBlockSums:
                 for i in range(max(0, -(-k // r)) + 1)
             ]
             want = reference_delay_block_sum(N, weights).tobytes()
-            for block in (32, 5, 1):
-                monkeypatch.setattr(dpml, "_ORDER_BLOCK", block)
-                assert dpml._reduce_delayed_ml(N, alpha, r, k).tobytes() == want
+            for block in (48, 5, 1):
+                monkeypatch.setattr(dpml, "_POWER_ORDERS", block)
+                got, blocks = counter.run(lambda: dpml._reduce_delayed_ml(N, alpha, r, k))
+                assert got.tobytes() == want
+                # The table of a block holds k + r cells an order.
+                assert blocks == cut(len(weights), max(1, min(block, cap // (k + r))))
 
 
 def traced_peak(call):

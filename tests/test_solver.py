@@ -1472,6 +1472,12 @@ def test_array_entries_follow_one_rule(entry):
         text = f"{name} must hold int or float entries, got dtype {np.asarray(bad).dtype}"
         with pytest.raises(TypeError, match=rf"^{re.escape(text)}$"):
             call(bad)
+    # A bool among numbers, which NumPy would read as 0 or 1.
+    text = f"{name} must hold int or float entries, got a bool among numbers"
+    for bad in ([[0.1, True], [0.0, 0.1]], [[1.0, np.True_], [0.0, 0.1]],
+                [[False, 0.2], [0.0, 0.1]], [[1, 0], [np.False_, 1]]):
+        with pytest.raises(TypeError, match=rf"^{re.escape(text)}$"):
+            call(bad)
     text = f"{name} must be a rectangular array, got ragged input"
     with pytest.raises(ValueError, match=rf"^{re.escape(text)}$"):
         call([[0.1, 0.2], [0.3]])
